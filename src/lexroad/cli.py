@@ -1,8 +1,17 @@
 """Command-line front end.
 
 Subcommands: ``compile``, ``eval``, ``lawmap``, ``bn``, ``check``.
-Exit codes: 0 success, 1 parse error, 2 compile error, 3 incomplete or
-invalid scenario, 4 inference error, 5 rulepack integrity error.
+Exit codes: 0 success; 1 the rule cannot be read (missing, not UTF-8) or
+parsed; 2 it does not compile; 3 the scenario is unreadable, not a JSON
+object, for another rule, names a variable the rule lacks or a decision, or
+leaves out a fact ``lawmap --trace`` needs; 4 priors or evidence are
+unusable, evidence is impossible, a decision is cyclic, an exhaustive step
+gets too many inputs (``lawmap`` over 24 inputs, ``bn --validate`` over 24
+roots) or a validated net diverges; 5 anything wrong in the rulepack or a
+profile.  ``EXIT_CODES`` gives each lexroad error its code, and ``_exits``
+gives errors raised while reading one input the code of that input.
+``main`` alone reports a failure, as one stderr line: ``error: ...``, or
+``file:line:col: error: ...`` for a rule syntax error.
 Outputs are byte-stable for identical inputs; ``--timestamps`` opts into
 wall-clock metadata on reports.
 """
@@ -10,28 +19,14 @@ wall-clock metadata on reports.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
-from . import __version__, bayes_net, boolean_core, compliance, lawmap, rulepack
-from .boolean_core import (
-    CyclicDefinitionError,
-    NoOutcomeError,
-    TooManyVariablesError,
-    UnboundVariableError,
-    compile_rule,
-    equations_to_text,
-    evaluate,
-)
-from .rule_dsl import (
-    NamingConflictError,
-    RuleSyntaxError,
-    assign_variables,
-    load_rule_file,
-    parse_rule,
-)
+from . import __version__, bayes_net, boolean_core, compliance, lawmap, rule_dsl, rulepack
+from .boolean_core import RuleEquations, compile_rule, equations_to_text, evaluate
+from .rule_dsl import assign_variables, load_rule_file, parse_rule
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -40,18 +35,42 @@ EXIT_SCENARIO = 3
 EXIT_INFERENCE = 4
 EXIT_RULEPACK = 5
 
-_PARSE_ERRORS = (RuleSyntaxError, boolean_core.EquationSyntaxError)
-_COMPILE_ERRORS = (UnboundVariableError, NoOutcomeError, NamingConflictError,
-                   TooManyVariablesError)
+EXIT_CODES: dict[type[Exception], int] = {
+    rule_dsl.RuleSyntaxError: EXIT_PARSE,
+    rule_dsl.DuplicateLabelError: EXIT_PARSE,
+    boolean_core.EquationSyntaxError: EXIT_PARSE,
+    rule_dsl.NamingConflictError: EXIT_COMPILE,
+    boolean_core.UnboundVariableError: EXIT_COMPILE,
+    boolean_core.NoOutcomeError: EXIT_COMPILE,
+    lawmap.InconsistentInputsError: EXIT_COMPILE,
+    compliance.UnknownScenarioVariableError: EXIT_SCENARIO,
+    lawmap.IncompleteAssignmentError: EXIT_SCENARIO,
+    boolean_core.TooManyVariablesError: EXIT_INFERENCE,
+    boolean_core.CyclicDefinitionError: EXIT_INFERENCE,
+    bayes_net.ImpossibleEvidenceError: EXIT_INFERENCE,
+    rulepack.GoldenMismatchError: EXIT_RULEPACK,
+    rulepack.IncompleteProfileError: EXIT_RULEPACK,
+}
+# what reading a file, or a value in it that is not what it should be, raises
+_INPUT_ERRORS = (OSError, ValueError, KeyError)
 
 
-def _fail(code: int, message: str) -> int:
-    print(message, file=sys.stderr)
-    return code
+class _Failure(Exception):
+    """``_Failure(code, error)``: ``error`` ends the command with exit ``code``."""
+
+
+@contextmanager
+def _exits(code: int, errors: tuple[type[Exception], ...] = _INPUT_ERRORS):
+    """Any of ``errors`` raised in the block ends the command with ``code``."""
+    try:
+        yield
+    except errors as exc:
+        raise _Failure(code, exc) from exc
 
 
 def _load_compiled(rule_path: str):
-    source = load_rule_file(rule_path)
+    with _exits(EXIT_PARSE):
+        source = load_rule_file(rule_path)
     ast = parse_rule(source)
     table = assign_variables(ast)
     return source, ast, compile_rule(ast, table)
@@ -64,51 +83,30 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_facts(path: str, rule_id: str | None = None) -> compliance.Scenario:
-    scenario = compliance.load_scenario(path)
-    if rule_id is not None and scenario.rule_id != rule_id:
-        raise ValueError(
-            f"scenario targets rule {scenario.rule_id!r}, not {rule_id!r}"
-        )
-    return scenario
+def _load_facts(path: str, eqs: RuleEquations) -> dict[str, bool]:
+    with _exits(EXIT_SCENARIO):
+        scenario = compliance.load_scenario(path)
+        if scenario.rule_id != eqs.rule_id:
+            raise ValueError(
+                f"scenario targets rule {scenario.rule_id!r}, not {eqs.rule_id!r}"
+            )
+    compliance.check_facts(eqs, scenario)
+    return scenario.facts
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    try:
-        _, _, eqs = _load_compiled(args.rule)
-    except _PARSE_ERRORS as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    except _COMPILE_ERRORS as exc:
-        return _fail(EXIT_COMPILE, f"error: {exc}")
-    except OSError as exc:
-        return _fail(EXIT_PARSE, f"error: {exc}")
+    _, _, eqs = _load_compiled(args.rule)
     _write(equations_to_text(eqs, ascii_ops=args.ascii), args.out)
     return EXIT_OK
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        _, _, eqs = _load_compiled(args.rule)
-    except _PARSE_ERRORS as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    except _COMPILE_ERRORS as exc:
-        return _fail(EXIT_COMPILE, f"error: {exc}")
-    except OSError as exc:
-        return _fail(EXIT_PARSE, f"error: {exc}")
-    try:
-        scenario = _load_facts(args.scenario, rule_id=eqs.rule_id)
-        unknown = tuple(
-            v for v in scenario.facts if v not in eqs.table.variables
-        )
-        if unknown:
-            raise compliance.UnknownScenarioVariableError(eqs.rule_id, unknown)
-    except (OSError, ValueError, KeyError,
-            compliance.UnknownScenarioVariableError) as exc:
-        return _fail(EXIT_SCENARIO, f"error: {exc}")
-    if not scenario.facts:
+    _, _, eqs = _load_compiled(args.rule)
+    facts = _load_facts(args.scenario, eqs)
+    if not facts:
         print("warning: scenario provides no facts; all decisions unknown",
               file=sys.stderr)
-    results = evaluate(eqs, dict(scenario.facts))
+    results = evaluate(eqs, dict(facts))
     lines = [
         f"{decision}: {compliance.kleene_name(value)} ({eqs.table.describe(decision)})"
         for decision, value in results.items()
@@ -118,27 +116,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_lawmap(args: argparse.Namespace) -> int:
-    try:
-        source, ast, eqs = _load_compiled(args.rule)
-    except _PARSE_ERRORS as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    except _COMPILE_ERRORS as exc:
-        return _fail(EXIT_COMPILE, f"error: {exc}")
-    except OSError as exc:
-        return _fail(EXIT_PARSE, f"error: {exc}")
+    source, ast, eqs = _load_compiled(args.rule)
     meta = {"title": source.title} if source.title else {}
     for i, cite in enumerate(source.citations):
         meta[f"cites.{i}"] = cite
     graph = lawmap.build_lawmap(eqs, ast, meta=meta)
     highlight = None
     if args.trace:
-        try:
-            scenario = _load_facts(args.trace, rule_id=eqs.rule_id)
-            highlight = lawmap.trace_path(graph, scenario.facts)
-        except lawmap.IncompleteAssignmentError as exc:
-            return _fail(EXIT_SCENARIO, f"error: {exc}")
-        except (OSError, ValueError, KeyError) as exc:
-            return _fail(EXIT_SCENARIO, f"error: {exc}")
+        highlight = lawmap.trace_path(graph, _load_facts(args.trace, eqs))
     if args.format == "json":
         text = lawmap.export_json(graph)
     else:
@@ -163,50 +148,36 @@ def _parse_evidence(text: str) -> dict[str, bool]:
     return evidence
 
 
+def _load_priors(path: str) -> dict[str, float]:
+    priors = rulepack.load_json_object(path)
+    for name, value in priors.items():
+        if not isinstance(value, (int, float, str)):
+            raise ValueError(f"prior for {name} must be a number")
+    return {name: float(value) for name, value in priors.items()}
+
+
 def cmd_bn(args: argparse.Namespace) -> int:
     priors: dict[str, float] = {}
     if args.priors:
-        try:
-            priors = {
-                str(k): float(v)
-                for k, v in json.loads(Path(args.priors).read_text("utf-8")).items()
-            }
-        except (OSError, ValueError) as exc:
-            return _fail(EXIT_INFERENCE, f"error: {exc}")
+        with _exits(EXIT_INFERENCE):
+            priors = _load_priors(args.priors)
     lines: list[str] = []
     total = passed = 0
     for rule_path in args.rules:
-        try:
-            _, _, eqs = _load_compiled(rule_path)
-        except _PARSE_ERRORS as exc:
-            return _fail(EXIT_PARSE, str(exc))
-        except _COMPILE_ERRORS as exc:
-            return _fail(EXIT_COMPILE, f"error: {exc}")
-        except OSError as exc:
-            return _fail(EXIT_PARSE, f"error: {exc}")
-        try:
+        _, _, eqs = _load_compiled(rule_path)
+        with _exits(EXIT_INFERENCE):
             net = bayes_net.build_bn(eqs, priors={
                 k: v for k, v in priors.items() if k in eqs.table.variables
             })
-        except (CyclicDefinitionError, TooManyVariablesError, ValueError) as exc:
-            return _fail(EXIT_INFERENCE, f"error: {exc}")
         if args.infer is not None:
-            try:
-                evidence = _parse_evidence(args.infer)
-                posteriors = bayes_net.infer(net, evidence)
-            except bayes_net.ImpossibleEvidenceError as exc:
-                return _fail(EXIT_INFERENCE, f"error: {exc}")
-            except (KeyError, ValueError) as exc:
-                return _fail(EXIT_INFERENCE, f"error: {exc}")
+            with _exits(EXIT_INFERENCE):
+                posteriors = bayes_net.infer(net, _parse_evidence(args.infer))
             for decision in eqs.decision_ids():
                 lines.append(f"P({decision}=true) = {posteriors[decision]:.9f}")
         elif args.export:
             lines.append(bayes_net.net_to_json(net).rstrip("\n"))
         else:
-            try:
-                report = bayes_net.validate_bn(net, eqs)
-            except TooManyVariablesError as exc:
-                return _fail(EXIT_INFERENCE, f"error: {exc}")
+            report = bayes_net.validate_bn(net, eqs)
             total += report.equations_total
             passed += report.equations_passed
             status = "ok" if report.ok else "DIVERGED"
@@ -237,26 +208,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     pack_dir = pack_arg or os.environ.get("LEXROAD_RULEPACK")
     if not pack_dir:
         pack_dir = str(rulepack.default_pack_dir())
-    try:
+    with _exits(EXIT_RULEPACK, (*_INPUT_ERRORS, *EXIT_CODES)):
         pack = rulepack.load_rulepack(pack_dir)
-    except rulepack.GoldenMismatchError as exc:
-        return _fail(EXIT_RULEPACK, f"error: {exc}")
-    except _PARSE_ERRORS as exc:
-        return _fail(EXIT_RULEPACK, f"error: {exc}")
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(EXIT_RULEPACK, f"error: {exc}")
-    try:
         profile_paths = [Path(p) for p in profile_args]
         profiles = [rulepack.load_profile(p) for p in profile_paths]
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(EXIT_RULEPACK, f"error: {exc}")
-    scenarios = []
-    for path in args.scenario or []:
-        try:
-            scenarios.append(_load_facts(path))
-        except (OSError, ValueError, KeyError) as exc:
-            return _fail(EXIT_SCENARIO, f"error: {exc}")
-    try:
+    with _exits(EXIT_SCENARIO):
+        scenarios = [compliance.load_scenario(path) for path in args.scenario or []]
+    # KeyError: a scenario for a rule the pack does not have
+    with _exits(EXIT_SCENARIO, (KeyError,)):
         report = compliance.build_report(
             pack,
             profiles,
@@ -264,10 +223,6 @@ def cmd_check(args: argparse.Namespace) -> int:
             scenarios=scenarios,
             timestamps=args.timestamps,
         )
-    except rulepack.IncompleteProfileError as exc:
-        return _fail(EXIT_RULEPACK, f"error: {exc}")
-    except (compliance.UnknownScenarioVariableError, KeyError) as exc:
-        return _fail(EXIT_SCENARIO, f"error: {exc}")
     if args.format == "json":
         sys.stdout.write(compliance.report_to_json(report))
     else:
@@ -338,7 +293,16 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(stream, "reconfigure"):
             stream.reconfigure(encoding="utf-8")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Failure as failure:
+        code, error = failure.args
+    except tuple(EXIT_CODES) as exc:
+        code, error = EXIT_CODES[type(exc)], exc
+    # a syntax error already reads "file:line:col: error: ..."
+    print(error if isinstance(error, rule_dsl.RuleSyntaxError) else f"error: {error}",
+          file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

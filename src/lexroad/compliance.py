@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .boolean_core import evaluate
+from .boolean_core import RuleEquations, evaluate
 from .rulepack import (
     MARKS,
     Answer,
@@ -25,17 +25,17 @@ from .rulepack import (
     Rulepack,
     file_digest,
     group_for_rule,
+    json_value,
+    load_json_object,
     pack_digest,
 )
 
 
 class UnknownScenarioVariableError(Exception):
-    def __init__(self, rule_id: str, unknown: tuple[str, ...]):
+    def __init__(self, rule_id: str, unknown: tuple[str, ...], kind: str = "unknown variables"):
         self.rule_id = rule_id
         self.unknown = unknown
-        super().__init__(
-            f"scenario for {rule_id} names unknown variables: {', '.join(unknown)}"
-        )
+        super().__init__(f"scenario for {rule_id} names {kind}: {', '.join(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -46,17 +46,27 @@ class Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    facts = {}
-    for key, value in payload.get("facts", {}).items():
+    payload = load_json_object(path)
+    facts = json_value(payload.get("facts", {}), dict, f"{path}: facts")
+    for key, value in facts.items():
         if not isinstance(value, bool):
             raise ValueError(f"scenario fact {key!r} must be true or false")
-        facts[key] = value
     return Scenario(
-        rule_id=payload["rule_id"],
+        rule_id=json_value(payload["rule_id"], str, f"{path}: rule_id"),
         facts=facts,
         description=payload.get("description", ""),
     )
+
+
+def check_facts(eqs: RuleEquations, scenario: Scenario) -> None:
+    """Refuse facts the rule cannot take: names it does not have, and its
+    decisions, which ``evaluate`` derives and would silently overwrite."""
+    unknown = tuple(v for v in scenario.facts if v not in eqs.table.variables)
+    if unknown:
+        raise UnknownScenarioVariableError(scenario.rule_id, unknown)
+    decisions = tuple(v for v in scenario.facts if v in eqs.equations)
+    if decisions:
+        raise UnknownScenarioVariableError(scenario.rule_id, decisions, "decisions, not facts")
 
 
 def kleene_name(value: bool | None) -> str:
@@ -105,10 +115,7 @@ def build_report(
         entry = compiled.get(scenario.rule_id)
         if entry is None or entry.equations is None:
             raise KeyError(f"scenario names unknown rule '{scenario.rule_id}'")
-        table = entry.equations.table
-        unknown = tuple(v for v in scenario.facts if v not in table.variables)
-        if unknown:
-            raise UnknownScenarioVariableError(scenario.rule_id, unknown)
+        check_facts(entry.equations, scenario)
         outcome = evaluate(entry.equations, dict(scenario.facts))
         rule_outcomes[scenario.rule_id] = {
             decision: kleene_name(value) for decision, value in outcome.items()

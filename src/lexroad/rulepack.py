@@ -221,7 +221,7 @@ def load_rulepack(path: str | Path) -> Rulepack:
             )
         )
     for checklist_file in sorted(path.glob("*.checklist.json")):
-        payload = json.loads(checklist_file.read_text(encoding="utf-8"))
+        payload = load_json_object(checklist_file)
         group = payload["group"]
         if group not in RULE_GROUPS:
             raise ValueError(f"{checklist_file.name}: unknown rule group '{group}'")
@@ -246,16 +246,30 @@ def load_rulepack(path: str | Path) -> Rulepack:
     return Rulepack(path=path, entries=entries)
 
 
+_JSON_KINDS = {dict: "object", str: "string"}
+
+
+def json_value(value, kind: type, what: str):
+    """``value`` if it is a ``kind`` (dict or str); ValueError naming ``what`` if not."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}")
+    return value
+
+
+def load_json_object(path: str | Path) -> dict:
+    """The JSON object in the file at ``path``."""
+    return json_value(json.loads(Path(path).read_text(encoding="utf-8")), dict, str(path))
+
+
 def load_profile(path: str | Path) -> CapabilityProfile:
-    path = Path(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    answers = tuple(
-        (key, Answer(value)) for key, value in sorted(payload["answers"].items())
-    )
+    payload = load_json_object(path)
+    answers = json_value(payload["answers"], dict, f"{path}: answers")
+    vehicle_id = json_value(payload["vehicle_id"], str, f"{path}: vehicle_id")
     return CapabilityProfile(
-        vehicle_id=payload["vehicle_id"],
-        display_name=payload.get("display_name", payload["vehicle_id"]),
-        answers=answers,
+        vehicle_id=vehicle_id,
+        display_name=json_value(payload.get("display_name", vehicle_id), str,
+                                f"{path}: display_name"),
+        answers=tuple((key, Answer(value)) for key, value in sorted(answers.items())),
         sae_level=payload.get("sae_level"),
     )
 
