@@ -32,6 +32,7 @@ from enum import Enum
 
 from .boolean_core import (
     And,
+    Bdd,
     BoolExpr,
     CyclicDefinitionError,
     Not,
@@ -453,15 +454,10 @@ def validate_bn(net: BayesNet, eqs: RuleEquations) -> ValidationReport:
             if min(p, 1.0 - p) > AGREEMENT_TOLERANCE or (p > 0.5) != want:
                 report.divergences.append(Divergence(decision, ev, want, p))
     exprs = expand(eqs)
+    bdd = Bdd(eqs.input_ids())
     for decision in decisions:
         expr = exprs[decision]
-        names = free_vars(expr)
-        satisfying = None
-        for combo in itertools.product((True, False), repeat=len(names)):
-            env: dict[str, bool | None] = dict(zip(names, combo))
-            if kleene_eval(expr, env):
-                satisfying = dict(zip(names, combo))
-                break
+        satisfying = bdd.witness(bdd.of(expr), free_vars(expr), first=True)
         if satisfying is None:
             continue  # unsatisfiable decision: nothing to instantiate
         posteriors = infer(net, satisfying, method="enumeration")

@@ -12,7 +12,9 @@ unsatisfiable and ELSE outcomes reduce to ``A*``.
 Scenario evaluation is three-valued (Kleene): a decision is TRUE or FALSE
 only when the known facts force it, otherwise UNKNOWN (``None``).
 Equations may reference decisions defined earlier in the same set
-(expanded by substitution before truth-table work).
+(expanded by substitution before analysis).  Equivalence and property
+checks work on decision diagrams (:class:`Bdd`); only :func:`truth_table`,
+the explicit enumeration kept for tests, has a variable bound.
 """
 
 from __future__ import annotations
@@ -174,14 +176,7 @@ class RuleEquations:
         return tuple(self.equations)
 
     def input_ids(self) -> tuple[str, ...]:
-        if self.input_order:
-            return self.input_order
-        inputs: dict[str, None] = {}
-        for decision, expr in self.equations.items():
-            for var_id in free_vars(expr):
-                if var_id not in self.equations:
-                    inputs.setdefault(var_id, None)
-        return tuple(inputs)
+        return self.input_order
 
 
 def compile_rule(ast: RuleAst, table: VariableTable) -> RuleEquations:
@@ -313,7 +308,8 @@ class TruthTableRow:
 
 
 def truth_table(eqs: RuleEquations) -> list[TruthTableRow]:
-    """All 2^n rows over the sorted input variables."""
+    """All 2^n rows over the sorted input variables: the explicit
+    enumeration, bounded by ``MAX_TRUTH_TABLE_VARS``."""
     inputs = tuple(sorted(eqs.input_ids()))
     if len(inputs) > MAX_TRUTH_TABLE_VARS:
         raise TooManyVariablesError(len(inputs), MAX_TRUTH_TABLE_VARS)
@@ -337,28 +333,26 @@ class PropertyReport:
         return all(self.mutually_exclusive.values())
 
 
-def check_properties(
-    eqs: RuleEquations, antecedent: BoolExpr | None = None
-) -> PropertyReport:
-    """Exhaustively check pairwise exclusion and coverage of the antecedent."""
-    antecedent = antecedent if antecedent is not None else eqs.antecedent
-    rows = truth_table(eqs)
-    decisions = eqs.decision_ids()
-    exclusive: dict[tuple[str, str], bool] = {
-        pair: True for pair in itertools.combinations(decisions, 2)
-    }
+def check_properties(eqs: RuleEquations) -> PropertyReport:
+    """Check pairwise exclusion (``Dᵢ ∧ Dⱼ = FALSE``) and coverage of the
+    antecedent (``A* ∧ ¬(D₁ ∨ … ∨ Dₙ) = FALSE``); each failure gets the first
+    counterexample over the sorted inputs, FALSE before TRUE."""
+    bdd = Bdd(eqs.input_ids())
+    names = tuple(sorted(eqs.input_ids()))
+    exprs = expand(eqs)
+    exclusive: dict[tuple[str, str], bool] = {}
     witnesses: dict[str, dict[str, bool]] = {}
-    exhaustive: bool | None = None if antecedent is None else True
-    for row in rows:
-        for pair in itertools.combinations(decisions, 2):
-            if exclusive[pair] and row.decisions[pair[0]] and row.decisions[pair[1]]:
-                exclusive[pair] = False
-                witnesses[f"not_exclusive:{pair[0]},{pair[1]}"] = row.assignment
-        if exhaustive is not None and exhaustive:
-            env: dict[str, bool | None] = dict(row.assignment)
-            if kleene_eval(antecedent, env) and not any(row.decisions.values()):
-                exhaustive = False
-                witnesses["not_exhaustive"] = row.assignment
+    for x, y in itertools.combinations(exprs, 2):
+        both = bdd.of(And((exprs[x], exprs[y])))
+        exclusive[(x, y)] = both == Bdd.FALSE
+        if both != Bdd.FALSE:
+            witnesses[f"not_exclusive:{x},{y}"] = bdd.witness(both, names, False)
+    exhaustive: bool | None = None
+    if eqs.antecedent is not None:
+        hole = bdd.of(And((eqs.antecedent, Not(disj(list(exprs.values()))))))
+        exhaustive = hole == Bdd.FALSE
+        if not exhaustive:
+            witnesses["not_exhaustive"] = bdd.witness(hole, names, False)
     return PropertyReport(exclusive, exhaustive, witnesses)
 
 
@@ -383,19 +377,16 @@ def normalize(expr: BoolExpr) -> BoolExpr:
     return expr
 
 
-def equivalent(
-    a: BoolExpr, b: BoolExpr, variables: tuple[str, ...] | None = None
-) -> tuple[bool, dict[str, bool] | None]:
-    """Truth-table equivalence over the union of free variables; returns a
-    distinguishing assignment when the expressions differ."""
-    names = tuple(sorted(set(free_vars(a)) | set(free_vars(b)) | set(variables or ())))
-    if len(names) > MAX_TRUTH_TABLE_VARS:
-        raise TooManyVariablesError(len(names), MAX_TRUTH_TABLE_VARS)
-    for values in itertools.product((False, True), repeat=len(names)):
-        env: dict[str, bool | None] = dict(zip(names, values))
-        if kleene_eval(a, env) != kleene_eval(b, env):
-            return False, dict(zip(names, values))
-    return True, None
+def equivalent(a: BoolExpr, b: BoolExpr) -> tuple[bool, dict[str, bool] | None]:
+    """Equivalence by decision-diagram identity; when the expressions differ,
+    also the first distinguishing assignment over the sorted union of their
+    free variables, FALSE before TRUE."""
+    bdd = Bdd()
+    fa, fb = bdd.of(a), bdd.of(b)
+    if fa == fb:
+        return True, None
+    differ = bdd.ite(fa, bdd.ite(fb, Bdd.FALSE, Bdd.TRUE), fb)  # a XOR b
+    return False, bdd.witness(differ, tuple(sorted(bdd.names)), False)
 
 
 # --- text form ----------------------------------------------------------------
@@ -545,7 +536,7 @@ def parse_equations(text: str, rule_id: str = "adhoc") -> RuleEquations:
 def equations_equivalent(
     a: RuleEquations, b: RuleEquations
 ) -> tuple[bool, str | None, dict[str, bool] | None]:
-    """Decision-by-decision truth-table equivalence of two equation sets.
+    """Decision-by-decision equivalence of two equation sets.
 
     Returns ``(ok, decision, witness)`` with the first diverging decision
     and a distinguishing input assignment when the sets differ.
@@ -559,3 +550,88 @@ def equations_equivalent(
         if not ok:
             return False, decision, witness
     return True, None, None
+
+
+# --- decision diagrams ----------------------------------------------------------
+
+class Bdd:
+    """Reduced ordered binary decision diagrams (Bryant 1986), hash-consed so
+    that two nodes of one manager are the same int exactly when they are the
+    same function.  Node 0 is FALSE, node 1 TRUE.  Variables are ordered by
+    first appearance, starting with ``names``; callers pass clause order, as
+    the order decides the size.  A manager serves one computation."""
+
+    FALSE, TRUE = 0, 1
+    _LEAF = 1 << 30  # level of the terminals, below every variable
+
+    def __init__(self, names: tuple[str, ...] = ()):
+        self.names: list[str] = []
+        self._levels: dict[str, int] = {}
+        self._nodes: list[tuple[int, int, int]] = [(self._LEAF, 0, 0), (self._LEAF, 1, 1)]
+        self._unique: dict[tuple[int, int, int], int] = {}
+        self._ite: dict[tuple[int, int, int], int] = {}
+        for name in names:
+            self.var(name)
+
+    def level(self, f: int) -> int:
+        """Position in ``names`` of the first variable ``f`` tests."""
+        return self._nodes[f][0]
+
+    def var(self, name: str) -> int:
+        if name not in self._levels:
+            self._levels[name] = len(self.names)
+            self.names.append(name)
+        return self._node(self._levels[name], self.TRUE, self.FALSE)
+
+    def _node(self, level: int, hi: int, lo: int) -> int:
+        if hi == lo:
+            return hi
+        key = (level, hi, lo)
+        if key not in self._unique:
+            self._unique[key] = len(self._nodes)
+            self._nodes.append(key)
+        return self._unique[key]
+
+    def cofactors(self, f: int, level: int) -> tuple[int, int]:
+        """``f`` with the variable at ``level`` (not below ``f``'s) TRUE, FALSE."""
+        top, hi, lo = self._nodes[f]
+        return (hi, lo) if top == level else (f, f)
+
+    def ite(self, f: int, g: int, h: int) -> int:
+        """If ``f`` then ``g`` else ``h``: every Boolean connective."""
+        if f <= self.TRUE or g == h:
+            return h if f == self.FALSE else g
+        if (g, h) == (self.TRUE, self.FALSE):
+            return f
+        key = (f, g, h)
+        if key not in self._ite:
+            level = min(self.level(f), self.level(g), self.level(h))
+            (f1, f0), (g1, g0), (h1, h0) = (self.cofactors(x, level) for x in key)
+            self._ite[key] = self._node(level, self.ite(f1, g1, h1), self.ite(f0, g0, h0))
+        return self._ite[key]
+
+    def of(self, expr: BoolExpr) -> int:
+        if isinstance(expr, Const):
+            return self.TRUE if expr.value else self.FALSE
+        if isinstance(expr, Var):
+            return self.var(expr.id)
+        if isinstance(expr, Not):
+            return self.ite(self.of(expr.child), self.FALSE, self.TRUE)
+        f, *rest = (self.of(child) for child in expr.children)
+        for g in rest:
+            f = self.ite(f, g, self.FALSE) if isinstance(expr, And) else self.ite(f, self.TRUE, g)
+        return f
+
+    def witness(self, f: int, names: tuple[str, ...], first: bool) -> dict[str, bool] | None:
+        """The first assignment to ``names`` (which cover ``f``'s variables)
+        that satisfies ``f``, in the order of ``names`` with ``first`` before
+        its negation; None when ``f`` is FALSE."""
+        if f == self.FALSE:
+            return None
+        assignment: dict[str, bool] = {}
+        for name in names:
+            literal = self.var(name) if first else self.ite(self.var(name), self.FALSE, self.TRUE)
+            g = self.ite(f, literal, self.FALSE)
+            assignment[name] = first if g != self.FALSE else not first
+            f = g if g != self.FALSE else self.ite(literal, self.FALSE, f)
+        return assignment

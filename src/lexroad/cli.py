@@ -2,14 +2,15 @@
 
 Subcommands: ``compile``, ``eval``, ``lawmap``, ``bn``, ``check``.
 Exit codes: 0 success; 1 the rule cannot be read (missing, not UTF-8) or
-parsed; 2 it does not compile; 3 the scenario is unreadable, not a JSON
-object, for another rule, names a variable the rule lacks or a decision, or
-leaves out a fact ``lawmap --trace`` needs; 4 priors or evidence are
-unusable, evidence is impossible, a decision is cyclic, an exhaustive step
-gets too many inputs (``lawmap`` over 24 inputs, ``bn --validate`` over 24
-roots) or a validated net diverges; 5 anything wrong in the rulepack or a
-profile.  ``EXIT_CODES`` gives each lexroad error its code, and ``_exits``
-gives errors raised while reading one input the code of that input.
+parsed, or an ``--out`` file cannot be written; 2 it does not compile; 3 the
+scenario is unreadable, not a JSON object, for another rule, names a
+variable the rule lacks or a decision, or leaves out a fact
+``lawmap --trace`` needs; 4 priors or evidence are unusable, evidence is
+impossible, a decision is cyclic, ``bn --validate`` gets more than 24 roots
+or a validated net diverges; 5 anything wrong in the rulepack or a profile.
+``lawmap`` works on decision diagrams and has no input bound.
+``EXIT_CODES`` gives each lexroad error its code, and ``_exits`` gives
+errors raised while reading one input the code of that input.
 ``main`` alone reports a failure, as one stderr line: ``error: ...``, or
 ``file:line:col: error: ...`` for a rule syntax error.
 Outputs are byte-stable for identical inputs; ``--timestamps`` opts into
@@ -78,7 +79,8 @@ def _load_compiled(rule_path: str):
 
 def _write(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with _exits(EXIT_PARSE, (OSError,)):
+            Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -223,12 +225,12 @@ def cmd_check(args: argparse.Namespace) -> int:
             scenarios=scenarios,
             timestamps=args.timestamps,
         )
+    if args.out:
+        _write(compliance.report_to_json(report), args.out)
     if args.format == "json":
         sys.stdout.write(compliance.report_to_json(report))
     else:
         sys.stdout.write(compliance.render_text(report))
-    if args.out:
-        Path(args.out).write_text(compliance.report_to_json(report), encoding="utf-8")
     return EXIT_OK
 
 

@@ -5,7 +5,9 @@ variables in clause order (antecedent first, then exception, then outcome
 guards) and ends in OUTCOME leaves: one per reachable decision, plus an
 "out of scope" sink for assignments where no decision fires.  Equivalent
 subtrees are merged and redundant tests skipped, so every maximal path is
-a minimal route to a verdict.
+a minimal route to a verdict.  The graph is read off the decisions' binary
+decision diagrams (``boolean_core.Bdd``) in clause order, so its size, not
+the 2^n input assignments, sets the cost, and rules of any width build.
 
 Exports are deterministic: DOT for rendering (START circle, CONDITION
 diamond, OUTCOME box, yes/no edge labels) and canonical JSON for golden
@@ -19,13 +21,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .boolean_core import (
-    MAX_TRUTH_TABLE_VARS,
-    RuleEquations,
-    TooManyVariablesError,
-    expand,
-    kleene_eval,
-)
+from .boolean_core import Bdd, RuleEquations, expand
 from .rule_dsl import RuleAst
 
 
@@ -117,78 +113,50 @@ def build_lawmap(
         raise InconsistentInputsError(
             f"equations for {eqs.rule_id} do not belong to rule {ast.rule_id}"
         )
-    order = eqs.input_ids()
     if ast is not None:
         outcome_count = len(ast.then_outcomes) + len(ast.else_outcomes)
         if outcome_count != len(eqs.decision_ids()):
             raise InconsistentInputsError(
                 f"{outcome_count} outcomes in the rule vs {len(eqs.decision_ids())} equations"
             )
-    n = len(order)
-    if n == 0:
+    order = eqs.input_ids()
+    if not order:
         raise InconsistentInputsError("rule has no condition variables")
-    if n > MAX_TRUTH_TABLE_VARS:
-        raise TooManyVariablesError(n, MAX_TRUTH_TABLE_VARS)
 
+    # One decision diagram per decision; a tuple of their nodes is one node
+    # of the Lawmap, which tests the first variable any of them tests.
+    bdd = Bdd(order)
     exprs = expand(eqs)
     decisions = eqs.decision_ids()
-
-    # Decision vector per assignment, assignments enumerated with the first
-    # variable in clause order as the most significant bit, True first.
-    vectors: list[tuple[bool, ...]] = []
-    for values in itertools.product((True, False), repeat=n):
-        env: dict[str, bool | None] = dict(zip(order, values))
-        vectors.append(tuple(bool(kleene_eval(exprs[d], env)) for d in decisions))
-
-    Ref = tuple  # ("leaf", vector) or ("node", index, true_ref, false_ref)
-    node_keys: dict[tuple, Ref] = {}
-
-    def build(index: int, block: tuple[tuple[bool, ...], ...]) -> Ref:
-        if all(v == block[0] for v in block):
-            return ("leaf", block[0])
-        key = (index, block)
-        if key in node_keys:
-            return node_keys[key]
-        half = len(block) // 2
-        hi = build(index + 1, block[:half])
-        lo = build(index + 1, block[half:])
-        ref = hi if hi == lo else ("node", index, hi, lo)
-        node_keys[key] = ref
-        return ref
-
-    root = build(0, tuple(vectors))
+    root = tuple(bdd.of(exprs[d]) for d in decisions)
 
     nodes: list[LawmapNode] = [LawmapNode("start", NodeKind.START, "START")]
-    branches: list[tuple[str, Ref, Ref]] = []
-    ids: dict[Ref, str] = {}
+    branches: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
+    ids: dict[tuple[int, ...], str] = {}
     counter = itertools.count(1)
 
-    def realize(ref: Ref) -> str:
-        if ref in ids:
-            return ids[ref]
-        if ref[0] == "leaf":
-            vector = ref[1]
-            fired = tuple(d for d, v in zip(decisions, vector) if v)
+    def realize(state: tuple[int, ...]) -> str:
+        if state in ids:
+            return ids[state]
+        if all(f in (Bdd.FALSE, Bdd.TRUE) for f in state):
+            fired = tuple(d for d, f in zip(decisions, state) if f == Bdd.TRUE)
             if fired:
                 node_id = "outcome_" + "_".join(fired)
                 label = "; ".join(eqs.table.describe(d) for d in fired)
             else:
                 node_id = "sink"
                 label = "Out of scope"
-            node = LawmapNode(node_id, NodeKind.OUTCOME, label, None, fired)
-        else:
-            _, index, hi, lo = ref
-            var = order[index]
-            node_id = f"c{next(counter)}"
-            node = LawmapNode(
-                node_id, NodeKind.CONDITION, eqs.table.describe(var), var
-            )
-        ids[ref] = node_id
-        nodes.append(node)
-        if ref[0] == "node":
-            branches.append((node_id, ref[2], ref[3]))
-            realize(ref[2])
-            realize(ref[3])
+            ids[state] = node_id
+            nodes.append(LawmapNode(node_id, NodeKind.OUTCOME, label, None, fired))
+            return node_id
+        level = min(bdd.level(f) for f in state)
+        var = bdd.names[level]
+        node_id = ids[state] = f"c{next(counter)}"
+        nodes.append(LawmapNode(node_id, NodeKind.CONDITION, eqs.table.describe(var), var))
+        hi, lo = zip(*(bdd.cofactors(f, level) for f in state))
+        branches.append((node_id, hi, lo))
+        realize(hi)
+        realize(lo)
         return node_id
 
     edges = [LawmapEdge("start", realize(root), EdgeGuard.ALWAYS)]

@@ -4,7 +4,7 @@ A rulepack directory holds, all UTF-8 with sorted JSON keys:
 
 * ``<name>.rule`` — structured-English source with inline ``@var`` names;
 * ``<name>.golden.beq`` — the hand-entered equations the compiled result
-  must stay truth-table-equivalent to;
+  must stay logically equivalent to;
 * ``<group>.checklist.json`` — capability requirements for one rule group
   (groups without structured sources are checklist-only);
 * ``vehicles/<id>.profile.json`` — one vehicle's answers per requirement.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -112,7 +112,6 @@ class RagRating:
 class RulepackEntry:
     rule_id: str
     source: RuleSource | None = None
-    naming: dict[str, str] = field(default_factory=dict)
     golden_equations: str | None = None
     checklist: tuple[CapabilityRequirement, ...] = ()
     ast: RuleAst | None = None

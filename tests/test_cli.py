@@ -182,6 +182,18 @@ def write_wide_or_rule(tmp_path, k):
     return path
 
 
+def test_lawmap_of_a_wide_or_is_a_chain(tmp_path):
+    code, out, err = run_main(["lawmap", write_wide_or_rule(tmp_path, 25), "-f", "json"])
+    assert (code, err) == (0, "")
+    graph = json.loads(out)
+    conditions = [n for n in graph["nodes"] if n["kind"] == "condition"]
+    assert [n["var"] for n in conditions] == [f"v{i}" for i in range(25)]
+    edges = {(e["from"], e["guard"]): e["to"] for e in graph["edges"]}
+    for node, after in zip(conditions, conditions[1:] + [{"id": "sink"}]):
+        assert edges[(node["id"], "yes")] == "outcome_Y"
+        assert edges[(node["id"], "no")] == after["id"]
+
+
 def test_bn_wide_rules_exit_cleanly(tmp_path):
     for k in (17, 25):
         rule = write_wide_or_rule(tmp_path, k)
@@ -343,8 +355,6 @@ EXIT_TABLE = [
     ("lawmap-trace-unknown-fact", lambda d: ["lawmap", PACK / "103.rule", "--trace", write_file(
         d, "s.json", {"rule_id": "UK-HC-103", "facts": {"A": True, "nope": True}})], 3,
      "error: scenario for UK-HC-103 names unknown variables: nope\n"),
-    ("lawmap-wide-25", lambda d: ["lawmap", write_wide_or_rule(d, 25)], 4,
-     "error: 25 input variables exceed the 24-variable bound\n"),
     ("bn-priors-non-object", lambda d: ["bn", PACK / "103.rule", "--priors",
                                         write_file(d, "p.json", [0.5])], 4,
      "error: <d>/p.json must be a JSON object\n"),
@@ -370,6 +380,10 @@ EXIT_TABLE = [
     ("check-scenario-unknown-rule", lambda d: ["check", PACK, BMW, "--scenario", write_file(
         d, "s.json", {"rule_id": "UK-HC-999", "facts": {}})], 3,
      "error: \"scenario names unknown rule 'UK-HC-999'\"\n"),
+    ("compile-out-unwritable", lambda d: ["compile", PACK / "103.rule", "--out", d / "no" / "x"], 1,
+     "error: [Errno 2] No such file or directory: '<d>/no/x'\n"),
+    ("check-out-unwritable", lambda d: ["check", PACK, BMW, "--out", d / "no" / "x.json"], 1,
+     "error: [Errno 2] No such file or directory: '<d>/no/x.json'\n"),
 ]
 
 

@@ -1,0 +1,181 @@
+"""The decision-diagram analyses against exhaustive reference versions.
+
+``reference_*`` below are the 2^n enumerations that equivalence, property
+checks and Lawmaps used before they worked on decision diagrams; they stay
+here as oracles, and the diagram versions must agree with them byte for
+byte.
+"""
+
+import itertools
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lexroad.boolean_core import (
+    And,
+    Bdd,
+    Or,
+    PropertyReport,
+    Var,
+    check_properties,
+    equations_equivalent,
+    equivalent,
+    expand,
+    free_vars,
+    kleene_eval,
+    parse_equations,
+    to_text,
+    truth_table,
+)
+from lexroad.lawmap import (
+    EdgeGuard,
+    LawmapEdge,
+    LawmapGraph,
+    LawmapNode,
+    NodeKind,
+    build_lawmap,
+    export_json,
+)
+from lexroad.rule_dsl import Variable, VarKind
+from test_boolean_core import exprs
+
+
+def reference_equivalent(a, b):
+    names = tuple(sorted(set(free_vars(a)) | set(free_vars(b))))
+    for values in itertools.product((False, True), repeat=len(names)):
+        env = dict(zip(names, values))
+        if kleene_eval(a, env) != kleene_eval(b, env):
+            return False, env
+    return True, None
+
+
+def reference_check_properties(eqs):
+    rows = truth_table(eqs)
+    decisions = eqs.decision_ids()
+    pairs = list(itertools.combinations(decisions, 2))
+    exclusive = {pair: True for pair in pairs}
+    witnesses = {}
+    exhaustive = None if eqs.antecedent is None else True
+    for row in rows:
+        for x, y in pairs:
+            if exclusive[(x, y)] and row.decisions[x] and row.decisions[y]:
+                exclusive[(x, y)] = False
+                witnesses[f"not_exclusive:{x},{y}"] = row.assignment
+        if exhaustive and kleene_eval(eqs.antecedent, dict(row.assignment)) \
+                and not any(row.decisions.values()):
+            exhaustive = False
+            witnesses["not_exhaustive"] = row.assignment
+    return PropertyReport(exclusive, exhaustive, witnesses)
+
+
+def reference_lawmap(eqs):
+    """Decision vectors of all 2^n assignments (first input in clause order
+    most significant, TRUE first), cut into blocks that are merged when
+    equal."""
+    order, decisions = eqs.input_ids(), eqs.decision_ids()
+    exprs_ = expand(eqs)
+    vectors = tuple(
+        tuple(bool(kleene_eval(exprs_[d], dict(zip(order, values)))) for d in decisions)
+        for values in itertools.product((True, False), repeat=len(order))
+    )
+
+    def build(index, block):
+        if all(v == block[0] for v in block):
+            return ("leaf", block[0])
+        half = len(block) // 2
+        hi, lo = build(index + 1, block[:half]), build(index + 1, block[half:])
+        return hi if hi == lo else ("node", index, hi, lo)
+
+    nodes = [LawmapNode("start", NodeKind.START, "START")]
+    edges = []
+    ids = {}
+    counter = itertools.count(1)
+
+    def realize(ref):
+        if ref in ids:
+            return ids[ref]
+        if ref[0] == "leaf":
+            fired = tuple(d for d, v in zip(decisions, ref[1]) if v)
+            if fired:
+                node_id = "outcome_" + "_".join(fired)
+                label = "; ".join(eqs.table.describe(d) for d in fired)
+            else:
+                node_id, label = "sink", "Out of scope"
+            nodes.append(LawmapNode(node_id, NodeKind.OUTCOME, label, None, fired))
+            ids[ref] = node_id
+            return node_id
+        var = order[ref[1]]
+        node_id = ids[ref] = f"c{next(counter)}"
+        nodes.append(LawmapNode(node_id, NodeKind.CONDITION, eqs.table.describe(var), var))
+        edges.append((node_id, ref[2], ref[3]))
+        realize(ref[2])
+        realize(ref[3])
+        return node_id
+
+    root = realize(build(0, vectors))
+    out = [LawmapEdge("start", root, EdgeGuard.ALWAYS)]
+    for node_id, hi, lo in edges:
+        out.append(LawmapEdge(node_id, ids[hi], EdgeGuard.TRUE_BRANCH))
+        out.append(LawmapEdge(node_id, ids[lo], EdgeGuard.FALSE_BRANCH))
+    return LawmapGraph(eqs.rule_id, tuple(nodes), tuple(out))
+
+
+@st.composite
+def equation_sets(draw):
+    """1-3 decisions over up to 8 inputs, later ones maybe referring to the
+    first, with an antecedent and the inputs in a drawn clause order."""
+    decisions = draw(st.lists(exprs(), min_size=1, max_size=3))
+    for i in range(1, len(decisions)):
+        if draw(st.booleans()):
+            decisions[i] = And((Var("D0"), decisions[i]))
+    eqs = parse_equations("".join(f"D{i} = {to_text(d)}\n" for i, d in enumerate(decisions)))
+    antecedent = draw(exprs())
+    inputs = dict.fromkeys(eqs.input_ids() + free_vars(antecedent))
+    for name in inputs:
+        eqs.table.variables.setdefault(name, Variable(name, VarKind.FACTUAL, name))
+    order = tuple(draw(st.permutations(list(inputs))))
+    return replace(eqs, antecedent=antecedent, input_order=order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(equation_sets())
+def test_decision_diagrams_agree_with_the_enumerations(eqs):
+    assert export_json(build_lawmap(eqs)) == export_json(reference_lawmap(eqs))
+    assert check_properties(eqs) == reference_check_properties(eqs)
+    exprs_ = expand(eqs)
+    for a, b in ((exprs_["D0"], eqs.antecedent), (exprs_["D0"], list(exprs_.values())[-1])):
+        assert equivalent(a, b) == reference_equivalent(a, b)
+
+
+def test_reference_lawmaps_match_the_shipped_pack(pack):
+    for entry in pack.rules():
+        graph = build_lawmap(entry.equations, entry.ast)
+        assert export_json(graph) == export_json(reference_lawmap(entry.equations))
+
+
+def test_witness_is_first_in_the_given_order():
+    bdd = Bdd(("a", "b", "c"))
+    f = bdd.of(Or((And((Var("a"), Var("c"))), Var("b"))))
+    assert bdd.witness(f, ("a", "b", "c"), False) == {"a": False, "b": True, "c": False}
+    assert bdd.witness(f, ("c", "b", "a"), False) == {"c": False, "b": True, "a": False}
+    assert bdd.witness(f, ("b", "a", "c"), True) == {"b": True, "a": True, "c": True}
+    assert bdd.witness(Bdd.FALSE, ("a",), True) is None
+
+
+def test_forty_input_or_is_checked_without_enumeration():
+    names = [f"v{i}" for i in range(40)]
+    wide = parse_equations("X = " + " ∨ ".join(names) + "\n")
+    assert equations_equivalent(wide, parse_equations("X = " + " ∨ ".join(reversed(names)) + "\n")) \
+        == (True, None, None)
+    ok, decision, witness = equations_equivalent(
+        wide, parse_equations("X = " + " ∨ ".join(names[1:]) + "\n")
+    )
+    assert (ok, decision) == (False, "X")
+    assert witness == {name: name == "v0" for name in sorted(names)}
+
+    two = parse_equations("X = " + " ∨ ".join(names) + "\nY = ¬v0 ∧ v39\n")
+    report = check_properties(replace(two, antecedent=two.equations["X"]))
+    assert report.mutually_exclusive == {("X", "Y"): False}
+    assert report.exhaustive_given_antecedent is True
+    assert report.witnesses == {"not_exclusive:X,Y": {name: name == "v39" for name in sorted(names)}}

@@ -2,6 +2,9 @@
 
 import itertools
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -206,3 +209,17 @@ def test_restraint_bundle_builds_one_graph_per_rule(pack):
             for combo in itertools.product((False, True), repeat=len(names))
         }
         assert len(graph.outcome_paths()) == len(distinct)
+
+
+GOLDEN_LAWMAPS = Path(__file__).parent / "golden" / "lawmaps"
+
+
+def test_render_lawmaps_matches_the_goldens(tmp_path):
+    script = Path(__file__).parents[1] / "scripts" / "render_lawmaps.py"
+    subprocess.run([sys.executable, str(script), str(tmp_path)], check=True,
+                   capture_output=True)
+    rendered = sorted(p.name for p in tmp_path.iterdir())
+    assert rendered == sorted(p.name for p in GOLDEN_LAWMAPS.iterdir())
+    assert len(rendered) == 14
+    for name in rendered:
+        assert (tmp_path / name).read_bytes() == (GOLDEN_LAWMAPS / name).read_bytes(), name
