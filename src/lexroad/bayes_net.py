@@ -16,10 +16,16 @@ nodes ``<node>_1``, ``<node>_2``, ... that each compute a part of it
 enumerates 2^roots assignments and refuses more than
 ``MAX_VALIDATION_ROOTS`` (24) roots.
 
-Inference is exact.  Weighted enumeration branches over the joint states
-in topological order; variable elimination multiplies and sums out factors
-in min-degree order.  The two agree to within float rounding and both
-raise :class:`ImpossibleEvidenceError` when the observations have zero
+Inference is exact.  Because every non-root CPT is 0/1 and the roots are
+independent, each node is a Boolean function of the roots, and
+P(n | e) = WMC(n ∧ e) / WMC(e): weighted model counting (Chavira &
+Darwiche 2008) on one decision diagram over the roots, the default
+method.  It takes only such deterministic nets, so it refuses a non-root
+CPT entry other than 0 or 1, and it knows impossible evidence exactly,
+when the evidence function is FALSE.  Weighted enumeration branches over
+the joint states in topological order and stays as the independent
+oracle.  The two agree to within float rounding and both raise
+:class:`ImpossibleEvidenceError` when the observations have zero
 probability.
 """
 
@@ -97,6 +103,30 @@ class BayesNet:
         for parent in node.parents:
             index = index * 2 + (0 if state[parent] else 1)
         return node.cpt[index]
+
+
+def _check_nodes(nodes: tuple[BnNode, ...]) -> None:
+    """Raise ``ValueError`` unless ``nodes`` form a net inference can use:
+    unique ids in topological order, 2^parents CPT entries, root priors in
+    (0, 1) and deterministic (0/1) CPTs everywhere else."""
+    defined: set[str] = set()
+    for node in nodes:
+        if node.id in defined:
+            raise ValueError(f"node {node.id} is defined twice")
+        for parent in node.parents:
+            if parent not in defined:
+                raise ValueError(f"node {node.id}: parent {parent} is not defined before it")
+        if len(node.cpt) != 2 ** len(node.parents):
+            raise ValueError(
+                f"node {node.id}: {len(node.cpt)} CPT entries for {len(node.parents)} parents"
+            )
+        if node.kind == BnNodeKind.FACT_ROOT:
+            p = node.cpt[0]
+            if node.parents or not isinstance(p, (int, float)) or not 0.0 < p < 1.0:
+                raise ValueError(f"node {node.id}: a root needs no parents and a prior in (0, 1)")
+        elif not set(node.cpt) <= {0.0, 1.0}:
+            raise ValueError(f"node {node.id}: CPT entries must be 0 or 1")
+        defined.add(node.id)
 
 
 def _cpt_for(expr: BoolExpr, parents: tuple[str, ...]) -> tuple[float, ...]:
@@ -240,7 +270,17 @@ def infer(
     evidence: dict[str, bool] | None = None,
     method: str = "auto",
 ) -> dict[str, float]:
-    """Posterior P(true) for every node given the evidence."""
+    """Posterior P(true) for every node given the evidence, which may be on
+    any node, decisions included.
+
+    ``"wmc"`` and ``"auto"`` (the same) count weighted models on one
+    decision diagram; they need a deterministic net (every non-root CPT
+    entry 0 or 1, every root prior in (0, 1)) and raise ``ValueError``
+    naming the node otherwise.  ``"enumeration"`` branches over the joint
+    states and is kept as the independent oracle.  Evidence the net makes
+    impossible raises :class:`ImpossibleEvidenceError`: under ``"wmc"``
+    exactly when the evidence function is FALSE.
+    """
     evidence = dict(evidence or {})
     known = {n.id for n in net.nodes}
     for key, value in evidence.items():
@@ -248,13 +288,10 @@ def infer(
             raise KeyError(f"evidence on unknown node '{key}'")
         if not isinstance(value, bool):
             raise ValueError(f"evidence for {key} must be true or false")
-    if method == "auto":
-        roots = len(net.ids(BnNodeKind.FACT_ROOT))
-        method = "enumeration" if roots <= 16 else "elimination"
+    if method in ("auto", "wmc"):
+        return _infer_wmc(net, evidence)
     if method == "enumeration":
         return _infer_enumeration(net, evidence)
-    if method == "elimination":
-        return _infer_elimination(net, evidence)
     raise ValueError(f"unknown inference method '{method}'")
 
 
@@ -290,112 +327,46 @@ def _infer_enumeration(net: BayesNet, evidence: dict[str, bool]) -> dict[str, fl
     return {node_id: mass / total for node_id, mass in true_mass.items()}
 
 
-Factor = tuple[tuple[str, ...], dict[tuple[bool, ...], float]]
-
-
-def _node_factor(net: BayesNet, node: BnNode, evidence: dict[str, bool]) -> Factor:
-    scope = node.parents + (node.id,)
-    table: dict[tuple[bool, ...], float] = {}
-    for combo in itertools.product((True, False), repeat=len(node.parents)):
-        state = dict(zip(node.parents, combo))
-        p = net.p_true(node, state)
-        table[combo + (True,)] = p
-        table[combo + (False,)] = 1.0 - p
-    return _reduce((scope, table), evidence)
-
-
-def _reduce(factor: Factor, evidence: dict[str, bool]) -> Factor:
-    scope, table = factor
-    fixed = [i for i, v in enumerate(scope) if v in evidence]
-    if not fixed:
-        return factor
-    keep = [i for i in range(len(scope)) if i not in fixed]
-    new_scope = tuple(scope[i] for i in keep)
-    new_table: dict[tuple[bool, ...], float] = {}
-    for key, value in table.items():
-        if all(key[i] == evidence[scope[i]] for i in fixed):
-            new_table[tuple(key[i] for i in keep)] = value
-    return new_scope, new_table
-
-
-def _multiply(a: Factor, b: Factor) -> Factor:
-    scope_a, table_a = a
-    scope_b, table_b = b
-    scope = scope_a + tuple(v for v in scope_b if v not in scope_a)
-    index_b = [scope.index(v) for v in scope_b]
-    table: dict[tuple[bool, ...], float] = {}
-    for combo in itertools.product((True, False), repeat=len(scope)):
-        pa = table_a[combo[: len(scope_a)]]
-        pb = table_b[tuple(combo[i] for i in index_b)]
-        table[combo] = pa * pb
-    return scope, table
-
-
-def _sum_out(factor: Factor, var: str) -> Factor:
-    scope, table = factor
-    i = scope.index(var)
-    new_scope = scope[:i] + scope[i + 1:]
-    new_table: dict[tuple[bool, ...], float] = {}
-    for key, value in table.items():
-        reduced = key[:i] + key[i + 1:]
-        new_table[reduced] = new_table.get(reduced, 0.0) + value
-    return new_scope, new_table
-
-
-def _eliminate(factors: list[Factor], hidden: list[str]) -> Factor:
-    """Sum the listed variables out of the factor product, min-degree first."""
-    hidden = list(hidden)
-    while hidden:
-        def degree(v: str) -> int:
-            joined: set[str] = set()
-            for scope, _ in factors:
-                if v in scope:
-                    joined.update(scope)
-            return len(joined)
-
-        var = min(hidden, key=lambda v: (degree(v), v))
-        hidden.remove(var)
-        related = [f for f in factors if var in f[0]]
-        factors = [f for f in factors if var not in f[0]]
-        if not related:
+def _infer_wmc(net: BayesNet, evidence: dict[str, bool]) -> dict[str, float]:
+    """P(n | e) = WMC(n ∧ e) / WMC(e) (Chavira & Darwiche 2008): every
+    non-root node is a Boolean function of the independent roots, so one
+    decision diagram over the roots, in net order, carries the whole net."""
+    _check_nodes(net.nodes)
+    bdd = Bdd()
+    fn: dict[str, int] = {}
+    prior: list[float] = []  # by level: the roots, in net order, are the variables
+    for node in net.nodes:
+        if node.kind == BnNodeKind.FACT_ROOT:
+            fn[node.id] = bdd.var(node.id)
+            prior.append(node.cpt[0])
             continue
-        product = related[0]
-        for other in related[1:]:
-            product = _multiply(product, other)
-        factors.append(_sum_out(product, var))
-    product = factors[0] if factors else ((), {(): 1.0})
-    for other in factors[1:]:
-        product = _multiply(product, other)
-    return product
+        parents = [fn[p] for p in node.parents]
 
+        def shannon(rows: tuple[float, ...], i: int) -> int:
+            if min(rows) == max(rows):  # this half of the table is constant
+                return Bdd.TRUE if rows[0] else Bdd.FALSE
+            half = len(rows) // 2  # first half: parent i true
+            return bdd.ite(parents[i], shannon(rows[:half], i + 1), shannon(rows[half:], i + 1))
 
-def _infer_elimination(net: BayesNet, evidence: dict[str, bool]) -> dict[str, float]:
-    base = [_node_factor(net, node, evidence) for node in net.nodes]
-    unobserved = [n.id for n in net.nodes if n.id not in evidence]
-
-    _, z_table = _eliminate(list(base), list(unobserved))
-    if sum(z_table.values()) == 0.0:
+        fn[node.id] = shannon(node.cpt, 0)
+    e = Bdd.TRUE
+    for node_id, value in evidence.items():
+        e = bdd.ite(fn[node_id], e, Bdd.FALSE) if value else bdd.ite(fn[node_id], Bdd.FALSE, e)
+    if e == Bdd.FALSE:
         raise ImpossibleEvidenceError("evidence has zero probability")
+    weight = {Bdd.FALSE: 0.0, Bdd.TRUE: 1.0}
 
-    posteriors: dict[str, float] = {}
-    for query in net.ids():
-        if query in evidence:
-            posteriors[query] = 1.0 if evidence[query] else 0.0
-            continue
-        scope, table = _eliminate(list(base), [v for v in unobserved if v != query])
-        if scope != (query,):
-            i = scope.index(query)
-            collapsed: dict[tuple[bool, ...], float] = {}
-            for key, value in table.items():
-                collapsed[(key[i],)] = collapsed.get((key[i],), 0.0) + value
-            table = collapsed
-        p_true = table.get((True,), 0.0)
-        p_false = table.get((False,), 0.0)
-        z = p_true + p_false
-        if z == 0.0:
-            raise ImpossibleEvidenceError("evidence has zero probability")
-        posteriors[query] = p_true / z
-    return posteriors
+    def wmc(f: int) -> float:
+        if f not in weight:
+            level = bdd.level(f)
+            hi, lo = bdd.cofactors(f, level)
+            weight[f] = prior[level] * wmc(hi) + (1.0 - prior[level]) * wmc(lo)
+        return weight[f]
+
+    z = wmc(e)
+    if z == 0.0:
+        raise ImpossibleEvidenceError("evidence probability underflows to 0")
+    return {node_id: wmc(bdd.ite(e, f, Bdd.FALSE)) / z for node_id, f in fn.items()}
 
 
 # --- validation --------------------------------------------------------------
@@ -488,6 +459,8 @@ def net_to_json(net: BayesNet) -> str:
 
 
 def net_from_json(text: str) -> BayesNet:
+    """The net ``net_to_json`` wrote; ``ValueError`` for one inference
+    cannot use."""
     payload = json.loads(text)
     nodes = tuple(
         BnNode(
@@ -499,4 +472,5 @@ def net_from_json(text: str) -> BayesNet:
         )
         for n in payload["nodes"]
     )
+    _check_nodes(nodes)
     return BayesNet(rule_id=payload["rule_id"], nodes=nodes)

@@ -182,7 +182,7 @@ def test_criterion_3_bn_validation(pack, rules_by_id):
 
 
 def test_criterion_4_inference_strategies_agree(pack):
-    with criterion(4, "enumeration and variable elimination agree on 100 "
+    with criterion(4, "enumeration and weighted model counting agree on 100 "
                       "random configurations per rule net", 10.0):
         rng = random.Random(94101)
         for entry in pack.rules():
@@ -197,11 +197,11 @@ def test_criterion_4_inference_strategies_agree(pack):
                     enum = infer(net, evidence, method="enumeration")
                 except ImpossibleEvidenceError:
                     with pytest.raises(ImpossibleEvidenceError):
-                        infer(net, evidence, method="elimination")
+                        infer(net, evidence, method="wmc")
                     continue
-                elim = infer(net, evidence, method="elimination")
+                wmc = infer(net, evidence, method="wmc")
                 for node_id in enum:
-                    assert enum[node_id] == pytest.approx(elim[node_id], abs=1e-9), (
+                    assert enum[node_id] == pytest.approx(wmc[node_id], abs=1e-9), (
                         entry.rule_id, evidence, node_id,
                     )
 

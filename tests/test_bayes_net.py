@@ -1,11 +1,14 @@
 """Network construction, exact inference and Boolean-agreement validation."""
 
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexroad.bayes_net import (
     AGREEMENT_TOLERANCE,
@@ -20,7 +23,8 @@ from lexroad.bayes_net import (
     net_to_json,
     validate_bn,
 )
-from lexroad.boolean_core import evaluate, parse_equations
+from lexroad.boolean_core import And, Not, Or, Var, evaluate, parse_equations, to_text
+from test_boolean_core import exprs
 
 
 def joint_brute(net, evidence=None):
@@ -103,7 +107,14 @@ def test_impossible_evidence_raises(rules_by_id):
     with pytest.raises(ImpossibleEvidenceError):
         infer(net, {"t": False, "A": True})
     with pytest.raises(ImpossibleEvidenceError):
-        infer(net, {"t": False, "A": True}, method="elimination")
+        infer(net, {"t": False, "A": True}, method="wmc")
+
+
+def test_evidence_whose_probability_underflows_is_refused():
+    net = build_bn(parse_equations("Y = a ∧ b\n"), priors={"a": 1e-200, "b": 1e-200})
+    for method in ("enumeration", "wmc"):
+        with pytest.raises(ImpossibleEvidenceError):
+            infer(net, {"a": True, "b": True}, method=method)
 
 
 def test_evidence_validation():
@@ -180,7 +191,7 @@ def test_wide_net_is_split_and_matches_oracles(case):
     hidden = rng.sample(vs, 3)
     evidence = {v: observed for v in vs if v not in hidden} | fixed
     a = infer(net, evidence, method="enumeration")
-    b = infer(net, evidence, method="elimination")
+    b = infer(net, evidence, method="wmc")
     for node_id in a:
         assert a[node_id] == pytest.approx(b[node_id], abs=AGREEMENT_TOLERANCE)
     assert a["Y"] == pytest.approx(
@@ -265,7 +276,7 @@ def test_monotone_prior_raises_monotone_decision(rules_by_id):
         last = posterior["D"]
 
 
-def test_enumeration_and_elimination_agree_randomized(pack):
+def test_enumeration_and_wmc_agree_randomized(pack):
     rng = random.Random(40425)
     for entry in pack.rules():
         net = build_bn(
@@ -283,20 +294,20 @@ def test_enumeration_and_elimination_agree_randomized(pack):
                 a = infer(net, evidence, method="enumeration")
             except ImpossibleEvidenceError:
                 with pytest.raises(ImpossibleEvidenceError):
-                    infer(net, evidence, method="elimination")
+                    infer(net, evidence, method="wmc")
                 continue
-            b = infer(net, evidence, method="elimination")
+            b = infer(net, evidence, method="wmc")
             for node_id in a:
                 assert a[node_id] == pytest.approx(b[node_id], abs=1e-9), (
                     entry.rule_id, evidence, node_id,
                 )
 
 
-def test_elimination_matches_independent_joint(rules_by_id):
+def test_wmc_matches_independent_joint(rules_by_id):
     net = build_bn(rules_by_id["UK-HC-99-100/3"].equations, priors={"u": 0.2, "x": 0.7})
     evidence = {"v": True}
     oracle, _ = joint_brute(net, evidence)
-    got = infer(net, evidence, method="elimination")
+    got = infer(net, evidence, method="wmc")
     for node_id in got:
         want = 1.0 if evidence.get(node_id) else oracle[node_id]
         assert got[node_id] == pytest.approx(want, abs=1e-9)
@@ -306,3 +317,131 @@ def test_net_json_round_trip(rules_by_id):
     net = build_bn(rules_by_id["UK-HC-103"].equations)
     assert net_from_json(net_to_json(net)) == net
     assert net_to_json(net) == net_to_json(net_from_json(net_to_json(net)))
+
+
+def test_every_built_net_round_trips(pack):
+    nets = [build_bn(entry.equations) for entry in pack.rules()]
+    nets.append(build_bn(parse_equations("Y = " + _join("∨", 40) + "\n")))
+    for net in nets:
+        assert net_from_json(net_to_json(net)) == net
+
+
+# name, change to the exported node list of UK-HC-99-100/1 (roots q r s y,
+# clause A, decisions B and D), words the error must contain
+BAD_NETS = [
+    ("cpt-length", lambda nodes: nodes[-1]["cpt"].pop(), "node D: 3 CPT entries for 2 parents"),
+    ("root-prior", lambda nodes: nodes[0].update(cpt=[1.0]), "node q: a root needs"),
+    ("non-deterministic-cpt", lambda nodes: nodes[4]["cpt"].__setitem__(1, 0.25),
+     "node A: CPT entries must be 0 or 1"),
+    ("parent-later", lambda nodes: nodes.insert(0, nodes.pop()),
+     "node D: parent A is not defined before it"),
+    ("duplicate-id", lambda nodes: nodes.insert(1, dict(nodes[0])), "node q is defined twice"),
+]
+
+
+@pytest.mark.parametrize(
+    "change, message", [row[1:] for row in BAD_NETS], ids=[row[0] for row in BAD_NETS]
+)
+def test_net_from_json_rejects_nets_inference_cannot_use(rules_by_id, change, message):
+    payload = json.loads(net_to_json(build_bn(rules_by_id["UK-HC-99-100/1"].equations)))
+    assert [n["id"] for n in payload["nodes"]] == ["q", "r", "s", "y", "A", "B", "D"]
+    change(payload["nodes"])
+    with pytest.raises(ValueError, match=message):
+        net_from_json(json.dumps(payload))
+
+
+def test_wmc_refuses_a_non_deterministic_cpt(rules_by_id):
+    net = build_bn(rules_by_id["UK-HC-99-100/2"].equations)
+    noisy = BayesNet(net.rule_id, tuple(
+        replace(n, cpt=(0.9,) + n.cpt[1:]) if n.id == "E" else n for n in net.nodes
+    ))
+    for method in ("wmc", "auto"):
+        with pytest.raises(ValueError, match="node E"):
+            infer(noisy, method=method)
+    assert 0.0 < infer(noisy, method="enumeration")["E"] < 1.0
+
+
+def _subterms(expr):
+    if isinstance(expr, (And, Or, Not)):
+        yield expr
+        for child in (expr.child,) if isinstance(expr, Not) else expr.children:
+            yield from _subterms(child)
+
+
+@st.composite
+def _queries(draw):
+    """(equations, net, evidence): 1-3 decisions from ``exprs()`` with some
+    compound subterms as clause folds, or an OR over 17-20 inputs whose net
+    has split nodes; random priors; evidence on roots, clauses and
+    decisions, leaving at most 8 roots open."""
+    if draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(17, 20))
+        eqs = parse_equations("Y = " + _join("∨", k) + "\nZ = ¬Y ∨ v0\n")
+    else:
+        drawn = draw(st.lists(exprs(), min_size=1, max_size=3))
+        decisions = [drawn[0]] + [
+            And((Var("D0"), d)) if draw(st.booleans()) else d for d in drawn[1:]
+        ]
+        eqs = parse_equations("".join(f"D{i} = {to_text(d)}\n" for i, d in enumerate(decisions)))
+        subterms = [t for d in drawn for t in _subterms(d)]
+        if subterms:
+            folds = draw(st.lists(st.sampled_from(subterms), max_size=2, unique=True))
+            eqs = replace(eqs, folds={f"F{i}": t for i, t in enumerate(folds)})
+    priors = {v: draw(st.floats(0.05, 0.95)) for v in eqs.input_ids()}
+    net = build_bn(eqs, priors=priors)
+    roots = net.ids(BnNodeKind.FACT_ROOT)
+    open_roots = draw(st.lists(st.sampled_from(roots), max_size=8, unique=True))
+    evidence = {
+        v: draw(st.booleans())
+        for v in roots
+        if v not in open_roots and (len(roots) > 8 or draw(st.booleans()))
+    }
+    inner = [n for n in net.ids() if n not in roots]
+    for name in draw(st.lists(st.sampled_from(inner), max_size=2, unique=True)):
+        evidence[name] = draw(st.booleans())
+    return eqs, net, evidence
+
+
+def brute_root_posteriors(eqs, net, evidence):
+    """P(root | evidence) by summing over the open roots' assignments, each
+    node's value read off its deterministic CPT and each decision checked
+    against ``evaluate``; None when no assignment has the evidence."""
+    roots = net.ids(BnNodeKind.FACT_ROOT)
+    hidden = [v for v in roots if v not in evidence]
+    mass = dict.fromkeys(roots, 0.0)
+    total = 0.0
+    for combo in itertools.product((True, False), repeat=len(hidden)):
+        state = {v: evidence[v] for v in roots if v in evidence} | dict(zip(hidden, combo))
+        decisions = evaluate(eqs, dict(state))
+        for node in net.nodes:
+            if node.id not in roots:
+                state[node.id] = net.p_true(node, state) == 1.0
+        assert all(state[d] == decisions[d] for d in eqs.decision_ids())
+        if any(state[k] != v for k, v in evidence.items()):
+            continue
+        weight = math.prod(net.node(v).cpt[0] if state[v] else 1.0 - net.node(v).cpt[0]
+                           for v in hidden)
+        total += weight
+        for v in roots:
+            mass[v] += weight if state[v] else 0.0
+    return None if total == 0.0 else {v: mass[v] / total for v in roots}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_queries())
+def test_wmc_agrees_with_enumeration_and_brute_force(query):
+    eqs, net, evidence = query
+    brute = brute_root_posteriors(eqs, net, evidence)
+    try:
+        a = infer(net, evidence, method="enumeration")
+    except ImpossibleEvidenceError:
+        with pytest.raises(ImpossibleEvidenceError):
+            infer(net, evidence, method="wmc")
+        assert brute is None
+        return
+    b = infer(net, evidence, method="wmc")
+    assert list(b) == list(a) == list(net.ids())
+    for node_id in a:
+        assert b[node_id] == pytest.approx(a[node_id], abs=AGREEMENT_TOLERANCE), node_id
+    for root, p in brute.items():
+        assert b[root] == pytest.approx(p, abs=AGREEMENT_TOLERANCE), root

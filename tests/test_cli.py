@@ -215,6 +215,12 @@ def test_bn_wide_rules_exit_cleanly(tmp_path):
     assert refused.stderr == "error: 25 roots exceed the 24-root bound\n"
 
 
+def test_bn_infer_leaves_22_of_25_inputs_open(tmp_path):
+    argv = ["bn", write_wide_or_rule(tmp_path, 25), "--infer", "v0=false,v1=false,v2=false"]
+    # P(Y) = 1 - 2^-22: Y is false only when all 22 open facts are
+    assert run_main(argv) == (0, "P(Y=true) = 0.999999762\n", "")
+
+
 def test_check_matrix_and_report(tmp_path):
     out = tmp_path / "report.json"
     result = run(
