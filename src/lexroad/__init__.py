@@ -41,7 +41,6 @@ from .boolean_core import (  # noqa: F401
     normalize,
     parse_equations,
     to_text,
-    truth_table,
 )
 from .lawmap import (  # noqa: F401
     LawmapEdge,

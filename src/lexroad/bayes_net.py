@@ -12,21 +12,18 @@ of an equation forces its decision to probability 1).
 A CPT has 2^parents rows, so no node has more than ``MAX_NODE_PARENTS``
 (16) parents: a wider clause or decision is split into named ``CLAUSE``
 nodes ``<node>_1``, ``<node>_2``, ... that each compute a part of it
-(parent divorcing).  Rules of any width build; exhaustive validation
-enumerates 2^roots assignments and refuses more than
-``MAX_VALIDATION_ROOTS`` (24) roots.
+(parent divorcing).  Rules of any width build and validate.
 
-Inference is exact.  Because every non-root CPT is 0/1 and the roots are
-independent, each node is a Boolean function of the roots, and
-P(n | e) = WMC(n ∧ e) / WMC(e): weighted model counting (Chavira &
-Darwiche 2008) on one decision diagram over the roots, the default
-method.  It takes only such deterministic nets, so it refuses a non-root
-CPT entry other than 0 or 1, and it knows impossible evidence exactly,
-when the evidence function is FALSE.  Weighted enumeration branches over
-the joint states in topological order and stays as the independent
-oracle.  The two agree to within float rounding and both raise
-:class:`ImpossibleEvidenceError` when the observations have zero
-probability.
+Because every non-root CPT is 0/1 and the roots are independent, each node
+is a Boolean function of the roots: one decision diagram over the roots
+(:class:`Bdd`) carries the whole net.  Validation is symbolic: a decision
+agrees with its equation on all 2^roots assignments exactly when the two
+are the same diagram node, and the assignments where they differ are the
+divergences.  Inference is exact, by weighted model counting (Chavira &
+Darwiche 2008): P(n | e) = WMC(n ∧ e) / WMC(e).  Both take only such
+deterministic nets, so they refuse a non-root CPT entry other than 0 or 1,
+and inference raises :class:`ImpossibleEvidenceError` exactly when the
+evidence function is FALSE.
 """
 
 from __future__ import annotations
@@ -46,13 +43,11 @@ from .boolean_core import (
     RuleEquations,
     TooManyVariablesError,
     Var,
-    evaluate,
     expand,
     free_vars,
     kleene_eval,
 )
 
-MAX_VALIDATION_ROOTS = 24
 MAX_NODE_PARENTS = 16  # CPT rows are 2^parents; beyond this a table is unusable
 AGREEMENT_TOLERANCE = 1e-9
 
@@ -97,12 +92,6 @@ class BayesNet:
 
     def ids(self, kind: BnNodeKind | None = None) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes if kind is None or n.kind == kind)
-
-    def p_true(self, node: BnNode, state: dict[str, bool]) -> float:
-        index = 0
-        for parent in node.parents:
-            index = index * 2 + (0 if state[parent] else 1)
-        return node.cpt[index]
 
 
 def _check_nodes(nodes: tuple[BnNode, ...]) -> None:
@@ -265,76 +254,14 @@ def build_bn(
 
 # --- inference ---------------------------------------------------------------
 
-def infer(
-    net: BayesNet,
-    evidence: dict[str, bool] | None = None,
-    method: str = "auto",
-) -> dict[str, float]:
-    """Posterior P(true) for every node given the evidence, which may be on
-    any node, decisions included.
-
-    ``"wmc"`` and ``"auto"`` (the same) count weighted models on one
-    decision diagram; they need a deterministic net (every non-root CPT
-    entry 0 or 1, every root prior in (0, 1)) and raise ``ValueError``
-    naming the node otherwise.  ``"enumeration"`` branches over the joint
-    states and is kept as the independent oracle.  Evidence the net makes
-    impossible raises :class:`ImpossibleEvidenceError`: under ``"wmc"``
-    exactly when the evidence function is FALSE.
-    """
-    evidence = dict(evidence or {})
-    known = {n.id for n in net.nodes}
-    for key, value in evidence.items():
-        if key not in known:
-            raise KeyError(f"evidence on unknown node '{key}'")
-        if not isinstance(value, bool):
-            raise ValueError(f"evidence for {key} must be true or false")
-    if method in ("auto", "wmc"):
-        return _infer_wmc(net, evidence)
-    if method == "enumeration":
-        return _infer_enumeration(net, evidence)
-    raise ValueError(f"unknown inference method '{method}'")
-
-
-def _infer_enumeration(net: BayesNet, evidence: dict[str, bool]) -> dict[str, float]:
-    order = list(net.nodes)
-    true_mass = {n.id: 0.0 for n in order}
-    total = 0.0
-    state: dict[str, bool] = {}
-
-    def recurse(i: int, weight: float) -> None:
-        nonlocal total
-        if weight == 0.0:
-            return
-        if i == len(order):
-            total += weight
-            for node_id, value in state.items():
-                if value:
-                    true_mass[node_id] += weight
-            return
-        node = order[i]
-        p = net.p_true(node, state)
-        fixed = evidence.get(node.id)
-        for value, branch_p in ((True, p), (False, 1.0 - p)):
-            if fixed is not None and value != fixed:
-                continue
-            state[node.id] = value
-            recurse(i + 1, weight * branch_p)
-        del state[node.id]
-
-    recurse(0, 1.0)
-    if total == 0.0:
-        raise ImpossibleEvidenceError("evidence has zero probability")
-    return {node_id: mass / total for node_id, mass in true_mass.items()}
-
-
-def _infer_wmc(net: BayesNet, evidence: dict[str, bool]) -> dict[str, float]:
-    """P(n | e) = WMC(n ∧ e) / WMC(e) (Chavira & Darwiche 2008): every
-    non-root node is a Boolean function of the independent roots, so one
-    decision diagram over the roots, in net order, carries the whole net."""
+def _node_functions(net: BayesNet, bdd: Bdd) -> tuple[dict[str, int], list[float]]:
+    """Each node's Boolean function of the roots as a node of ``bdd``, a
+    fresh manager whose variables become the roots in net order, and the
+    root priors by level.  ``ValueError`` for a net that is not
+    deterministic (see :func:`_check_nodes`)."""
     _check_nodes(net.nodes)
-    bdd = Bdd()
     fn: dict[str, int] = {}
-    prior: list[float] = []  # by level: the roots, in net order, are the variables
+    prior: list[float] = []
     for node in net.nodes:
         if node.kind == BnNodeKind.FACT_ROOT:
             fn[node.id] = bdd.var(node.id)
@@ -349,6 +276,27 @@ def _infer_wmc(net: BayesNet, evidence: dict[str, bool]) -> dict[str, float]:
             return bdd.ite(parents[i], shannon(rows[:half], i + 1), shannon(rows[half:], i + 1))
 
         fn[node.id] = shannon(node.cpt, 0)
+    return fn, prior
+
+
+def infer(net: BayesNet, evidence: dict[str, bool] | None = None) -> dict[str, float]:
+    """Posterior P(true) for every node given the evidence, which may be on
+    any node, decisions included: P(n | e) = WMC(n ∧ e) / WMC(e).
+
+    The net must be deterministic (every non-root CPT entry 0 or 1, every
+    root prior in (0, 1)); ``ValueError`` names the node otherwise.
+    Evidence the net makes impossible, exactly when the evidence function
+    is FALSE, raises :class:`ImpossibleEvidenceError`.
+    """
+    evidence = dict(evidence or {})
+    known = {n.id for n in net.nodes}
+    for key, value in evidence.items():
+        if key not in known:
+            raise KeyError(f"evidence on unknown node '{key}'")
+        if not isinstance(value, bool):
+            raise ValueError(f"evidence for {key} must be true or false")
+    bdd = Bdd()
+    fn, prior = _node_functions(net, bdd)
     e = Bdd.TRUE
     for node_id, value in evidence.items():
         e = bdd.ite(fn[node_id], e, Bdd.FALSE) if value else bdd.ite(fn[node_id], Bdd.FALSE, e)
@@ -408,31 +356,38 @@ class ValidationReport:
 
 
 def validate_bn(net: BayesNet, eqs: RuleEquations) -> ValidationReport:
-    """Exhaustively confirm the net reproduces the Boolean semantics."""
-    roots = net.ids(BnNodeKind.FACT_ROOT)
-    if len(roots) > MAX_VALIDATION_ROOTS:
-        raise TooManyVariablesError(len(roots), MAX_VALIDATION_ROOTS, "root")
-    report = ValidationReport(rule_id=net.rule_id, assignments_checked=0)
-    decisions = eqs.decision_ids()
-    for combo in itertools.product((False, True), repeat=len(roots)):
-        ev = dict(zip(roots, combo))
-        posteriors = infer(net, ev, method="enumeration")
-        expected = evaluate(eqs, dict(ev))
-        report.assignments_checked += 1
-        for decision in decisions:
-            p = posteriors[decision]
-            want = bool(expected[decision])
-            if min(p, 1.0 - p) > AGREEMENT_TOLERANCE or (p > 0.5) != want:
-                report.divergences.append(Divergence(decision, ev, want, p))
+    """Confirm that ``net``, which must be deterministic, reproduces the
+    Boolean semantics on all 2^roots assignments of its roots.
+
+    Each decision's node function is compared with its equation on one
+    decision diagram over the roots.  Every assignment where they differ is
+    a divergence, listed in the order of the assignments (roots in net
+    order, FALSE before TRUE) and then of the decisions; its posterior is
+    the node's value there, exactly 0.0 or 1.0.
+    """
+    bdd = Bdd()
+    fn, _ = _node_functions(net, bdd)
     exprs = expand(eqs)
-    bdd = Bdd(eqs.input_ids())
+    decisions = eqs.decision_ids()
+    report = ValidationReport(
+        rule_id=net.rule_id, assignments_checked=2 ** len(net.ids(BnNodeKind.FACT_ROOT))
+    )
+    wrong = []
+    for i, decision in enumerate(decisions):
+        want, got = bdd.of(exprs[decision]), fn[decision]
+        for expected, differ in ((True, bdd.ite(got, Bdd.FALSE, want)),
+                                 (False, bdd.ite(want, Bdd.FALSE, got))):
+            wrong.extend((values, i, expected) for values in bdd.models(differ))
+    for values, i, expected in sorted(wrong):
+        report.divergences.append(Divergence(
+            decisions[i], dict(zip(bdd.names, values)), expected, 0.0 if expected else 1.0
+        ))
     for decision in decisions:
         expr = exprs[decision]
         satisfying = bdd.witness(bdd.of(expr), free_vars(expr), first=True)
         if satisfying is None:
             continue  # unsatisfiable decision: nothing to instantiate
-        posteriors = infer(net, satisfying, method="enumeration")
-        p = posteriors[decision]
+        p = infer(net, satisfying)[decision]
         report.equation_checks.append(
             EquationCheck(decision, satisfying, p, abs(p - 1.0) <= AGREEMENT_TOLERANCE)
         )

@@ -13,14 +13,15 @@ Scenario evaluation is three-valued (Kleene): a decision is TRUE or FALSE
 only when the known facts force it, otherwise UNKNOWN (``None``).
 Equations may reference decisions defined earlier in the same set
 (expanded by substitution before analysis).  Equivalence and property
-checks work on decision diagrams (:class:`Bdd`); only :func:`truth_table`,
-the explicit enumeration kept for tests, has a variable bound.
+checks work on decision diagrams (:class:`Bdd`) and have no variable
+bound.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .rule_dsl import (
@@ -35,8 +36,6 @@ from .rule_dsl import (
     _child_key,
 )
 
-MAX_TRUTH_TABLE_VARS = 24
-
 
 class UnboundVariableError(Exception):
     def __init__(self, var_id: str):
@@ -50,7 +49,7 @@ class NoOutcomeError(Exception):
 
 class TooManyVariablesError(Exception):
     """``n`` items exceed ``bound``, the limit of the exhaustive step that
-    refused them; ``noun`` names the items (input variables, parents, roots)."""
+    refused them; ``noun`` names the items (input variables, parents)."""
 
     def __init__(self, n: int, bound: int, noun: str = "input variable"):
         self.n = n
@@ -299,27 +298,6 @@ def expand(eqs: RuleEquations) -> dict[str, BoolExpr]:
     for decision, expr in eqs.equations.items():
         expanded[decision] = subst(expr)
     return expanded
-
-
-@dataclass(frozen=True)
-class TruthTableRow:
-    assignment: dict[str, bool]
-    decisions: dict[str, bool]
-
-
-def truth_table(eqs: RuleEquations) -> list[TruthTableRow]:
-    """All 2^n rows over the sorted input variables: the explicit
-    enumeration, bounded by ``MAX_TRUTH_TABLE_VARS``."""
-    inputs = tuple(sorted(eqs.input_ids()))
-    if len(inputs) > MAX_TRUTH_TABLE_VARS:
-        raise TooManyVariablesError(len(inputs), MAX_TRUTH_TABLE_VARS)
-    exprs = expand(eqs)
-    rows = []
-    for values in itertools.product((False, True), repeat=len(inputs)):
-        env: dict[str, bool | None] = dict(zip(inputs, values))
-        decisions = {d: bool(kleene_eval(e, env)) for d, e in exprs.items()}
-        rows.append(TruthTableRow(dict(zip(inputs, values)), decisions))
-    return rows
 
 
 @dataclass
@@ -635,3 +613,20 @@ class Bdd:
             assignment[name] = first if g != self.FALSE else not first
             f = g if g != self.FALSE else self.ite(literal, self.FALSE, f)
         return assignment
+
+    def models(self, f: int) -> Iterator[tuple[bool, ...]]:
+        """Every assignment to ``names`` that satisfies ``f``, as a tuple of
+        values by level, in lexicographic order with FALSE before TRUE."""
+
+        def walk(g: int, level: int) -> Iterator[tuple[bool, ...]]:
+            if g == self.FALSE:
+                return
+            if level == len(self.names):
+                yield ()
+                return
+            hi, lo = self.cofactors(g, level)
+            for value, branch in ((False, lo), (True, hi)):
+                for rest in walk(branch, level + 1):
+                    yield (value, *rest)
+
+        return walk(f, 0)

@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Subcommands: ``compile``, ``eval``, ``lawmap``, ``bn``, ``check``.
-Exit codes: 0 success; 1 the rule cannot be read (missing, not UTF-8) or
-parsed, or an ``--out`` file cannot be written; 2 it does not compile; 3 the
-scenario is unreadable, not a JSON object, for another rule, names a
-variable the rule lacks or a decision, or leaves out a fact
-``lawmap --trace`` needs; 4 priors or evidence are unusable, evidence is
-impossible, a decision is cyclic, ``bn --validate`` gets more than 24 roots
-or a validated net diverges; 5 anything wrong in the rulepack or a profile.
-``lawmap`` works on decision diagrams and has no input bound.
+Exit codes: 0 success; 1 the command line is not valid, the rule cannot be
+read (missing, not UTF-8) or parsed, or an ``--out`` file cannot be
+written; 2 it does not compile; 3 the scenario is unreadable, not a JSON
+object, for another rule, names a variable the rule lacks or a decision, or
+leaves out a fact ``lawmap --trace`` needs; 4 priors or evidence are
+unusable (a prior on a decision or on a name the rules lack included),
+evidence is impossible, a decision is cyclic or a validated net diverges;
+5 anything wrong in the rulepack or a profile.
+``lawmap`` and ``bn`` work on decision diagrams and have no input bound.
 ``EXIT_CODES`` gives each lexroad error its code, and ``_exits`` gives
 errors raised while reading one input the code of that input.
 ``main`` alone reports a failure, as one stderr line: ``error: ...``, or
@@ -60,6 +61,14 @@ class _Failure(Exception):
     """``_Failure(code, error)``: ``error`` ends the command with exit ``code``."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one ``error:`` line and exit 1, not argparse's usage
+    text and exit 2, which is the "does not compile" code."""
+
+    def error(self, message: str):
+        raise _Failure(EXIT_PARSE, message)
+
+
 @contextmanager
 def _exits(code: int, errors: tuple[type[Exception], ...] = _INPUT_ERRORS):
     """Any of ``errors`` raised in the block ends the command with ``code``."""
@@ -92,7 +101,7 @@ def _load_facts(path: str, eqs: RuleEquations) -> dict[str, bool]:
             raise ValueError(
                 f"scenario targets rule {scenario.rule_id!r}, not {eqs.rule_id!r}"
             )
-    compliance.check_facts(eqs, scenario)
+    compliance.check_facts(eqs, scenario.facts)
     return scenario.facts
 
 
@@ -163,10 +172,15 @@ def cmd_bn(args: argparse.Namespace) -> int:
     if args.priors:
         with _exits(EXIT_INFERENCE):
             priors = _load_priors(args.priors)
+    rules = [_load_compiled(rule_path)[2] for rule_path in args.rules]
+    # a prior must name a fact of one of the rules: any other name is unknown
+    # to the first rule or one of its decisions
+    facts = {v for eqs in rules for v in eqs.input_ids()}
+    with _exits(EXIT_INFERENCE, (compliance.UnknownScenarioVariableError,)):
+        compliance.check_facts(rules[0], [k for k in priors if k not in facts], "priors file")
     lines: list[str] = []
     total = passed = 0
-    for rule_path in args.rules:
-        _, _, eqs = _load_compiled(rule_path)
+    for eqs in rules:
         with _exits(EXIT_INFERENCE):
             net = bayes_net.build_bn(eqs, priors={
                 k: v for k, v in priors.items() if k in eqs.table.variables
@@ -235,7 +249,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lexroad",
         description="Compile structured-English road rules, draw their decision "
         "flow, validate the logic probabilistically and check vehicle "
@@ -294,8 +308,8 @@ def main(argv: list[str] | None = None) -> int:
     for stream in (sys.stdout, sys.stderr):
         if hasattr(stream, "reconfigure"):
             stream.reconfigure(encoding="utf-8")
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _Failure as failure:
         code, error = failure.args

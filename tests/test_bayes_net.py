@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from lexroad.bayes_net import (
     AGREEMENT_TOLERANCE,
     MAX_NODE_PARENTS,
-    MAX_VALIDATION_ROOTS,
     BayesNet,
     BnNodeKind,
     ImpossibleEvidenceError,
@@ -24,6 +23,7 @@ from lexroad.bayes_net import (
     validate_bn,
 )
 from lexroad.boolean_core import And, Not, Or, Var, evaluate, parse_equations, to_text
+from reference import infer_enumeration, p_true, validate_by_enumeration
 from test_boolean_core import exprs
 
 
@@ -39,7 +39,7 @@ def joint_brute(net, evidence=None):
             continue
         weight = 1.0
         for node in net.nodes:
-            p = net.p_true(node, state)
+            p = p_true(node, state)
             weight *= p if state[node.id] else 1.0 - p
         total += weight
         for name in names:
@@ -106,15 +106,13 @@ def test_impossible_evidence_raises(rules_by_id):
     # A = t ∧ z cannot be true while t is false
     with pytest.raises(ImpossibleEvidenceError):
         infer(net, {"t": False, "A": True})
-    with pytest.raises(ImpossibleEvidenceError):
-        infer(net, {"t": False, "A": True}, method="wmc")
 
 
 def test_evidence_whose_probability_underflows_is_refused():
     net = build_bn(parse_equations("Y = a ∧ b\n"), priors={"a": 1e-200, "b": 1e-200})
-    for method in ("enumeration", "wmc"):
+    for method in (infer_enumeration, infer):
         with pytest.raises(ImpossibleEvidenceError):
-            infer(net, {"a": True, "b": True}, method=method)
+            method(net, {"a": True, "b": True})
 
 
 def test_evidence_validation():
@@ -142,12 +140,9 @@ def test_hand_built_forward_reference_is_cyclic():
 def test_validation_root_bound():
     big = "Y = " + " ∨ ".join(f"v{i}" for i in range(25)) + "\n"
     eqs = parse_equations(big)
-    net = build_bn(eqs)
-    from lexroad.boolean_core import TooManyVariablesError
-
-    with pytest.raises(TooManyVariablesError) as excinfo:
-        validate_bn(net, eqs)
-    assert excinfo.value.bound == MAX_VALIDATION_ROOTS
+    report = validate_bn(build_bn(eqs), eqs)
+    assert report.ok
+    assert report.assignments_checked == 2**25
 
 
 def _join(op, k):
@@ -190,8 +185,8 @@ def test_wide_net_is_split_and_matches_oracles(case):
     vs = [v for v in eqs.input_ids() if v.startswith("v")]
     hidden = rng.sample(vs, 3)
     evidence = {v: observed for v in vs if v not in hidden} | fixed
-    a = infer(net, evidence, method="enumeration")
-    b = infer(net, evidence, method="wmc")
+    a = infer_enumeration(net, evidence)
+    b = infer(net, evidence)
     for node_id in a:
         assert a[node_id] == pytest.approx(b[node_id], abs=AGREEMENT_TOLERANCE)
     assert a["Y"] == pytest.approx(
@@ -212,7 +207,7 @@ def test_wide_net_is_split_and_matches_oracles(case):
             assignment[v] = not assignment[v]
         want = evaluate(eqs, assignment)["Y"]
         wants.add(want)
-        got = infer(net, assignment, method="enumeration")["Y"]
+        got = infer_enumeration(net, assignment)["Y"]
         assert got == pytest.approx(1.0 if want else 0.0, abs=AGREEMENT_TOLERANCE)
     assert wants == {True, False}
 
@@ -291,12 +286,12 @@ def test_enumeration_and_wmc_agree_randomized(pack):
             picked = rng.sample(observable, k=rng.randint(0, min(3, len(observable))))
             evidence = {name: rng.random() < 0.5 for name in picked}
             try:
-                a = infer(net, evidence, method="enumeration")
+                a = infer_enumeration(net, evidence)
             except ImpossibleEvidenceError:
                 with pytest.raises(ImpossibleEvidenceError):
-                    infer(net, evidence, method="wmc")
+                    infer(net, evidence)
                 continue
-            b = infer(net, evidence, method="wmc")
+            b = infer(net, evidence)
             for node_id in a:
                 assert a[node_id] == pytest.approx(b[node_id], abs=1e-9), (
                     entry.rule_id, evidence, node_id,
@@ -307,7 +302,7 @@ def test_wmc_matches_independent_joint(rules_by_id):
     net = build_bn(rules_by_id["UK-HC-99-100/3"].equations, priors={"u": 0.2, "x": 0.7})
     evidence = {"v": True}
     oracle, _ = joint_brute(net, evidence)
-    got = infer(net, evidence, method="wmc")
+    got = infer(net, evidence)
     for node_id in got:
         want = 1.0 if evidence.get(node_id) else oracle[node_id]
         assert got[node_id] == pytest.approx(want, abs=1e-9)
@@ -351,14 +346,16 @@ def test_net_from_json_rejects_nets_inference_cannot_use(rules_by_id, change, me
 
 
 def test_wmc_refuses_a_non_deterministic_cpt(rules_by_id):
-    net = build_bn(rules_by_id["UK-HC-99-100/2"].equations)
+    eqs = rules_by_id["UK-HC-99-100/2"].equations
+    net = build_bn(eqs)
     noisy = BayesNet(net.rule_id, tuple(
         replace(n, cpt=(0.9,) + n.cpt[1:]) if n.id == "E" else n for n in net.nodes
     ))
-    for method in ("wmc", "auto"):
-        with pytest.raises(ValueError, match="node E"):
-            infer(noisy, method=method)
-    assert 0.0 < infer(noisy, method="enumeration")["E"] < 1.0
+    with pytest.raises(ValueError, match="node E"):
+        infer(noisy)
+    with pytest.raises(ValueError, match="node E"):
+        validate_bn(noisy, eqs)
+    assert 0.0 < infer_enumeration(noisy)["E"] < 1.0
 
 
 def _subterms(expr):
@@ -369,24 +366,32 @@ def _subterms(expr):
 
 
 @st.composite
+def _small_equations(draw):
+    """1-3 decisions from ``exprs()`` (so at most 8 inputs), the later ones
+    maybe referring to D0, with some compound subterms as clause folds."""
+    drawn = draw(st.lists(exprs(), min_size=1, max_size=3))
+    decisions = [drawn[0]] + [
+        And((Var("D0"), d)) if draw(st.booleans()) else d for d in drawn[1:]
+    ]
+    eqs = parse_equations("".join(f"D{i} = {to_text(d)}\n" for i, d in enumerate(decisions)))
+    subterms = [t for d in drawn for t in _subterms(d)]
+    if subterms:
+        folds = draw(st.lists(st.sampled_from(subterms), max_size=2, unique=True))
+        eqs = replace(eqs, folds={f"F{i}": t for i, t in enumerate(folds)})
+    return eqs
+
+
+@st.composite
 def _queries(draw):
-    """(equations, net, evidence): 1-3 decisions from ``exprs()`` with some
-    compound subterms as clause folds, or an OR over 17-20 inputs whose net
-    has split nodes; random priors; evidence on roots, clauses and
-    decisions, leaving at most 8 roots open."""
+    """(equations, net, evidence): equations from ``_small_equations()``,
+    or an OR over 17-20 inputs whose net has split nodes; random priors;
+    evidence on roots, clauses and decisions, leaving at most 8 roots
+    open."""
     if draw(st.integers(0, 3)) == 0:
         k = draw(st.integers(17, 20))
         eqs = parse_equations("Y = " + _join("∨", k) + "\nZ = ¬Y ∨ v0\n")
     else:
-        drawn = draw(st.lists(exprs(), min_size=1, max_size=3))
-        decisions = [drawn[0]] + [
-            And((Var("D0"), d)) if draw(st.booleans()) else d for d in drawn[1:]
-        ]
-        eqs = parse_equations("".join(f"D{i} = {to_text(d)}\n" for i, d in enumerate(decisions)))
-        subterms = [t for d in drawn for t in _subterms(d)]
-        if subterms:
-            folds = draw(st.lists(st.sampled_from(subterms), max_size=2, unique=True))
-            eqs = replace(eqs, folds={f"F{i}": t for i, t in enumerate(folds)})
+        eqs = draw(_small_equations())
     priors = {v: draw(st.floats(0.05, 0.95)) for v in eqs.input_ids()}
     net = build_bn(eqs, priors=priors)
     roots = net.ids(BnNodeKind.FACT_ROOT)
@@ -415,7 +420,7 @@ def brute_root_posteriors(eqs, net, evidence):
         decisions = evaluate(eqs, dict(state))
         for node in net.nodes:
             if node.id not in roots:
-                state[node.id] = net.p_true(node, state) == 1.0
+                state[node.id] = p_true(node, state) == 1.0
         assert all(state[d] == decisions[d] for d in eqs.decision_ids())
         if any(state[k] != v for k, v in evidence.items()):
             continue
@@ -433,15 +438,36 @@ def test_wmc_agrees_with_enumeration_and_brute_force(query):
     eqs, net, evidence = query
     brute = brute_root_posteriors(eqs, net, evidence)
     try:
-        a = infer(net, evidence, method="enumeration")
+        a = infer_enumeration(net, evidence)
     except ImpossibleEvidenceError:
         with pytest.raises(ImpossibleEvidenceError):
-            infer(net, evidence, method="wmc")
+            infer(net, evidence)
         assert brute is None
         return
-    b = infer(net, evidence, method="wmc")
+    b = infer(net, evidence)
     assert list(b) == list(a) == list(net.ids())
     for node_id in a:
         assert b[node_id] == pytest.approx(a[node_id], abs=AGREEMENT_TOLERANCE), node_id
     for root, p in brute.items():
         assert b[root] == pytest.approx(p, abs=AGREEMENT_TOLERANCE), root
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_equations(), st.data())
+def test_validation_agrees_with_the_enumeration_oracle(eqs, data):
+    """Symbolic validation against the 2^roots enumeration loop, on built
+    nets and on nets with one CPT row flipped: the same divergences in the
+    same order, the same count and the same equation checks."""
+    net = build_bn(eqs)
+    if data.draw(st.booleans()):
+        inner = [i for i, n in enumerate(net.nodes) if n.kind != BnNodeKind.FACT_ROOT]
+        i = data.draw(st.sampled_from(inner))
+        node = net.nodes[i]
+        row = data.draw(st.integers(0, len(node.cpt) - 1))
+        cpt = node.cpt[:row] + (1.0 - node.cpt[row],) + node.cpt[row + 1:]
+        net = BayesNet(net.rule_id, net.nodes[:i] + (replace(node, cpt=cpt),) + net.nodes[i + 1:])
+    assert len(net.ids(BnNodeKind.FACT_ROOT)) <= 10
+    got, want = validate_bn(net, eqs), validate_by_enumeration(net, eqs)
+    assert got.divergences == want.divergences
+    assert got.assignments_checked == want.assignments_checked
+    assert got.equation_checks == want.equation_checks

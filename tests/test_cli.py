@@ -208,11 +208,14 @@ def test_bn_wide_rules_exit_cleanly(tmp_path):
         assert inferred.stdout == "P(Y=true) = 0.875000000\n"
         for result in (exported, inferred):
             assert "Traceback" not in result.stderr
-    # 2^17 assignments would take seconds; only the refusal is run
-    refused = run("bn", rule)
-    assert refused.returncode == 4
-    assert refused.stdout == ""
-    assert refused.stderr == "error: 25 roots exceed the 24-root bound\n"
+    # all 2^25 assignments are covered on the decision diagram
+    validated = run("bn", rule)
+    assert validated.returncode == 0
+    assert validated.stdout == (
+        "rule WIDE-25: 1/1 equations validated over 33554432 assignments [ok]\n"
+        "1/1 equations validated\n"
+    )
+    assert validated.stderr == ""
 
 
 def test_bn_infer_leaves_22_of_25_inputs_open(tmp_path):
@@ -369,6 +372,12 @@ EXIT_TABLE = [
      "error: prior for A must be a number\n"),
     ("bn-unknown-evidence", lambda d: ["bn", PACK / "103.rule", "--infer", "zz=true"], 4,
      "error: \"evidence on unknown node 'zz'\"\n"),
+    ("bn-priors-unknown-name", lambda d: ["bn", PACK / "103.rule", "--infer", "", "--priors",
+                                          write_file(d, "p.json", {"X": 0.9, "zzz": 0.3})], 4,
+     "error: priors file for UK-HC-103 names unknown variables: zzz\n"),
+    ("bn-priors-decision", lambda d: ["bn", PACK / "103.rule", "--priors",
+                                      write_file(d, "p.json", {"A": 0.9, "X": 0.9})], 4,
+     "error: priors file for UK-HC-103 names decisions, not facts: X\n"),
     ("check-cyclic-golden", lambda d: [
         "check", copy_pack(d, "103.golden.beq", "X = Y ∧ A\nY = A\n"), BMW], 5,
      "error: decision 'Y' is used before (or within) its own definition\n"),
@@ -390,6 +399,12 @@ EXIT_TABLE = [
      "error: [Errno 2] No such file or directory: '<d>/no/x'\n"),
     ("check-out-unwritable", lambda d: ["check", PACK, BMW, "--out", d / "no" / "x.json"], 1,
      "error: [Errno 2] No such file or directory: '<d>/no/x.json'\n"),
+    ("usage-no-command", lambda d: [], 1,
+     "error: the following arguments are required: command\n"),
+    ("usage-compile-no-rule", lambda d: ["compile"], 1,
+     "error: the following arguments are required: rule\n"),
+    ("usage-bn-export-and-infer", lambda d: ["bn", PACK / "103.rule", "--export", "--infer", ""], 1,
+     "error: argument --infer: not allowed with argument --export\n"),
 ]
 
 

@@ -26,7 +26,6 @@ from lexroad.boolean_core import (
     kleene_eval,
     parse_equations,
     to_text,
-    truth_table,
 )
 from lexroad.lawmap import (
     EdgeGuard,
@@ -38,6 +37,7 @@ from lexroad.lawmap import (
     export_json,
 )
 from lexroad.rule_dsl import Variable, VarKind
+from reference import truth_table
 from test_boolean_core import exprs
 
 
@@ -161,6 +161,18 @@ def test_witness_is_first_in_the_given_order():
     assert bdd.witness(f, ("c", "b", "a"), False) == {"c": False, "b": True, "a": False}
     assert bdd.witness(f, ("b", "a", "c"), True) == {"b": True, "a": True, "c": True}
     assert bdd.witness(Bdd.FALSE, ("a",), True) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(exprs())
+def test_models_are_the_satisfying_rows_in_order(expr):
+    bdd = Bdd()
+    f = bdd.of(expr)
+    rows = [
+        values for values in itertools.product((False, True), repeat=len(bdd.names))
+        if kleene_eval(expr, dict(zip(bdd.names, values)))
+    ]
+    assert list(bdd.models(f)) == rows
 
 
 def test_forty_input_or_is_checked_without_enumeration():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lexroad.boolean_core import evaluate, parse_equations, truth_table
+from lexroad.boolean_core import evaluate, parse_equations
 from lexroad.lawmap import (
     EdgeGuard,
     IncompleteAssignmentError,
@@ -20,6 +20,7 @@ from lexroad.lawmap import (
     graph_from_json,
     trace_path,
 )
+from reference import truth_table
 
 
 def graphs_for(pack):
