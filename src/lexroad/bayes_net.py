@@ -41,7 +41,6 @@ from .boolean_core import (
     Not,
     Or,
     RuleEquations,
-    TooManyVariablesError,
     Var,
     expand,
     free_vars,
@@ -119,8 +118,6 @@ def _check_nodes(nodes: tuple[BnNode, ...]) -> None:
 
 
 def _cpt_for(expr: BoolExpr, parents: tuple[str, ...]) -> tuple[float, ...]:
-    if len(parents) > MAX_NODE_PARENTS:
-        raise TooManyVariablesError(len(parents), MAX_NODE_PARENTS, "parent")
     rows = []
     for combo in itertools.product((True, False), repeat=len(parents)):
         env: dict[str, bool | None] = dict(zip(parents, combo))

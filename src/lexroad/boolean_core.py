@@ -47,17 +47,6 @@ class NoOutcomeError(Exception):
     pass
 
 
-class TooManyVariablesError(Exception):
-    """``n`` items exceed ``bound``, the limit of the exhaustive step that
-    refused them; ``noun`` names the items (input variables, parents)."""
-
-    def __init__(self, n: int, bound: int, noun: str = "input variable"):
-        self.n = n
-        self.bound = bound
-        unit = noun.split()[-1]
-        super().__init__(f"{n} {noun}s exceed the {bound}-{unit} bound")
-
-
 class CyclicDefinitionError(Exception):
     def __init__(self, var_id: str):
         self.var_id = var_id

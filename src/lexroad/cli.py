@@ -47,7 +47,6 @@ EXIT_CODES: dict[type[Exception], int] = {
     lawmap.InconsistentInputsError: EXIT_COMPILE,
     compliance.UnknownScenarioVariableError: EXIT_SCENARIO,
     lawmap.IncompleteAssignmentError: EXIT_SCENARIO,
-    boolean_core.TooManyVariablesError: EXIT_INFERENCE,
     boolean_core.CyclicDefinitionError: EXIT_INFERENCE,
     bayes_net.ImpossibleEvidenceError: EXIT_INFERENCE,
     rulepack.GoldenMismatchError: EXIT_RULEPACK,
@@ -55,6 +54,9 @@ EXIT_CODES: dict[type[Exception], int] = {
 }
 # what reading a file, or a value in it that is not what it should be, raises
 _INPUT_ERRORS = (OSError, ValueError, KeyError)
+# a name read from an input may hold a line break; the report escapes every
+# character str.splitlines breaks at, so it stays one line
+_ONE_LINE = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
 
 
 class _Failure(Exception):
@@ -316,8 +318,8 @@ def main(argv: list[str] | None = None) -> int:
     except tuple(EXIT_CODES) as exc:
         code, error = EXIT_CODES[type(exc)], exc
     # a syntax error already reads "file:line:col: error: ..."
-    print(error if isinstance(error, rule_dsl.RuleSyntaxError) else f"error: {error}",
-          file=sys.stderr)
+    message = str(error) if isinstance(error, rule_dsl.RuleSyntaxError) else f"error: {error}"
+    print(message.translate(_ONE_LINE), file=sys.stderr)
     return code
 
 

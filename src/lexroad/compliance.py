@@ -25,7 +25,6 @@ from .rulepack import (
     RagRating,
     Rulepack,
     file_digest,
-    group_for_rule,
     json_value,
     load_json_object,
     pack_digest,
@@ -89,6 +88,7 @@ class ComplianceReport:
     ratings: dict[str, dict[str, RagRating]]  # vehicle_id → group → rating
     rule_outcomes: dict[str, dict[str, str]] = field(default_factory=dict)
     generated_at: str | None = None
+    rule_groups: dict[str, str | None] = field(default_factory=dict)  # rule id → group
 
 
 def build_report(
@@ -98,31 +98,30 @@ def build_report(
     scenarios: list[Scenario] = (),
     timestamps: bool = False,
 ) -> ComplianceReport:
-    requirements = [
-        req for group in pack.groups() for req in pack.requirements_for(group)
-    ]
+    requirements = [req for reqs in pack.checklists.values() for req in reqs]
     answers: dict[str, dict[str, Answer]] = {}
     ratings: dict[str, dict[str, RagRating]] = {}
     for profile in profiles:
         answers[profile.vehicle_id] = {
-            req.id: profile.answer(req.id) or Answer.NOT_APPLICABLE
+            req.id: profile.answers.get(req.id, Answer.NOT_APPLICABLE)
             for req in requirements
         }
         ratings[profile.vehicle_id] = {
-            group: pack.rate(group, profile) for group in pack.groups()
+            group: pack.rate(group, profile) for group in pack.checklists
         }
 
     rule_outcomes: dict[str, dict[str, str]] = {}
-    compiled = {entry.rule_id: entry for entry in pack.rules()}
+    rule_groups: dict[str, str | None] = {}
     for scenario in scenarios:
-        entry = compiled.get(scenario.rule_id)
-        if entry is None or entry.equations is None:
+        rule = pack.rules_by_id.get(scenario.rule_id)
+        if rule is None:
             raise KeyError(f"scenario names unknown rule '{scenario.rule_id}'")
-        check_facts(entry.equations, scenario.facts)
-        outcome = evaluate(entry.equations, dict(scenario.facts))
+        check_facts(rule.equations, scenario.facts)
+        outcome = evaluate(rule.equations, dict(scenario.facts))
         rule_outcomes[scenario.rule_id] = {
             decision: kleene_name(value) for decision, value in outcome.items()
         }
+        rule_groups[scenario.rule_id] = rule.source.group
 
     meta = []
     for i, profile in enumerate(profiles):
@@ -151,6 +150,7 @@ def build_report(
             if timestamps
             else None
         ),
+        rule_groups=rule_groups,
     )
 
 
@@ -246,7 +246,7 @@ def render_text(report: ComplianceReport) -> str:
         for rule_id in sorted(report.rule_outcomes):
             outcomes = report.rule_outcomes[rule_id]
             verdicts = ", ".join(f"{d}={v}" for d, v in outcomes.items())
-            group = group_for_rule(rule_id)
+            group = report.rule_groups.get(rule_id)
             origin = f" (group {group})" if group else ""
             lines.append(f"{rule_id}{origin}: {verdicts}")
     if report.generated_at is not None:

@@ -201,19 +201,21 @@ def trace_path(graph: LawmapGraph, assignment: dict[str, bool]) -> list[str]:
     )
     if missing:
         raise IncompleteAssignmentError(missing)
-    path = [graph.nodes[0].id]
+    # reversed, so the first of several matching nodes or edges wins, as in
+    # ``graph.node`` and ``graph.out_edges``
+    nodes = {node.id: node for node in reversed(graph.nodes)}
+    step = {(edge.src, edge.guard): edge.dst for edge in reversed(graph.edges)}
     current = graph.nodes[0]
+    path = [current.id]
     while current.kind != NodeKind.OUTCOME:
-        edges = graph.out_edges(current.id)
         if current.kind == NodeKind.START:
-            nxt = edges[0].dst
+            guard = EdgeGuard.ALWAYS
+        elif assignment[current.var]:
+            guard = EdgeGuard.TRUE_BRANCH
         else:
-            wanted = (
-                EdgeGuard.TRUE_BRANCH if assignment[current.var] else EdgeGuard.FALSE_BRANCH
-            )
-            nxt = next(e.dst for e in edges if e.guard == wanted)
-        path.append(nxt)
-        current = graph.node(nxt)
+            guard = EdgeGuard.FALSE_BRANCH
+        path.append(step[(current.id, guard)])
+        current = nodes[path[-1]]
     return path
 
 

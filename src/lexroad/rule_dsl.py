@@ -31,8 +31,9 @@ only.  Without an annotation, a leaf clause is one variable and a parent is
 the connective-fold of its children.
 
 ``.rule`` files carry a small header before the body: ``rule: <id>``,
-``title: <text>`` and repeatable ``cites: <text>`` lines, then a blank
-line.  Lines starting with ``#`` are comments.
+``title: <text>``, repeatable ``cites: <text>`` lines and an optional
+``group: <rule group>`` line, then a blank line.  Lines starting with
+``#`` are comments.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ class NamingConflictError(Exception):
 
 @dataclass(frozen=True)
 class RuleSource:
-    """One rule as shipped: id, title, citation list and DSL body text."""
+    """One rule as shipped: id, title, citation list, DSL body text and
+    the rule group whose checklist it belongs to, if any."""
 
     rule_id: str
     title: str = ""
@@ -93,6 +95,7 @@ class RuleSource:
     citations: tuple[str, ...] = ()
     path: str | None = None
     line_offset: int = 1  # file line number of the first body line
+    group: str | None = None
 
 
 @dataclass(frozen=True)
@@ -369,13 +372,14 @@ def load_rule_file(path: str | Path) -> RuleSource:
     rule_id = ""
     title = ""
     citations: list[str] = []
+    group = None
     lines = raw.splitlines()
     i = len(lines)
     for i, line in enumerate(lines):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        m = re.match(r"^(rule|title|cites):\s*(.*)$", stripped)
+        m = re.match(r"^(rule|title|cites|group):\s*(.*)$", stripped)
         if not m:
             break
         key, value = m.group(1), m.group(2).strip()
@@ -383,6 +387,8 @@ def load_rule_file(path: str | Path) -> RuleSource:
             rule_id = value
         elif key == "title":
             title = value
+        elif key == "group":
+            group = value
         else:
             citations.append(value)
     else:
@@ -397,6 +403,7 @@ def load_rule_file(path: str | Path) -> RuleSource:
         citations=tuple(citations),
         path=str(path),
         line_offset=i + 1,
+        group=group,
     )
 
 
@@ -454,28 +461,14 @@ def _child_key(clause: Clause, index: int) -> str:
     return clause.label if clause.label is not None else str(index + 1)
 
 
-def assign_variables(
-    ast: RuleAst, naming: dict[str, str] | None = None
-) -> VariableTable:
+def assign_variables(ast: RuleAst) -> VariableTable:
     """Name every condition unit and outcome of the rule.
 
-    Explicit ``@var`` annotations and the ``naming`` map (keyed by clause
-    path, with the section prefix optional) take precedence over generated
-    ``<rule_id>.<path>`` ids.  A clause matched by either is variabilised
-    as a single unit even if it has children.
+    Explicit ``@var`` annotations take precedence over generated
+    ``<rule_id>.<path>`` ids.  An annotated clause is variabilised as a
+    single unit even if it has children.
     """
-    naming = dict(naming or {})
     table = VariableTable(rule_id=ast.rule_id)
-    used_keys: set[str] = set()
-
-    def named(path: str) -> str | None:
-        # "A.a" is shorthand for "<SECTION>.A.a" when unambiguous.
-        section = path.split(".", 1)[0]
-        for key, var_id in naming.items():
-            if path == key or path == f"{section}.{key}":
-                used_keys.add(key)
-                return var_id
-        return None
 
     def add(var_id: str, kind: VarKind, description: str, path: str) -> None:
         existing = table.variables.get(var_id)
@@ -488,9 +481,8 @@ def assign_variables(
         table.paths[path] = var_id
 
     def assign_condition(clause: Clause, path: str, kind: VarKind) -> None:
-        explicit = named(path) or clause.var
-        if explicit is not None or not clause.children:
-            add(explicit or f"{ast.rule_id}.{path}", kind, clause.text, path)
+        if clause.var is not None or not clause.children:
+            add(clause.var or f"{ast.rule_id}.{path}", kind, clause.text, path)
             return
         for i, child in enumerate(clause.children):
             assign_condition(child, f"{path}.{_child_key(child, i)}", kind)
@@ -512,12 +504,5 @@ def assign_variables(
     for section, outcomes in (("THEN", ast.then_outcomes), ("ELSE", ast.else_outcomes)):
         for i, outcome in enumerate(outcomes):
             path = clause_path(section, (_child_key(outcome, i),))
-            explicit = named(path) or outcome.var
-            add(explicit or f"{ast.rule_id}.{path}", VarKind.DECISION, outcome.text, path)
-
-    unused = set(naming) - used_keys
-    if unused:
-        raise NamingConflictError(
-            sorted(unused)[0], "naming key matches no clause path"
-        )
+            add(outcome.var or f"{ast.rule_id}.{path}", VarKind.DECISION, outcome.text, path)
     return table

@@ -2,12 +2,18 @@
 
 A rulepack directory holds, all UTF-8 with sorted JSON keys:
 
-* ``<name>.rule`` — structured-English source with inline ``@var`` names;
+* ``<name>.rule`` — structured-English source with inline ``@var`` names
+  and an optional ``group:`` header naming the rule group it belongs to;
 * ``<name>.golden.beq`` — the hand-entered equations the compiled result
   must stay logically equivalent to;
-* ``<group>.checklist.json`` — capability requirements for one rule group
-  (groups without structured sources are checklist-only);
+* ``<group>.checklist.json`` — capability requirements for one rule group,
+  which may be any group (groups no rule names are checklist-only);
 * ``vehicles/<id>.profile.json`` — one vehicle's answers per requirement.
+
+A loaded :class:`Rulepack` holds the compiled rules by id, in file order,
+and the checklists by group, in natural order of the group names (numbers
+compared by value, so ``99-100`` comes before ``103-105``).  A rule whose
+group has no checklist, and two checklists for one group, are rejected.
 
 The traffic-light rating per group is mechanical: GREEN when every
 applicable requirement is met, RED when a requirement flagged as needing
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -32,17 +39,6 @@ from .boolean_core import (
     parse_equations,
 )
 from .rule_dsl import RuleAst, RuleSource
-
-RULE_GROUPS = ("99-100", "103-105", "113", "127-132", "137-138", "191-199", "229")
-
-# Bundle key (rule_id up to any "/" suffix) → rule group.
-_BUNDLE_GROUPS = {
-    "UK-HC-99-100": "99-100",
-    "UK-HC-103": "103-105",
-    "UK-HC-137-138": "137-138",
-    "UK-HC-191-199": "191-199",
-}
-
 
 class Answer(Enum):
     MET = "MET"
@@ -91,14 +87,8 @@ class CapabilityRequirement:
 class CapabilityProfile:
     vehicle_id: str
     display_name: str
-    answers: tuple[tuple[str, Answer], ...]
+    answers: dict[str, Answer]  # requirement id → answer
     sae_level: int | None = None
-
-    def answer(self, requirement_id: str) -> Answer | None:
-        for key, value in self.answers:
-            if key == requirement_id:
-                return value
-        return None
 
 
 @dataclass(frozen=True)
@@ -108,56 +98,36 @@ class RagRating:
     rationale: str
 
 
-@dataclass
-class RulepackEntry:
-    rule_id: str
-    source: RuleSource | None = None
+@dataclass(frozen=True)
+class PackRule:
+    """One compiled rule of a pack, with its golden text if it has one."""
+
+    source: RuleSource
+    ast: RuleAst
+    equations: RuleEquations
     golden_equations: str | None = None
-    checklist: tuple[CapabilityRequirement, ...] = ()
-    ast: RuleAst | None = None
-    equations: RuleEquations | None = None
 
     @property
-    def bundle(self) -> str:
-        return self.rule_id.split("/", 1)[0]
+    def rule_id(self) -> str:
+        return self.source.rule_id
 
 
 @dataclass
 class Rulepack:
     path: Path
-    entries: list[RulepackEntry]
+    rules_by_id: dict[str, PackRule]  # in file order
+    checklists: dict[str, tuple[CapabilityRequirement, ...]]  # by group, natural order
 
-    def rules(self) -> list[RulepackEntry]:
-        return [e for e in self.entries if e.source is not None]
-
-    def bundles(self) -> dict[str, list[RulepackEntry]]:
-        grouped: dict[str, list[RulepackEntry]] = {}
-        for entry in self.rules():
-            grouped.setdefault(entry.bundle, []).append(entry)
-        return grouped
-
-    def checklists(self) -> dict[str, tuple[CapabilityRequirement, ...]]:
-        return {
-            e.rule_id: e.checklist for e in self.entries if e.checklist and not e.source
-        }
-
-    def requirements_for(self, group: str) -> tuple[CapabilityRequirement, ...]:
-        for entry in self.entries:
-            if entry.checklist and entry.rule_id == group:
-                return entry.checklist
-        raise KeyError(f"no checklist for group '{group}'")
-
-    def groups(self) -> tuple[str, ...]:
-        return tuple(g for g in RULE_GROUPS if any(
-            e.rule_id == g and e.checklist for e in self.entries
-        ))
+    def rules(self) -> list[PackRule]:
+        return list(self.rules_by_id.values())
 
     def rate(self, group: str, profile: CapabilityProfile) -> RagRating:
-        return rate(group, self.requirements_for(group), profile)
+        return rate(group, self.checklists[group], profile)
 
 
-def group_for_rule(rule_id: str) -> str | None:
-    return _BUNDLE_GROUPS.get(rule_id.split("/", 1)[0])
+def _natural_key(name: str) -> list[str | int]:
+    """Sort key comparing the runs of digits in ``name`` by value."""
+    return [int(part) if part.isdecimal() else part for part in re.split(r"(\d+)", name)]
 
 
 def rate(
@@ -166,23 +136,18 @@ def rate(
     profile: CapabilityProfile,
 ) -> RagRating:
     """Traffic-light verdict for one rule group under one profile."""
-    missing = tuple(r.id for r in requirements if profile.answer(r.id) is None)
+    answers = profile.answers
+    missing = tuple(r.id for r in requirements if r.id not in answers)
     if missing:
         raise IncompleteProfileError(profile.vehicle_id, missing)
-    applicable = [
-        r for r in requirements if profile.answer(r.id) != Answer.NOT_APPLICABLE
-    ]
+    applicable = [r for r in requirements if answers[r.id] != Answer.NOT_APPLICABLE]
     if not applicable:
         return RagRating(group, Rag.AMBER, "no applicable evidence")
-    unmet = sorted(
-        r.id for r in applicable if profile.answer(r.id) == Answer.UNMET
-    )
+    unmet = sorted(r.id for r in applicable if answers[r.id] == Answer.UNMET)
     if not unmet:
         return RagRating(group, Rag.GREEN, "all applicable requirements met")
     hardware = sorted(
-        r.id
-        for r in applicable
-        if profile.answer(r.id) == Answer.UNMET and r.hardware_gap
+        r.id for r in applicable if answers[r.id] == Answer.UNMET and r.hardware_gap
     )
     if hardware:
         return RagRating(
@@ -196,7 +161,7 @@ def rate(
 def load_rulepack(path: str | Path) -> Rulepack:
     """Parse, compile and cross-check every rule and checklist in a directory."""
     path = Path(path)
-    entries: list[RulepackEntry] = []
+    rules: dict[str, PackRule] = {}
     for rule_file in sorted(path.glob("*.rule")):
         source = rule_dsl.load_rule_file(rule_file)
         ast = rule_dsl.parse_rule(source)
@@ -210,46 +175,49 @@ def load_rulepack(path: str | Path) -> Rulepack:
             ok, decision, witness = equations_equivalent(eqs, golden)
             if not ok:
                 raise GoldenMismatchError(source.rule_id, decision, witness)
-        entries.append(
-            RulepackEntry(
-                rule_id=source.rule_id,
-                source=source,
-                golden_equations=golden_text,
-                ast=ast,
-                equations=eqs,
-            )
-        )
+        if source.rule_id in rules:
+            raise ValueError(f"duplicate rule id '{source.rule_id}' in pack")
+        rules[source.rule_id] = PackRule(source, ast, eqs, golden_text)
+    checklists: dict[str, tuple[CapabilityRequirement, ...]] = {}
     for checklist_file in sorted(path.glob("*.checklist.json")):
-        payload = load_json_object(checklist_file)
-        group = payload["group"]
-        if group not in RULE_GROUPS:
-            raise ValueError(f"{checklist_file.name}: unknown rule group '{group}'")
-        requirements = tuple(
-            CapabilityRequirement(
-                id=item["id"],
-                description=item["description"],
-                rule_group=group,
-                hardware_gap=bool(item.get("hardware_gap", False)),
-            )
-            for item in payload["requirements"]
-        )
-        ids = [r.id for r in requirements]
-        if len(ids) != len(set(ids)):
-            raise ValueError(f"{checklist_file.name}: duplicate requirement ids")
-        entries.append(RulepackEntry(rule_id=group, checklist=requirements))
-    seen: set[str] = set()
-    for entry in entries:
-        if entry.rule_id in seen:
-            raise ValueError(f"duplicate rule id '{entry.rule_id}' in pack")
-        seen.add(entry.rule_id)
-    return Rulepack(path=path, entries=entries)
+        group, requirements = _load_checklist(checklist_file)
+        if group in checklists:
+            raise ValueError(f"{checklist_file}: a second checklist for group '{group}'")
+        checklists[group] = requirements
+    for rule in rules.values():
+        group = rule.source.group
+        if group is not None and group not in checklists:
+            raise ValueError(f"{rule.source.path}: group '{group}' has no checklist")
+    return Rulepack(path, rules, {g: checklists[g] for g in sorted(checklists, key=_natural_key)})
 
 
-_JSON_KINDS = {dict: "object", str: "string"}
+def _load_checklist(path: Path) -> tuple[str, tuple[CapabilityRequirement, ...]]:
+    """The group a checklist file names and its requirements, in file order."""
+    payload = load_json_object(path)
+    group = json_value(payload.get("group"), str, f"{path}: group")
+    requirements = []
+    for item in json_value(payload.get("requirements"), list, f"{path}: requirements"):
+        item = json_value(item, dict, f"{path}: each requirement")
+        requirements.append(CapabilityRequirement(
+            id=json_value(item.get("id"), str, f"{path}: requirement id"),
+            description=json_value(item.get("description"), str,
+                                   f"{path}: requirement description"),
+            rule_group=group,
+            hardware_gap=json_value(item.get("hardware_gap", False), bool,
+                                    f"{path}: requirement hardware_gap"),
+        ))
+    ids = [r.id for r in requirements]
+    if len(ids) != len(set(ids)):
+        raise ValueError(f"{path.name}: duplicate requirement ids")
+    return group, tuple(requirements)
+
+
+_JSON_KINDS = {dict: "object", list: "array", str: "string", bool: "boolean"}
 
 
 def json_value(value, kind: type, what: str):
-    """``value`` if it is a ``kind`` (dict or str); ValueError naming ``what`` if not."""
+    """``value`` if it is a ``kind`` (dict, list, str or bool); ValueError
+    naming ``what`` if not."""
     if not isinstance(value, kind):
         raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}")
     return value
@@ -268,7 +236,7 @@ def load_profile(path: str | Path) -> CapabilityProfile:
         vehicle_id=vehicle_id,
         display_name=json_value(payload.get("display_name", vehicle_id), str,
                                 f"{path}: display_name"),
-        answers=tuple((key, Answer(value)) for key, value in sorted(answers.items())),
+        answers={key: Answer(value) for key, value in sorted(answers.items())},
         sae_level=payload.get("sae_level"),
     )
 

@@ -22,7 +22,6 @@ from lexroad.bayes_net import (
 from lexroad.boolean_core import (
     Bdd,
     RuleEquations,
-    TooManyVariablesError,
     evaluate,
     expand,
     free_vars,
@@ -43,7 +42,9 @@ def truth_table(eqs: RuleEquations) -> list[TruthTableRow]:
     ``MAX_TRUTH_TABLE_VARS``."""
     inputs = tuple(sorted(eqs.input_ids()))
     if len(inputs) > MAX_TRUTH_TABLE_VARS:
-        raise TooManyVariablesError(len(inputs), MAX_TRUTH_TABLE_VARS)
+        raise ValueError(
+            f"{len(inputs)} input variables exceed the {MAX_TRUTH_TABLE_VARS}-variable bound"
+        )
     exprs = expand(eqs)
     rows = []
     for values in itertools.product((False, True), repeat=len(inputs)):

@@ -280,6 +280,31 @@ def test_check_scenarios_are_reported(tmp_path):
     assert payload["rule_outcomes"]["UK-HC-103"] == {"X": "FALSE", "Y": "TRUE"}
 
 
+def test_check_pack_adds_a_rule_group(tmp_path):
+    """A pack can add a rule group with no code change: its checklist rates
+    after 229 and its rules report under it."""
+    pack = tmp_path / "pack"
+    shutil.copytree(PACK, pack)
+    write_file(pack, "300-301.checklist.json", {"group": "300-301", "requirements": [
+        {"id": "300-301.queue-detect", "description": "Smart function detects queues ahead"},
+    ]})
+    write_file(pack, "300-301.rule", "rule: UK-HC-300\ngroup: 300-301\n\nIF:\n"
+               "    [A] Traffic is queuing ahead. @var(q)\nELSE:\n    [Y] Slow down. @var(Y)\n")
+    profile = json.loads(BMW.read_text(encoding="utf-8"))
+    profile["answers"]["300-301.queue-detect"] = "MET"
+    code, out, err = run_main([
+        "check", pack, write_file(tmp_path, "v.json", profile), "--scenario",
+        write_scenario(tmp_path, "UK-HC-300", {"q": True}),
+    ])
+    assert (code, err) == (0, "")
+    # a group opens its first matrix row and its rating row
+    groups = [line.split()[0] for line in out.splitlines() if line[:1].isdigit()]
+    assert groups == 2 * ["99-100", "103-105", "113", "127-132", "137-138", "191-199", "229",
+                          "300-301"]
+    assert "Smart function detects queues ahead" in out
+    assert out.endswith("UK-HC-300 (group 300-301): Y=TRUE\n")
+
+
 def test_check_tampered_pack_exits_5(tmp_path):
     import shutil
 
@@ -370,6 +395,9 @@ EXIT_TABLE = [
     ("bn-priors-not-a-number", lambda d: ["bn", PACK / "103.rule", "--priors",
                                           write_file(d, "p.json", {"A": None})], 4,
      "error: prior for A must be a number\n"),
+    ("bn-priors-name-with-line-break", lambda d: ["bn", PACK / "103.rule", "--priors",
+                                                  write_file(d, "p.json", {"\r": None})], 4,
+     "error: prior for \\r must be a number\n"),
     ("bn-unknown-evidence", lambda d: ["bn", PACK / "103.rule", "--infer", "zz=true"], 4,
      "error: \"evidence on unknown node 'zz'\"\n"),
     ("bn-priors-unknown-name", lambda d: ["bn", PACK / "103.rule", "--infer", "", "--priors",
@@ -381,6 +409,29 @@ EXIT_TABLE = [
     ("check-cyclic-golden", lambda d: [
         "check", copy_pack(d, "103.golden.beq", "X = Y ∧ A\nY = A\n"), BMW], 5,
      "error: decision 'Y' is used before (or within) its own definition\n"),
+    ("check-rule-group-without-checklist", lambda d: ["check", copy_pack(
+        d, "zz.rule", "rule: ZZ\ngroup: 300\n\nIF:\n    [A] p. @var(a)\nELSE:\n    [Y] q. @var(Y)\n"
+    ), BMW], 5, "error: <d>/pack/zz.rule: group '300' has no checklist\n"),
+    ("check-second-checklist-for-group", lambda d: ["check", copy_pack(
+        d, "zz.checklist.json", json.dumps({"group": "113", "requirements": []})), BMW], 5,
+     "error: <d>/pack/zz.checklist.json: a second checklist for group '113'\n"),
+    ("check-checklist-group-not-a-string", lambda d: ["check", copy_pack(
+        d, "113.checklist.json", json.dumps({"group": 113, "requirements": []})), BMW], 5,
+     "error: <d>/pack/113.checklist.json: group must be a JSON string\n"),
+    ("check-checklist-requirements-object", lambda d: ["check", copy_pack(
+        d, "113.checklist.json", json.dumps({"group": "113", "requirements": {"id": "x"}})),
+        BMW], 5, "error: <d>/pack/113.checklist.json: requirements must be a JSON array\n"),
+    ("check-checklist-requirement-string", lambda d: ["check", copy_pack(
+        d, "113.checklist.json", json.dumps({"group": "113", "requirements": ["x"]})), BMW], 5,
+     "error: <d>/pack/113.checklist.json: each requirement must be a JSON object\n"),
+    ("check-checklist-requirement-no-description", lambda d: ["check", copy_pack(
+        d, "113.checklist.json", json.dumps({"group": "113", "requirements": [{"id": "x"}]})),
+        BMW], 5,
+     "error: <d>/pack/113.checklist.json: requirement description must be a JSON string\n"),
+    ("check-checklist-hardware-gap-string", lambda d: ["check", copy_pack(
+        d, "113.checklist.json", json.dumps({"group": "113", "requirements": [
+            {"id": "x", "description": "a", "hardware_gap": "no"}]})), BMW], 5,
+     "error: <d>/pack/113.checklist.json: requirement hardware_gap must be a JSON boolean\n"),
     ("check-malformed-rule", lambda d: [
         "check", copy_pack(d, "zz.rule", "rule: ZZ\n\nIF:\nno indent\nELSE:\n    [Y] q.\n"), BMW], 5,
      "<d>/pack/zz.rule:4:1: error: clause line must be indented under its section\n"),

@@ -24,7 +24,7 @@ def test_report_structure(pack, profiles):
     report = build_report(pack, profiles, profile_paths=default_profile_paths())
     assert len(report.requirements) == 27
     assert set(report.answers) == {p.vehicle_id for p in profiles}
-    assert set(report.ratings[profiles[0].vehicle_id]) == set(pack.groups())
+    assert list(report.ratings[profiles[0].vehicle_id]) == list(pack.checklists)
     assert report.generated_at is None
     payload = json.loads(report_to_json(report))
     assert payload["tool_version"] == report.tool_version

@@ -200,7 +200,7 @@ def test_non_exclusive_decisions_share_a_leaf():
 def test_restraint_bundle_builds_one_graph_per_rule(pack):
     """The composite seat-belt group yields three graphs whose path counts
     equal the distinct traced routes over their full truth tables."""
-    bundle = pack.bundles()["UK-HC-99-100"]
+    bundle = [rule for rule in pack.rules() if rule.source.group == "99-100"]
     assert len(bundle) == 3
     for entry in bundle:
         graph = build_lawmap(entry.equations, entry.ast)

@@ -407,16 +407,16 @@ def test_assign_variables_with_naming_map():
     text = """\
 IF:
     [A] Vehicle occupant is:
-        a. A minor under 3 years of age.
+        a. A minor under 3 years of age. @var(t)
 EXCEPT:
-    [C] Where vehicle is a taxi and the correct restraint is unavailable.
+    [C] Where vehicle is a taxi and the correct restraint is unavailable. @var(z)
 THEN:
-    [X] Minor may be unrestrained.
+    [X] Minor may be unrestrained. @var(A)
 ELSE:
-    [Y] Correct child restraint MUST be used.
+    [Y] Correct child restraint MUST be used. @var(E)
 """
     ast = parse_rule_text(text, "baby")
-    table = assign_variables(ast, {"A.a": "t", "C": "z", "X": "A", "Y": "E"})
+    table = assign_variables(ast)
     assert table.ids(VarKind.FACTUAL) == ("t",)
     assert table.ids(VarKind.SITUATION) == ("z",)
     assert table.ids(VarKind.DECISION) == ("A", "E")
@@ -447,24 +447,19 @@ def test_annotated_parent_is_one_variable(rules_by_id):
 
 
 def test_naming_conflict_on_distinct_texts():
-    text = "IF:\n    [A] p; and,\n    [B] q.\nELSE:\n    [Y] r.\n"
+    text = "IF:\n    [A] p; and, @var(same)\n    [B] q. @var(same)\nELSE:\n    [Y] r.\n"
     ast = parse_rule_text(text)
     with pytest.raises(NamingConflictError):
-        assign_variables(ast, {"A": "same", "B": "same"})
+        assign_variables(ast)
 
 
 def test_shared_text_may_share_an_id():
-    text = "IF:\n    [A] brakes are sound.\nEXCEPT:\n    [C] brakes are sound.\nTHEN:\n    [X] x.\nELSE:\n    [Y] y.\n"
+    text = ("IF:\n    [A] brakes are sound. @var(ok)\nEXCEPT:\n    [C] brakes are sound. @var(ok)\n"
+            "THEN:\n    [X] x.\nELSE:\n    [Y] y.\n")
     ast = parse_rule_text(text)
-    table = assign_variables(ast, {"A": "ok", "C": "ok"})
+    table = assign_variables(ast)
     assert "ok" in table
     assert table.paths["IF.A"] == table.paths["EXCEPT.C"] == "ok"
-
-
-def test_unknown_naming_key_is_rejected():
-    ast = parse_rule_text("IF:\n    [A] p.\nELSE:\n    [Y] q.\n")
-    with pytest.raises(NamingConflictError):
-        assign_variables(ast, {"Z": "nope"})
 
 
 def test_pretty_print_sections_in_order(rules_by_id):

@@ -12,32 +12,30 @@ from lexroad.rulepack import (
     GoldenMismatchError,
     IncompleteProfileError,
     Rag,
-    RULE_GROUPS,
     default_pack_dir,
     load_profile,
     load_rulepack,
     rate,
 )
 
-
 def test_shipped_pack_shape(pack):
-    bundles = pack.bundles()
-    assert set(bundles) == {
-        "UK-HC-99-100", "UK-HC-103", "UK-HC-137-138", "UK-HC-191-199",
-    }
-    assert len(bundles["UK-HC-99-100"]) == 3
-    assert len(bundles["UK-HC-103"]) == 2
-    checklists = pack.checklists()
-    assert set(checklists) == set(RULE_GROUPS)
-    assert sum(len(reqs) for reqs in checklists.values()) == 27
+    # rules in file order, each with its group
+    assert [(rule_id, rule.source.group) for rule_id, rule in pack.rules_by_id.items()] == [
+        ("UK-HC-103/scenario", "103-105"), ("UK-HC-103", "103-105"),
+        ("UK-HC-137-138", "137-138"), ("UK-HC-191-199", "191-199"),
+        ("UK-HC-99-100/1", "99-100"), ("UK-HC-99-100/2", "99-100"), ("UK-HC-99-100/3", "99-100"),
+    ]
+    assert list(pack.checklists) == [
+        "99-100", "103-105", "113", "127-132", "137-138", "191-199", "229",
+    ]
+    assert sum(len(reqs) for reqs in pack.checklists.values()) == 27
 
 
 def test_checklist_only_groups_have_no_source(pack):
+    ruled = {rule.source.group for rule in pack.rules()}
+    assert [g for g in pack.checklists if g not in ruled] == ["113", "127-132", "229"]
     for group in ("113", "127-132", "229"):
-        entry = next(e for e in pack.entries if e.rule_id == group)
-        assert entry.source is None
-        assert entry.golden_equations is None
-        assert entry.checklist
+        assert pack.checklists[group]
 
 
 def test_every_rule_has_golden_equations(pack):
@@ -48,7 +46,8 @@ def test_every_rule_has_golden_equations(pack):
 
 def test_empty_directory_loads_empty_pack(tmp_path):
     pack = load_rulepack(tmp_path)
-    assert pack.entries == []
+    assert pack.rules_by_id == {}
+    assert pack.checklists == {}
 
 
 def test_tampered_golden_is_detected(tmp_path):
@@ -67,7 +66,7 @@ def test_tampered_golden_is_detected(tmp_path):
 def test_shipped_profiles_cover_all_requirements(pack):
     for path in rulepack.default_profile_paths():
         profile = load_profile(path)
-        for group in pack.groups():
+        for group in pack.checklists:
             rating = pack.rate(group, profile)
             assert rating.rating in (Rag.GREEN, Rag.AMBER, Rag.RED)
 
@@ -78,13 +77,13 @@ def test_shipped_profile_cells_match_transcription(pack):
     vauxhall = by_id["vauxhall-insignia"]
     mitsubishi = by_id["mitsubishi-shogun-sport"]
     bmw = by_id["bmw-740li"]
-    assert vauxhall.answer("103-105.speed-signs") == Answer.MET
-    assert mitsubishi.answer("103-105.speed-signs") == Answer.NOT_APPLICABLE
-    assert bmw.answer("103-105.give-way-signs") == Answer.MET
-    assert bmw.answer("191-199.pedestrian-detect") == Answer.UNMET
-    assert mitsubishi.answer("191-199.pedestrian-avoid") == Answer.MET
-    assert vauxhall.answer("99-100.unplug-detect") == Answer.MET
-    assert mitsubishi.answer("99-100.unplug-detect") == Answer.UNMET
+    assert vauxhall.answers["103-105.speed-signs"] == Answer.MET
+    assert mitsubishi.answers["103-105.speed-signs"] == Answer.NOT_APPLICABLE
+    assert bmw.answers["103-105.give-way-signs"] == Answer.MET
+    assert bmw.answers["191-199.pedestrian-detect"] == Answer.UNMET
+    assert mitsubishi.answers["191-199.pedestrian-avoid"] == Answer.MET
+    assert vauxhall.answers["99-100.unplug-detect"] == Answer.MET
+    assert mitsubishi.answers["99-100.unplug-detect"] == Answer.UNMET
 
 
 def test_all_lights_group_rates_green(pack):
@@ -105,11 +104,11 @@ def test_software_gaps_rate_amber(pack):
 
 
 def test_vacuous_profile_rates_amber(pack):
-    reqs = pack.requirements_for("127-132")
+    reqs = pack.checklists["127-132"]
     profile = CapabilityProfile(
         vehicle_id="bare",
         display_name="Bare",
-        answers=tuple((r.id, Answer.NOT_APPLICABLE) for r in reqs),
+        answers={r.id: Answer.NOT_APPLICABLE for r in reqs},
     )
     rating = pack.rate("127-132", profile)
     assert rating.rating == Rag.AMBER
@@ -117,37 +116,36 @@ def test_vacuous_profile_rates_amber(pack):
 
 
 def test_all_met_profile_rates_green(pack):
-    for group in pack.groups():
-        reqs = pack.requirements_for(group)
+    for group, reqs in pack.checklists.items():
         profile = CapabilityProfile(
             vehicle_id="ideal",
             display_name="Ideal",
-            answers=tuple((r.id, Answer.MET) for r in reqs),
+            answers={r.id: Answer.MET for r in reqs},
         )
         assert pack.rate(group, profile).rating == Rag.GREEN
 
 
 def test_incomplete_profile_is_rejected(pack):
-    profile = CapabilityProfile("partial", "Partial", (("113.low-light-lights", Answer.MET),))
+    profile = CapabilityProfile("partial", "Partial", {"113.low-light-lights": Answer.MET})
     with pytest.raises(IncompleteProfileError) as err:
         pack.rate("99-100", profile)
     assert "99-100.restraint-required" in err.value.missing
 
 
 def test_rating_is_insensitive_to_answer_order(pack):
-    reqs = pack.requirements_for("99-100")
+    reqs = pack.checklists["99-100"]
     answers = [(r.id, Answer.UNMET if r.hardware_gap else Answer.MET) for r in reqs]
-    forward = CapabilityProfile("v", "V", tuple(answers))
-    backward = CapabilityProfile("v", "V", tuple(reversed(answers)))
+    forward = CapabilityProfile("v", "V", dict(answers))
+    backward = CapabilityProfile("v", "V", dict(reversed(answers)))
     assert rate("99-100", reqs, forward) == rate("99-100", reqs, backward)
 
 
-def test_unknown_group_in_checklist_is_rejected(tmp_path):
-    (tmp_path / "998.checklist.json").write_text(
-        json.dumps({"group": "998", "requirements": []}), encoding="utf-8"
-    )
-    with pytest.raises(ValueError):
-        load_rulepack(tmp_path)
+def test_groups_sort_in_natural_order(tmp_path):
+    for group in ("9-12", "10", "9"):
+        (tmp_path / f"{group}.checklist.json").write_text(
+            json.dumps({"group": group, "requirements": []}), encoding="utf-8"
+        )
+    assert list(load_rulepack(tmp_path).checklists) == ["9", "9-12", "10"]
 
 
 def test_duplicate_rule_ids_rejected(tmp_path):
