@@ -12,7 +12,10 @@ of an equation forces its decision to probability 1).
 A CPT has 2^parents rows, so no node has more than ``MAX_NODE_PARENTS``
 (16) parents: a wider clause or decision is split into named ``CLAUSE``
 nodes ``<node>_1``, ``<node>_2``, ... that each compute a part of it
-(parent divorcing).  Rules of any width build and validate.
+(parent divorcing).  Rules of any width build and validate.  The rows are
+read off the node's decision diagram over its parents (:class:`Bdd`), so
+building a table costs the diagram and the rows it emits, not a
+three-valued evaluation per row.
 
 Because every non-root CPT is 0/1 and the roots are independent, each node
 is a Boolean function of the roots: one decision diagram over the roots
@@ -28,10 +31,10 @@ evidence function is FALSE.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .boolean_core import (
     And,
@@ -44,7 +47,6 @@ from .boolean_core import (
     Var,
     expand,
     free_vars,
-    kleene_eval,
 )
 
 MAX_NODE_PARENTS = 16  # CPT rows are 2^parents; beyond this a table is unusable
@@ -83,11 +85,13 @@ class BayesNet:
     rule_id: str
     nodes: tuple[BnNode, ...]  # topological order
 
+    @cached_property
+    def _by_id(self) -> dict[str, BnNode]:
+        """Nodes by id, the first of a repeated id winning; built on first use."""
+        return {node.id: node for node in reversed(self.nodes)}
+
     def node(self, node_id: str) -> BnNode:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        raise KeyError(node_id)
+        return self._by_id[node_id]
 
     def ids(self, kind: BnNodeKind | None = None) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes if kind is None or n.kind == kind)
@@ -118,11 +122,22 @@ def _check_nodes(nodes: tuple[BnNode, ...]) -> None:
 
 
 def _cpt_for(expr: BoolExpr, parents: tuple[str, ...]) -> tuple[float, ...]:
-    rows = []
-    for combo in itertools.product((True, False), repeat=len(parents)):
-        env: dict[str, bool | None] = dict(zip(parents, combo))
-        rows.append(1.0 if kleene_eval(expr, env) else 0.0)
-    return tuple(rows)
+    """The CPT of a node computing ``expr`` (over ``parents`` only), read
+    off its decision diagram over ``parents``: the rows under a diagram
+    node at level i are the rows of its TRUE cofactor, then those of its
+    FALSE cofactor, which is the :class:`BnNode` row order."""
+    bdd = Bdd(parents)
+    memo: dict[tuple[int, int], tuple[float, ...]] = {}
+
+    def rows(f: int, i: int) -> tuple[float, ...]:
+        if i == len(parents):
+            return (1.0,) if f == Bdd.TRUE else (0.0,)
+        if (f, i) not in memo:
+            hi, lo = bdd.cofactors(f, i)
+            memo[f, i] = rows(hi, i + 1) + rows(lo, i + 1)
+        return memo[f, i]
+
+    return rows(bdd.of(expr), 0)
 
 
 def _replace_folds(expr: BoolExpr, folds: dict[str, BoolExpr]) -> BoolExpr:
@@ -286,14 +301,21 @@ def infer(net: BayesNet, evidence: dict[str, bool] | None = None) -> dict[str, f
     is FALSE, raises :class:`ImpossibleEvidenceError`.
     """
     evidence = dict(evidence or {})
-    known = {n.id for n in net.nodes}
     for key, value in evidence.items():
-        if key not in known:
+        if key not in net._by_id:
             raise KeyError(f"evidence on unknown node '{key}'")
         if not isinstance(value, bool):
             raise ValueError(f"evidence for {key} must be true or false")
     bdd = Bdd()
     fn, prior = _node_functions(net, bdd)
+    return _posteriors(bdd, fn, prior, evidence)
+
+
+def _posteriors(
+    bdd: Bdd, fn: dict[str, int], prior: list[float], evidence: dict[str, bool]
+) -> dict[str, float]:
+    """``infer`` on the node functions and root priors that
+    :func:`_node_functions` put in ``bdd``, for evidence on known nodes."""
     e = Bdd.TRUE
     for node_id, value in evidence.items():
         e = bdd.ite(fn[node_id], e, Bdd.FALSE) if value else bdd.ite(fn[node_id], Bdd.FALSE, e)
@@ -363,7 +385,7 @@ def validate_bn(net: BayesNet, eqs: RuleEquations) -> ValidationReport:
     the node's value there, exactly 0.0 or 1.0.
     """
     bdd = Bdd()
-    fn, _ = _node_functions(net, bdd)
+    fn, prior = _node_functions(net, bdd)
     exprs = expand(eqs)
     decisions = eqs.decision_ids()
     report = ValidationReport(
@@ -384,7 +406,7 @@ def validate_bn(net: BayesNet, eqs: RuleEquations) -> ValidationReport:
         satisfying = bdd.witness(bdd.of(expr), free_vars(expr), first=True)
         if satisfying is None:
             continue  # unsatisfiable decision: nothing to instantiate
-        p = infer(net, satisfying)[decision]
+        p = _posteriors(bdd, fn, prior, satisfying)[decision]
         report.equation_checks.append(
             EquationCheck(decision, satisfying, p, abs(p - 1.0) <= AGREEMENT_TOLERANCE)
         )

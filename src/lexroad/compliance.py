@@ -53,7 +53,7 @@ def load_scenario(path: str | Path) -> Scenario:
         if not isinstance(value, bool):
             raise ValueError(f"scenario fact {key!r} must be true or false")
     return Scenario(
-        rule_id=json_value(payload["rule_id"], str, f"{path}: rule_id"),
+        rule_id=json_value(payload.get("rule_id"), str, f"{path}: rule_id"),
         facts=facts,
         description=payload.get("description", ""),
     )

@@ -20,6 +20,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .boolean_core import Bdd, RuleEquations, expand
 from .rule_dsl import RuleAst
@@ -70,14 +71,21 @@ class LawmapGraph:
     edges: tuple[LawmapEdge, ...]
     meta: tuple[tuple[str, str], ...] = ()
 
+    @cached_property
+    def _index(self) -> tuple[dict[str, LawmapNode], dict[str, tuple[LawmapEdge, ...]]]:
+        """Nodes by id, the first of a repeated id winning, and each node's
+        out-edges in edge order; built on first use."""
+        out: dict[str, list[LawmapEdge]] = {}
+        for edge in self.edges:
+            out.setdefault(edge.src, []).append(edge)
+        nodes = {node.id: node for node in reversed(self.nodes)}
+        return nodes, {src: tuple(edges) for src, edges in out.items()}
+
     def node(self, node_id: str) -> LawmapNode:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        raise KeyError(node_id)
+        return self._index[0][node_id]
 
     def out_edges(self, node_id: str) -> tuple[LawmapEdge, ...]:
-        return tuple(e for e in self.edges if e.src == node_id)
+        return self._index[1].get(node_id, ())
 
     def condition_vars(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
@@ -201,10 +209,6 @@ def trace_path(graph: LawmapGraph, assignment: dict[str, bool]) -> list[str]:
     )
     if missing:
         raise IncompleteAssignmentError(missing)
-    # reversed, so the first of several matching nodes or edges wins, as in
-    # ``graph.node`` and ``graph.out_edges``
-    nodes = {node.id: node for node in reversed(graph.nodes)}
-    step = {(edge.src, edge.guard): edge.dst for edge in reversed(graph.edges)}
     current = graph.nodes[0]
     path = [current.id]
     while current.kind != NodeKind.OUTCOME:
@@ -214,8 +218,10 @@ def trace_path(graph: LawmapGraph, assignment: dict[str, bool]) -> list[str]:
             guard = EdgeGuard.TRUE_BRANCH
         else:
             guard = EdgeGuard.FALSE_BRANCH
-        path.append(step[(current.id, guard)])
-        current = nodes[path[-1]]
+        # reversed, so the first of several edges with this guard wins
+        step = {edge.guard: edge.dst for edge in reversed(graph.out_edges(current.id))}
+        path.append(step[guard])
+        current = graph.node(path[-1])
     return path
 
 

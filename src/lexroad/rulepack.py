@@ -230,13 +230,17 @@ def load_json_object(path: str | Path) -> dict:
 
 def load_profile(path: str | Path) -> CapabilityProfile:
     payload = load_json_object(path)
-    answers = json_value(payload["answers"], dict, f"{path}: answers")
-    vehicle_id = json_value(payload["vehicle_id"], str, f"{path}: vehicle_id")
+    answers = json_value(payload.get("answers"), dict, f"{path}: answers")
+    vehicle_id = json_value(payload.get("vehicle_id"), str, f"{path}: vehicle_id")
+    valid = {answer.value: answer for answer in Answer}
+    for key, value in answers.items():
+        if not isinstance(value, str) or value not in valid:
+            raise ValueError(f"{path}: answer for {key} must be one of {', '.join(valid)}")
     return CapabilityProfile(
         vehicle_id=vehicle_id,
         display_name=json_value(payload.get("display_name", vehicle_id), str,
                                 f"{path}: display_name"),
-        answers={key: Answer(value) for key, value in sorted(answers.items())},
+        answers={key: valid[value] for key, value in sorted(answers.items())},
         sae_level=payload.get("sae_level"),
     )
 

@@ -2,8 +2,9 @@
 
 lexroad answers these questions on decision diagrams; the 2^n versions here
 are the independent references it must agree with: the truth table of an
-equation set, inference by weighted enumeration of the joint states, and
-BN validation that runs that inference on every assignment of the roots.
+equation set, a node's CPT evaluated row by row, inference by weighted
+enumeration of the joint states, and BN validation that runs that
+inference on every assignment of the roots.
 """
 
 import itertools
@@ -21,6 +22,7 @@ from lexroad.bayes_net import (
 )
 from lexroad.boolean_core import (
     Bdd,
+    BoolExpr,
     RuleEquations,
     evaluate,
     expand,
@@ -52,6 +54,16 @@ def truth_table(eqs: RuleEquations) -> list[TruthTableRow]:
         decisions = {d: bool(kleene_eval(e, env)) for d, e in exprs.items()}
         rows.append(TruthTableRow(dict(zip(inputs, values)), decisions))
     return rows
+
+
+def cpt_by_rows(expr: BoolExpr, parents: tuple[str, ...]) -> tuple[float, ...]:
+    """The CPT of a node computing ``expr``, one Kleene evaluation per row
+    over ``itertools.product((True, False), ...)`` of ``parents``."""
+    rows = []
+    for combo in itertools.product((True, False), repeat=len(parents)):
+        env: dict[str, bool | None] = dict(zip(parents, combo))
+        rows.append(1.0 if kleene_eval(expr, env) else 0.0)
+    return tuple(rows)
 
 
 def p_true(node: BnNode, state: dict[str, bool]) -> float:

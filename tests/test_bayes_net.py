@@ -16,14 +16,26 @@ from lexroad.bayes_net import (
     BayesNet,
     BnNodeKind,
     ImpossibleEvidenceError,
+    _cpt_for,
     build_bn,
     infer,
     net_from_json,
     net_to_json,
     validate_bn,
 )
-from lexroad.boolean_core import And, Not, Or, Var, evaluate, parse_equations, to_text
-from reference import infer_enumeration, p_true, validate_by_enumeration
+from lexroad.boolean_core import (
+    FALSE,
+    TRUE,
+    And,
+    Not,
+    Or,
+    Var,
+    evaluate,
+    free_vars,
+    parse_equations,
+    to_text,
+)
+from reference import cpt_by_rows, infer_enumeration, p_true, validate_by_enumeration
 from test_boolean_core import exprs
 
 
@@ -74,6 +86,24 @@ def test_decision_reference_becomes_parent():
     net = build_bn(eqs)
     assert net.node("F").parents == ("E", "x")
     assert net.node("F").kind == BnNodeKind.DECISION
+
+
+_CPT_LEAVES = st.sampled_from((TRUE, FALSE, *(Var(f"p{i:02d}") for i in range(12))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(exprs(5, _CPT_LEAVES))
+def test_cpt_rows_match_row_by_row_evaluation(expr):
+    parents = free_vars(expr)  # 0 to 12
+    assert _cpt_for(expr, parents) == cpt_by_rows(expr, parents)
+
+
+def test_cpt_of_the_widest_unsplit_or():
+    parents = tuple(f"v{i:02d}" for i in range(MAX_NODE_PARENTS))
+    expr = Or(tuple(Var(v) for v in parents))
+    rows = _cpt_for(expr, parents)
+    assert rows == (1.0,) * (2 ** MAX_NODE_PARENTS - 1) + (0.0,)  # 65,536 rows
+    assert rows == cpt_by_rows(expr, parents)
 
 
 def test_priors_must_be_open_interval(rules_by_id):

@@ -329,16 +329,16 @@ def test_normalize_preserves_semantics_randomized():
 
 
 @st.composite
-def exprs(draw, max_depth=4):
+def exprs(draw, max_depth=4, leaves=st.sampled_from(_NAMES).map(Var)):
     if max_depth == 0:
-        return Var(draw(st.sampled_from(_NAMES)))
+        return draw(leaves)
     kind = draw(st.integers(0, 3))
     if kind == 0:
-        return Var(draw(st.sampled_from(_NAMES)))
+        return draw(leaves)
     if kind == 1:
-        return Not(draw(exprs(max_depth=max_depth - 1)))
+        return Not(draw(exprs(max_depth - 1, leaves)))
     children = tuple(
-        draw(exprs(max_depth=max_depth - 1))
+        draw(exprs(max_depth - 1, leaves))
         for _ in range(draw(st.integers(2, 3)))
     )
     return And(children) if kind == 2 else Or(children)

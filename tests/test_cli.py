@@ -440,6 +440,13 @@ EXIT_TABLE = [
     ("check-answers-non-object", lambda d: ["check", PACK, write_file(
         d, "v.json", {"vehicle_id": "v", "answers": []})], 5,
      "error: <d>/v.json: answers must be a JSON object\n"),
+    ("check-profile-no-vehicle-id", lambda d: ["check", PACK, write_file(
+        d, "v.json", {"answers": {}})], 5, "error: <d>/v.json: vehicle_id must be a JSON string\n"),
+    ("check-profile-answer-not-an-answer", lambda d: ["check", PACK, write_file(
+        d, "v.json", {"vehicle_id": "v", "answers": {"x": "maybe"}})], 5,
+     "error: <d>/v.json: answer for x must be one of MET, UNMET, NOT_APPLICABLE\n"),
+    ("eval-scenario-no-rule-id", lambda d: ["eval", PACK / "103.rule", write_file(
+        d, "s.json", {"facts": {}})], 3, "error: <d>/s.json: rule_id must be a JSON string\n"),
     ("check-scenario-decision-fact", lambda d: ["check", PACK, BMW, "--scenario",
                                                 write_file(d, "s.json", DECISION_FACT)], 3,
      "error: scenario for UK-HC-103 names decisions, not facts: X\n"),
