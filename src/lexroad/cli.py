@@ -4,16 +4,19 @@ Subcommands: ``compile``, ``eval``, ``lawmap``, ``bn``, ``check``.
 Exit codes: 0 success; 1 the command line is not valid, the rule cannot be
 read (missing, not UTF-8) or parsed, or an ``--out`` file cannot be
 written; 2 it does not compile; 3 the scenario is unreadable, not a JSON
-object, for another rule, names a variable the rule lacks or a decision, or
-leaves out a fact ``lawmap --trace`` needs; 4 priors or evidence are
-unusable (a prior on a decision or on a name the rules lack included),
-evidence is impossible, a decision is cyclic or a validated net diverges;
-5 anything wrong in the rulepack or a profile.
+object, gives a key twice, is for another rule, names a variable the rule
+lacks or a decision, or leaves out a fact ``lawmap --trace`` needs; 4 priors
+or evidence are unusable (a prior on a decision or on a name the rules lack,
+a priors key or an evidence name given twice included), evidence is
+impossible, a decision is cyclic or a validated net diverges; 5 anything
+wrong in the rulepack or a profile, a key given twice in one of its JSON
+files included.
 ``lawmap`` and ``bn`` work on decision diagrams and have no input bound.
 ``EXIT_CODES`` gives each lexroad error its code, and ``_exits`` gives
 errors raised while reading one input the code of that input.
 ``main`` alone reports a failure, as one stderr line: ``error: ...``, or
-``file:line:col: error: ...`` for a rule syntax error.
+``file:line:col: error: ...`` for a rule syntax error. ``main`` may be
+called any number of times in one process; the parser is built once.
 Outputs are byte-stable for identical inputs; ``--timestamps`` opts into
 wall-clock metadata on reports.
 """
@@ -21,6 +24,7 @@ wall-clock metadata on reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from contextlib import contextmanager
@@ -154,10 +158,12 @@ def _parse_evidence(text: str) -> dict[str, bool]:
         if "=" not in item:
             raise ValueError(f"evidence must be name=true|false, got {item!r}")
         name, _, raw = item.partition("=")
-        raw = raw.strip().lower()
+        name, raw = name.strip(), raw.strip().lower()
         if raw not in ("true", "false"):
-            raise ValueError(f"evidence value for {name.strip()!r} must be true or false")
-        evidence[name.strip()] = raw == "true"
+            raise ValueError(f"evidence value for {name!r} must be true or false")
+        if name in evidence:
+            raise ValueError(f"evidence names {name} twice")
+        evidence[name] = raw == "true"
     return evidence
 
 
@@ -250,7 +256,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    ``main`` call in the process. ``parse_args`` keeps no state in it, so it
+    can be reused; callers must not mutate it."""
     parser = _Parser(
         prog="lexroad",
         description="Compile structured-English road rules, draw their decision "
@@ -317,6 +327,8 @@ def main(argv: list[str] | None = None) -> int:
         code, error = failure.args
     except tuple(EXIT_CODES) as exc:
         code, error = EXIT_CODES[type(exc)], exc
+    if isinstance(error, KeyError) and len(error.args) == 1:
+        error = error.args[0]  # str() of a KeyError would quote its message
     # a syntax error already reads "file:line:col: error: ..."
     message = str(error) if isinstance(error, rule_dsl.RuleSyntaxError) else f"error: {error}"
     print(message.translate(_ONE_LINE), file=sys.stderr)

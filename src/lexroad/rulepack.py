@@ -224,8 +224,20 @@ def json_value(value, kind: type, what: str):
 
 
 def load_json_object(path: str | Path) -> dict:
-    """The JSON object in the file at ``path``."""
-    return json_value(json.loads(Path(path).read_text(encoding="utf-8")), dict, str(path))
+    """The JSON object in the file at ``path``; ValueError naming the file and
+    the key if any object in it gives a key twice (``json.loads`` would keep
+    the last)."""
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"{path}: key {key!r} appears twice")
+            obj[key] = value
+        return obj
+
+    text = Path(path).read_text(encoding="utf-8")
+    return json_value(json.loads(text, object_pairs_hook=unique_keys), dict, str(path))
 
 
 def load_profile(path: str | Path) -> CapabilityProfile:

@@ -399,7 +399,12 @@ EXIT_TABLE = [
                                                   write_file(d, "p.json", {"\r": None})], 4,
      "error: prior for \\r must be a number\n"),
     ("bn-unknown-evidence", lambda d: ["bn", PACK / "103.rule", "--infer", "zz=true"], 4,
-     "error: \"evidence on unknown node 'zz'\"\n"),
+     "error: evidence on unknown node 'zz'\n"),
+    ("bn-evidence-name-twice", lambda d: ["bn", PACK / "103.rule", "--infer", "A=true, A=false"],
+     4, "error: evidence names A twice\n"),
+    ("bn-priors-key-twice", lambda d: ["bn", PACK / "103.rule", "--infer", "", "--priors",
+                                       write_file(d, "p.json", '{"A": 0.9, "A": 0.1}')], 4,
+     "error: <d>/p.json: key 'A' appears twice\n"),
     ("bn-priors-unknown-name", lambda d: ["bn", PACK / "103.rule", "--infer", "", "--priors",
                                           write_file(d, "p.json", {"X": 0.9, "zzz": 0.3})], 4,
      "error: priors file for UK-HC-103 names unknown variables: zzz\n"),
@@ -452,7 +457,16 @@ EXIT_TABLE = [
      "error: scenario for UK-HC-103 names decisions, not facts: X\n"),
     ("check-scenario-unknown-rule", lambda d: ["check", PACK, BMW, "--scenario", write_file(
         d, "s.json", {"rule_id": "UK-HC-999", "facts": {}})], 3,
-     "error: \"scenario names unknown rule 'UK-HC-999'\"\n"),
+     "error: scenario names unknown rule 'UK-HC-999'\n"),
+    ("eval-scenario-fact-twice", lambda d: ["eval", PACK / "103.rule", write_file(
+        d, "s.json", '{"rule_id": "UK-HC-103", "facts": {"C": true, "C": false}}')], 3,
+     "error: <d>/s.json: key 'C' appears twice\n"),
+    ("check-profile-key-twice", lambda d: ["check", PACK, write_file(
+        d, "v.json", '{"vehicle_id": "v", "answers": {}, "vehicle_id": "w"}')], 5,
+     "error: <d>/v.json: key 'vehicle_id' appears twice\n"),
+    ("check-checklist-key-twice", lambda d: ["check", copy_pack(
+        d, "113.checklist.json", '{"group": "113", "requirements": [], "group": "113"}'), BMW], 5,
+     "error: <d>/pack/113.checklist.json: key 'group' appears twice\n"),
     ("compile-out-unwritable", lambda d: ["compile", PACK / "103.rule", "--out", d / "no" / "x"], 1,
      "error: [Errno 2] No such file or directory: '<d>/no/x'\n"),
     ("check-out-unwritable", lambda d: ["check", PACK, BMW, "--out", d / "no" / "x.json"], 1,
@@ -471,6 +485,26 @@ EXIT_TABLE = [
 )
 def test_exit_code_table(tmp_path, make_argv, code, stderr):
     assert run_main(make_argv(tmp_path)) == (code, "", stderr.replace("<d>", str(tmp_path)))
+
+
+def test_main_is_repeatable_in_one_process(tmp_path):
+    """``main`` shares one parser across calls: a usage error or a failed
+    command leaves nothing behind that changes a later call's output."""
+    scenario = write_scenario(tmp_path, "UK-HC-103/scenario", {"A": True})
+    argvs = [
+        ["bn", PACK / "103.rule", "--export", "--infer", ""],
+        ["eval", PACK / "103.rule", scenario],
+        ["compile", PACK / "103.rule"],
+        ["lawmap", PACK / "103.rule", "-f", "json"],
+        ["bn", PACK / "99-100-r3.rule", "--infer", "u=true,p=true"],
+        ["check", PACK, BMW],
+    ]
+    outputs = [run_main(argv) for argv in argvs]
+    assert [code for code, _, _ in outputs] == [1, 3, 0, 0, 0, 0]
+    for argv, output in zip(argvs, outputs):
+        result = run(*argv)
+        assert output == (result.returncode, result.stdout, result.stderr), argv
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_every_lexroad_error_has_an_exit_code():
