@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
+from . import strict_json
 from .boolean_core import (
     And,
     Bdd,
@@ -434,8 +435,8 @@ def net_to_json(net: BayesNet) -> str:
 
 def net_from_json(text: str) -> BayesNet:
     """The net ``net_to_json`` wrote; ``ValueError`` for one inference
-    cannot use."""
-    payload = json.loads(text)
+    cannot use, or for a JSON object that gives a key twice."""
+    payload = strict_json.loads(text)
     nodes = tuple(
         BnNode(
             n["id"],

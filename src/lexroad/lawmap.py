@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
+from . import strict_json
 from .boolean_core import Bdd, RuleEquations, expand
 from .rule_dsl import RuleAst
 
@@ -287,7 +288,9 @@ def export_json(graph: LawmapGraph) -> str:
 
 
 def graph_from_json(text: str) -> LawmapGraph:
-    payload = json.loads(text)
+    """The graph ``export_json`` wrote; ``ValueError`` for a JSON object
+    that gives a key twice."""
+    payload = strict_json.loads(text)
     nodes = tuple(
         LawmapNode(
             n["id"], NodeKind(n["kind"]), n["label"], n.get("var"),

@@ -30,14 +30,24 @@ becomes a single variable and its children remain as descriptive detail
 only.  Without an annotation, a leaf clause is one variable and a parent is
 the connective-fold of its children.
 
+Labels are unique among siblings, and an outcome label may not be given in
+both THEN and ELSE; the error names the second clause that carries it.
+
 ``.rule`` files carry a small header before the body: ``rule: <id>``,
 ``title: <text>``, repeatable ``cites: <text>`` lines and an optional
 ``group: <rule group>`` line, then a blank line.  Lines starting with
-``#`` are comments.
+``#`` are comments.  A ``rule:``, ``title:`` or ``group:`` header given
+twice is an error, not a value the later line overrides.
+
+The body is read in one pass that scans each line and nests it at once.
+Scan errors are raised where they are met; an error in the nesting, or a
+label repeated among siblings, is held until every line has scanned, so a
+scan error further down is still the one reported.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -181,51 +191,55 @@ _PUNCT_FOLD = str.maketrans(
 
 
 def _prepare(text: str) -> str:
+    if text.isascii():  # NFC and the punctuation fold leave ASCII as it is
+        return text.replace("\t", "    ")
     return unicodedata.normalize("NFC", text).translate(_PUNCT_FOLD)
 
 
-_SECTION_RE = re.compile(r"^(IF|EXCEPT|THEN|ELSE):\s*$")
-_BRACKET_RE = re.compile(r"^\[([A-Z])\]\s*")
-_MARKER_RE = re.compile(r"^([a-z]+)\.\s+")
-_VAR_RE = re.compile(r"\s*@var\(([A-Za-z_][A-Za-z0-9_.\-]*)\)\s*$")
-_TERM_RE = re.compile(r";\s*(or|and)\b,?\s*$")
+_SECTION_HEADERS = {f"{name}:": name for name in SECTIONS}
+_LABEL_RE = re.compile(r"(?:\[([A-Z])\]\s*|([a-z]+)\.\s+)?(.*)")
+_VAR_RE = re.compile(r"@var\(([A-Za-z_][A-Za-z0-9_.\-]*)\)\s*$")
+# what may follow the ";" of a "; or," or "; and," terminator
+_CONNECTIVES = {
+    "or": Connective.OR,
+    "or,": Connective.OR,
+    "and": Connective.AND,
+    "and,": Connective.AND,
+}
+_HEADER_KEYS = ("rule", "title", "cites", "group")
 
 
-@dataclass
-class _Line:
-    indent: int
-    label: str | None
-    text: str
-    var: str | None
-    explicit: Connective | None
-    lineno: int
-    col: int
+def _parse_body(body: str, offset: int, file: str) -> dict[str, tuple[Clause, ...]]:
+    """Scan the body line by line, nesting each clause by its indentation.
 
-
-def _scan_body(body: str, offset: int, file: str) -> dict[str, list[_Line]]:
-    """Split the body into sections of clause lines (still flat)."""
-    sections: dict[str, list[_Line]] = {}
-    current: str | None = None
-    for i, raw in enumerate(body.splitlines()):
-        lineno = offset + i
-        if not raw.strip() or raw.lstrip().startswith("#"):
+    A clause line is held as ``[indent, label, text, var, explicit
+    connective, lineno, children]`` (its column is indent + 1) in the open
+    sibling list of its indent; a list is resolved into clauses when a
+    shallower line or the end of the body closes it.  A scan error is raised
+    on the spot.  A line that breaks the nesting, or a label repeated among
+    siblings, is held until every line has scanned clean: then the earliest
+    section's tree error is raised, and in a section a line left of its
+    first line goes before any other.
+    """
+    sections: dict[str, list[list]] = {}  # each section's open sibling lists, innermost last
+    held = None  # the tree error to raise: (error, its section, whether a line left of the first)
+    name = None  # the current section
+    for lineno, raw in enumerate(body.splitlines(), offset):
+        line = raw.strip()
+        if not line or line[0] == "#":
             continue
         indent = len(raw) - len(raw.lstrip(" "))
-        line = raw.strip()
-        m = _SECTION_RE.match(line)
-        if m and indent == 0:
-            name = m.group(1)
+        if indent == 0 and line in _SECTION_HEADERS:
+            last, name = name, _SECTION_HEADERS[line]
             if name in sections:
                 raise RuleSyntaxError(f"section {name} given twice", lineno, 1, file)
-            order = [s for s in SECTIONS if s in sections]
-            if order and SECTIONS.index(name) < SECTIONS.index(order[-1]):
+            if last and SECTIONS.index(name) < SECTIONS.index(last):
                 raise RuleSyntaxError(
-                    f"section {name} out of order (after {order[-1]})", lineno, 1, file
+                    f"section {name} out of order (after {last})", lineno, 1, file
                 )
-            sections[name] = []
-            current = name
+            lists = sections[name] = []
             continue
-        if current is None:
+        if name is None:
             raise RuleSyntaxError(
                 "expected section header IF:/EXCEPT:/THEN:/ELSE:", lineno, 1, file
             )
@@ -233,125 +247,108 @@ def _scan_body(body: str, offset: int, file: str) -> dict[str, list[_Line]]:
             raise RuleSyntaxError(
                 "clause line must be indented under its section", lineno, 1, file
             )
-        sections[current].append(_parse_line(line, indent, lineno, file))
-    if "IF" not in sections or not sections["IF"]:
-        raise RuleSyntaxError("missing IF section", offset, 1, file)
-    if "ELSE" not in sections or not sections["ELSE"]:
-        raise RuleSyntaxError("missing outcome: rule has no ELSE section", offset, 1, file)
-    return sections
-
-
-def _parse_line(line: str, indent: int, lineno: int, file: str) -> _Line:
-    col = indent + 1
-    label = None
-    rest = line
-    m = _BRACKET_RE.match(rest)
-    if m:
-        label = m.group(1)
-        rest = rest[m.end():]
-    else:
-        m = _MARKER_RE.match(rest)
+        upper, lower, line = _LABEL_RE.match(line).groups()
+        label = upper or lower
+        var = None
+        # only the last "@var(" can reach the end of the line
+        at = line.rfind("@var(")
+        m = _VAR_RE.match(line, at) if at >= 0 else None
         if m:
-            label = m.group(1)
-            rest = rest[m.end():]
-    var = None
-    m = _VAR_RE.search(rest)
-    if m:
-        var = m.group(1)
-        rest = rest[: m.start()]
-    rest = rest.rstrip()
-    explicit = None
-    m = _TERM_RE.search(rest)
-    if m:
-        explicit = Connective.OR if m.group(1) == "or" else Connective.AND
-        rest = rest[: m.start()]
-    elif rest.endswith((";", ".", ":", ",")):
-        rest = rest[:-1]
-    text = re.sub(r"\s+", " ", rest).strip()
-    if not text:
-        raise RuleSyntaxError("empty clause", lineno, col, file)
-    return _Line(indent, label, text, var, explicit, lineno, col)
+            var = m[1]
+            line = line[:at].rstrip()
+        # likewise only the last ";" can open a "; or," or "; and," terminator
+        head, semicolon, tail = line.rpartition(";")
+        explicit = _CONNECTIVES.get(tail.lstrip()) if semicolon else None
+        if explicit is not None:
+            line = head
+        elif line.endswith((";", ".", ":", ",")):
+            line = line[:-1]
+        text = " ".join(line.split())
+        if not text:
+            raise RuleSyntaxError("empty clause", lineno, indent + 1, file)
+        line = [indent, label, text, var, explicit, lineno, ()]
+        if not lists:  # the section's first clause
+            lists.append([line])
+        elif held is None and indent == lists[-1][0][0]:  # a sibling of the clause above
+            lists[-1].append(line)
+        elif indent < lists[0][0][0]:  # left of the section's first clause
+            if held is None or held[1] == name and not held[2]:
+                held = (RuleSyntaxError("unbalanced nesting", lineno, indent + 1, file), name, True)
+        elif held is None:
+            if indent > lists[-1][0][0]:  # the first child of the clause above
+                lists.append([line])
+                continue
+            try:
+                _close(lists, indent, file)
+            except DuplicateLabelError as exc:
+                held = (exc, name, False)
+                continue
+            if indent == lists[-1][0][0]:
+                lists[-1].append(line)
+            else:
+                held = (RuleSyntaxError("unbalanced nesting", lineno, indent + 1, file), name, False)
+    if not sections.get("IF"):
+        raise RuleSyntaxError("missing IF section", offset, 1, file)
+    if not sections.get("ELSE"):
+        raise RuleSyntaxError("missing outcome: rule has no ELSE section", offset, 1, file)
+    trees = {}
+    for name, lists in sections.items():
+        if held is not None and held[1] == name:
+            raise held[0]
+        if lists:
+            _close(lists, lists[0][0][0], file)
+        trees[name] = _resolve(lists[0], file) if lists else ()
+    # an outcome label given in THEN and in ELSE is reported at its ELSE line
+    else_at = {line[1]: line for line in sections["ELSE"][0]}
+    for outcome in trees.get("THEN", ()):
+        second = else_at.get(outcome.label)
+        if outcome.label is not None and second is not None:
+            raise DuplicateLabelError(outcome.label, second[5], second[0] + 1, file)
+    return trees
 
 
-def _build_tree(lines: list[_Line], file: str) -> tuple[Clause, ...]:
-    pos = 0
-
-    def parse_siblings(indent: int) -> tuple[Clause, ...]:
-        nonlocal pos
-        items: list[tuple[_Line, tuple[Clause, ...]]] = []
-        while pos < len(lines) and lines[pos].indent == indent:
-            line = lines[pos]
-            pos += 1
-            children: tuple[Clause, ...] = ()
-            if pos < len(lines) and lines[pos].indent > indent:
-                children = parse_siblings(lines[pos].indent)
-            items.append((line, children))
-        if pos < len(lines) and lines[pos].indent > indent:
-            bad = lines[pos]
-            raise RuleSyntaxError("unbalanced nesting", bad.lineno, bad.col, file)
-        return _resolve(items, file)
-
-    first = lines[0].indent
-    if any(l.indent < first for l in lines):
-        bad = next(l for l in lines if l.indent < first)
-        raise RuleSyntaxError("unbalanced nesting", bad.lineno, bad.col, file)
-    clauses = parse_siblings(first)
-    if pos != len(lines):
-        bad = lines[pos]
-        raise RuleSyntaxError("unbalanced nesting", bad.lineno, bad.col, file)
-    return clauses
+def _close(lists: list[list], indent: int, file: str) -> None:
+    """Resolve the open sibling lists deeper than ``indent`` into the
+    children of the line each hangs from."""
+    while indent < lists[-1][0][0]:
+        lines = lists.pop()
+        lists[-1][-1][6] = _resolve(lines, file)
 
 
-def _resolve(items: list[tuple[_Line, tuple[Clause, ...]]], file: str) -> tuple[Clause, ...]:
+def _resolve(lines: list[list], file: str) -> tuple[Clause, ...]:
     """Resolve bare connectives against the explicit ones in the list.
 
     A clause that opens children has no terminator position of its own
     (its line ends in ``:``), so any stray connective written there is
     ignored and the boundary inherits like a bare one.
     """
+    if len(lines) == 1:  # most lists: no label to clash, no boundary to resolve
+        _, label, text, var, _, _, children = lines[0]
+        return (Clause(label, text, var, None, children),)
     seen: set[str] = set()
-    for line, _ in items:
-        if line.label is not None:
-            if line.label in seen:
-                raise DuplicateLabelError(line.label, line.lineno, line.col, file)
-            seen.add(line.label)
-    conns: list[Connective | None] = [
-        None if children else line.explicit for line, children in items[:-1]
-    ]
-    carry: Connective | None = None
-    for i, c in enumerate(conns):
-        if c is None:
-            conns[i] = carry
-        else:
-            carry = c
-    carry = None
-    for i in reversed(range(len(conns))):
-        if conns[i] is None:
-            conns[i] = carry
-        else:
-            carry = conns[i]
-    conns = [c or Connective.AND for c in conns]
-    out = []
-    for i, (line, children) in enumerate(items):
-        conn = conns[i] if i < len(items) - 1 else None
-        out.append(Clause(line.label, line.text, line.var, conn, children))
-    return tuple(out)
+    for line in lines:
+        if line[1] is not None:
+            if line[1] in seen:
+                raise DuplicateLabelError(line[1], line[5], line[0] + 1, file)
+            seen.add(line[1])
+    # a boundary takes the nearest explicit connective before it, or failing
+    # that the first one in the list, or AND
+    explicit = [line[4] for line in lines[:-1] if not line[6] and line[4] is not None]
+    carry = explicit[0] if explicit else Connective.AND
+    clauses = []
+    for _, label, text, var, conn, _, children in lines[:-1]:
+        if conn is not None and not children:
+            carry = conn
+        clauses.append(Clause(label, text, var, carry, children))
+    _, label, text, var, _, _, children = lines[-1]
+    clauses.append(Clause(label, text, var, None, children))
+    return tuple(clauses)
 
 
 def parse_rule(source: RuleSource) -> RuleAst:
     """Parse one rule body into its clause tree."""
     file = source.path or f"<rule:{source.rule_id}>"
-    body = _prepare(source.text)
-    sections = _scan_body(body, source.line_offset, file)
-    trees = {
-        name: _build_tree(lines, file) if lines else ()
-        for name, lines in sections.items()
-    }
-    outcomes = list(trees.get("THEN", ())) + list(trees.get("ELSE", ()))
-    labels = [c.label for c in outcomes if c.label is not None]
-    for label in labels:
-        if labels.count(label) > 1:
-            raise DuplicateLabelError(label, file=file)
+    trees = _parse_body(_prepare(source.text), source.line_offset, file)
     return RuleAst(
         rule_id=source.rule_id,
         if_clauses=trees["IF"],
@@ -367,43 +364,41 @@ def parse_rule_text(text: str, rule_id: str = "adhoc") -> RuleAst:
 
 def load_rule_file(path: str | Path) -> RuleSource:
     """Read a ``.rule`` file: header lines, blank line, DSL body."""
-    path = Path(path)
-    raw = _prepare(path.read_text(encoding="utf-8"))
-    rule_id = ""
-    title = ""
+    path = os.fspath(path)
+    # Path spells a str name differently only where normpath changes it
+    if not isinstance(path, str) or os.path.normpath(path) != path:
+        path = str(Path(path))
+    # unbuffered and undecoded: splitlines() takes \r\n and \r as text mode would
+    with open(path, "rb", buffering=0) as f:
+        lines = _prepare(f.read().decode("utf-8")).splitlines()
+    header: dict[str, str] = {}
     citations: list[str] = []
-    group = None
-    lines = raw.splitlines()
     i = len(lines)
     for i, line in enumerate(lines):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if not stripped or stripped[0] == "#":
             continue
-        m = re.match(r"^(rule|title|cites|group):\s*(.*)$", stripped)
-        if not m:
+        key, colon, value = stripped.partition(":")
+        if not colon or key not in _HEADER_KEYS:
             break
-        key, value = m.group(1), m.group(2).strip()
-        if key == "rule":
-            rule_id = value
-        elif key == "title":
-            title = value
-        elif key == "group":
-            group = value
+        if key == "cites":
+            citations.append(value.strip())
+        elif key in header:
+            raise RuleSyntaxError(f"header '{key}' given twice", i + 1, 1, path)
         else:
-            citations.append(value)
+            header[key] = value.strip()
     else:
         i = len(lines)
-    if not rule_id:
-        raise RuleSyntaxError("missing 'rule:' header", 1, 1, str(path))
-    body = "\n".join(lines[i:])
+    if not header.get("rule"):
+        raise RuleSyntaxError("missing 'rule:' header", 1, 1, path)
     return RuleSource(
-        rule_id=rule_id,
-        title=title,
-        text=body,
+        rule_id=header["rule"],
+        title=header.get("title", ""),
+        text="\n".join(lines[i:]),
         citations=tuple(citations),
-        path=str(path),
+        path=path,
         line_offset=i + 1,
-        group=group,
+        group=header.get("group"),
     )
 
 

@@ -24,14 +24,13 @@ GREEN, when a profile has no applicable evidence for the group at all.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-from . import rule_dsl
+from . import rule_dsl, strict_json
 from .boolean_core import (
     RuleEquations,
     compile_rule,
@@ -225,19 +224,9 @@ def json_value(value, kind: type, what: str):
 
 def load_json_object(path: str | Path) -> dict:
     """The JSON object in the file at ``path``; ValueError naming the file and
-    the key if any object in it gives a key twice (``json.loads`` would keep
-    the last)."""
-
-    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
-        obj = {}
-        for key, value in pairs:
-            if key in obj:
-                raise ValueError(f"{path}: key {key!r} appears twice")
-            obj[key] = value
-        return obj
-
+    the key if any object in it gives a key twice."""
     text = Path(path).read_text(encoding="utf-8")
-    return json_value(json.loads(text, object_pairs_hook=unique_keys), dict, str(path))
+    return json_value(strict_json.loads(text, str(path)), dict, str(path))
 
 
 def load_profile(path: str | Path) -> CapabilityProfile:

@@ -1,0 +1,25 @@
+"""JSON text to Python values, refusing an object that gives a key twice.
+
+``json.loads`` keeps the last of two equal keys, so a second ``"rule_id"``
+in a file would silently win over the first.
+"""
+
+from __future__ import annotations
+
+import json
+
+
+def loads(text: str, where: str = "") -> object:
+    """``json.loads(text)``; ValueError naming the key if any object in the
+    text gives a key twice, prefixed with ``where`` if given."""
+    prefix = f"{where}: " if where else ""
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"{prefix}key {key!r} appears twice")
+            obj[key] = value
+        return obj
+
+    return json.loads(text, object_pairs_hook=unique_keys)

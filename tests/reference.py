@@ -1,14 +1,22 @@
-"""Explicit enumerations kept as test oracles.
+"""Explicit enumerations and a plain rule parser kept as test oracles.
 
 lexroad answers these questions on decision diagrams; the 2^n versions here
 are the independent references it must agree with: the truth table of an
 equation set, a node's CPT evaluated row by row, inference by weighted
 enumeration of the joint states, and BN validation that runs that
 inference on every assignment of the roots.
+
+``load_rule_file`` and ``parse_rule`` here read rules the plain way: each
+line through four patterns, then each section's tree built recursively
+once the whole body is scanned.  lexroad's one-pass reader must give the
+same sources, trees and errors.
 """
 
 import itertools
+import re
+import unicodedata
 from dataclasses import dataclass
+from pathlib import Path
 
 from lexroad.bayes_net import (
     AGREEMENT_TOLERANCE,
@@ -28,6 +36,15 @@ from lexroad.boolean_core import (
     expand,
     free_vars,
     kleene_eval,
+)
+from lexroad.rule_dsl import (
+    SECTIONS,
+    Clause,
+    Connective,
+    DuplicateLabelError,
+    RuleAst,
+    RuleSource,
+    RuleSyntaxError,
 )
 
 MAX_TRUTH_TABLE_VARS = 24
@@ -137,3 +154,246 @@ def validate_by_enumeration(net: BayesNet, eqs: RuleEquations) -> ValidationRepo
             EquationCheck(decision, satisfying, p, abs(p - 1.0) <= AGREEMENT_TOLERANCE)
         )
     return report
+
+
+# --- the plain rule parser ---------------------------------------------------
+
+_PUNCT_FOLD = str.maketrans(
+    {
+        "\u2018": "'",
+        "\u2019": "'",
+        "\u201c": '"',
+        "\u201d": '"',
+        "\u2013": "-",
+        "\u2014": "-",
+        "\u00a0": " ",
+        "\t": "    ",
+    }
+)
+
+
+def _prepare(text: str) -> str:
+    return unicodedata.normalize("NFC", text).translate(_PUNCT_FOLD)
+
+
+_SECTION_RE = re.compile(r"^(IF|EXCEPT|THEN|ELSE):\s*$")
+_BRACKET_RE = re.compile(r"^\[([A-Z])\]\s*")
+_MARKER_RE = re.compile(r"^([a-z]+)\.\s+")
+_VAR_RE = re.compile(r"\s*@var\(([A-Za-z_][A-Za-z0-9_.\-]*)\)\s*$")
+_TERM_RE = re.compile(r";\s*(or|and)\b,?\s*$")
+
+
+@dataclass
+class _Line:
+    indent: int
+    label: str | None
+    text: str
+    var: str | None
+    explicit: Connective | None
+    lineno: int
+    col: int
+
+
+def _scan_body(body: str, offset: int, file: str) -> dict[str, list[_Line]]:
+    """Split the body into sections of clause lines (still flat)."""
+    sections: dict[str, list[_Line]] = {}
+    current: str | None = None
+    for i, raw in enumerate(body.splitlines()):
+        lineno = offset + i
+        if not raw.strip() or raw.lstrip().startswith("#"):
+            continue
+        indent = len(raw) - len(raw.lstrip(" "))
+        line = raw.strip()
+        m = _SECTION_RE.match(line)
+        if m and indent == 0:
+            name = m.group(1)
+            if name in sections:
+                raise RuleSyntaxError(f"section {name} given twice", lineno, 1, file)
+            order = [s for s in SECTIONS if s in sections]
+            if order and SECTIONS.index(name) < SECTIONS.index(order[-1]):
+                raise RuleSyntaxError(
+                    f"section {name} out of order (after {order[-1]})", lineno, 1, file
+                )
+            sections[name] = []
+            current = name
+            continue
+        if current is None:
+            raise RuleSyntaxError(
+                "expected section header IF:/EXCEPT:/THEN:/ELSE:", lineno, 1, file
+            )
+        if indent == 0:
+            raise RuleSyntaxError(
+                "clause line must be indented under its section", lineno, 1, file
+            )
+        sections[current].append(_parse_line(line, indent, lineno, file))
+    if "IF" not in sections or not sections["IF"]:
+        raise RuleSyntaxError("missing IF section", offset, 1, file)
+    if "ELSE" not in sections or not sections["ELSE"]:
+        raise RuleSyntaxError("missing outcome: rule has no ELSE section", offset, 1, file)
+    return sections
+
+
+def _parse_line(line: str, indent: int, lineno: int, file: str) -> _Line:
+    col = indent + 1
+    label = None
+    rest = line
+    m = _BRACKET_RE.match(rest)
+    if m:
+        label = m.group(1)
+        rest = rest[m.end():]
+    else:
+        m = _MARKER_RE.match(rest)
+        if m:
+            label = m.group(1)
+            rest = rest[m.end():]
+    var = None
+    m = _VAR_RE.search(rest)
+    if m:
+        var = m.group(1)
+        rest = rest[: m.start()]
+    rest = rest.rstrip()
+    explicit = None
+    m = _TERM_RE.search(rest)
+    if m:
+        explicit = Connective.OR if m.group(1) == "or" else Connective.AND
+        rest = rest[: m.start()]
+    elif rest.endswith((";", ".", ":", ",")):
+        rest = rest[:-1]
+    text = re.sub(r"\s+", " ", rest).strip()
+    if not text:
+        raise RuleSyntaxError("empty clause", lineno, col, file)
+    return _Line(indent, label, text, var, explicit, lineno, col)
+
+
+def _build_tree(lines: list[_Line], file: str) -> tuple[Clause, ...]:
+    pos = 0
+
+    def parse_siblings(indent: int) -> tuple[Clause, ...]:
+        nonlocal pos
+        items: list[tuple[_Line, tuple[Clause, ...]]] = []
+        while pos < len(lines) and lines[pos].indent == indent:
+            line = lines[pos]
+            pos += 1
+            children: tuple[Clause, ...] = ()
+            if pos < len(lines) and lines[pos].indent > indent:
+                children = parse_siblings(lines[pos].indent)
+            items.append((line, children))
+        if pos < len(lines) and lines[pos].indent > indent:
+            bad = lines[pos]
+            raise RuleSyntaxError("unbalanced nesting", bad.lineno, bad.col, file)
+        return _resolve(items, file)
+
+    first = lines[0].indent
+    if any(l.indent < first for l in lines):
+        bad = next(l for l in lines if l.indent < first)
+        raise RuleSyntaxError("unbalanced nesting", bad.lineno, bad.col, file)
+    clauses = parse_siblings(first)
+    if pos != len(lines):
+        bad = lines[pos]
+        raise RuleSyntaxError("unbalanced nesting", bad.lineno, bad.col, file)
+    return clauses
+
+
+def _resolve(items: list[tuple[_Line, tuple[Clause, ...]]], file: str) -> tuple[Clause, ...]:
+    """Resolve bare connectives against the explicit ones in the list."""
+    seen: set[str] = set()
+    for line, _ in items:
+        if line.label is not None:
+            if line.label in seen:
+                raise DuplicateLabelError(line.label, line.lineno, line.col, file)
+            seen.add(line.label)
+    conns: list[Connective | None] = [
+        None if children else line.explicit for line, children in items[:-1]
+    ]
+    carry: Connective | None = None
+    for i, c in enumerate(conns):
+        if c is None:
+            conns[i] = carry
+        else:
+            carry = c
+    carry = None
+    for i in reversed(range(len(conns))):
+        if conns[i] is None:
+            conns[i] = carry
+        else:
+            carry = conns[i]
+    conns = [c or Connective.AND for c in conns]
+    out = []
+    for i, (line, children) in enumerate(items):
+        conn = conns[i] if i < len(items) - 1 else None
+        out.append(Clause(line.label, line.text, line.var, conn, children))
+    return tuple(out)
+
+
+def parse_rule(source: RuleSource) -> RuleAst:
+    """Parse one rule body into its clause tree.  An outcome label given in
+    THEN and in ELSE is reported at its ELSE clause."""
+    file = source.path or f"<rule:{source.rule_id}>"
+    body = _prepare(source.text)
+    sections = _scan_body(body, source.line_offset, file)
+    trees = {
+        name: _build_tree(lines, file) if lines else ()
+        for name, lines in sections.items()
+    }
+    outcomes = list(trees.get("THEN", ())) + list(trees.get("ELSE", ()))
+    labels = [c.label for c in outcomes if c.label is not None]
+    for label in labels:
+        if labels.count(label) > 1:
+            top = [l for l in sections["ELSE"] if l.indent == sections["ELSE"][0].indent]
+            second = next(l for l in top if l.label == label)
+            raise DuplicateLabelError(label, second.lineno, second.col, file)
+    return RuleAst(
+        rule_id=source.rule_id,
+        if_clauses=trees["IF"],
+        except_clauses=trees.get("EXCEPT", ()),
+        then_outcomes=trees.get("THEN", ()),
+        else_outcomes=trees["ELSE"],
+    )
+
+
+def load_rule_file(path: str | Path) -> RuleSource:
+    """Read a ``.rule`` file: header lines, blank line, DSL body.  A
+    ``rule:``, ``title:`` or ``group:`` header given twice is refused."""
+    path = Path(path)
+    raw = _prepare(path.read_text(encoding="utf-8"))
+    rule_id = ""
+    title = ""
+    citations: list[str] = []
+    group = None
+    given: set[str] = set()
+    lines = raw.splitlines()
+    i = len(lines)
+    for i, line in enumerate(lines):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        m = re.match(r"^(rule|title|cites|group):\s*(.*)$", stripped)
+        if not m:
+            break
+        key, value = m.group(1), m.group(2).strip()
+        if key in given:
+            raise RuleSyntaxError(f"header '{key}' given twice", i + 1, 1, str(path))
+        if key == "rule":
+            rule_id = value
+        elif key == "title":
+            title = value
+        elif key == "group":
+            group = value
+        else:
+            citations.append(value)
+        if key != "cites":
+            given.add(key)
+    else:
+        i = len(lines)
+    if not rule_id:
+        raise RuleSyntaxError("missing 'rule:' header", 1, 1, str(path))
+    body = "\n".join(lines[i:])
+    return RuleSource(
+        rule_id=rule_id,
+        title=title,
+        text=body,
+        citations=tuple(citations),
+        path=str(path),
+        line_offset=i + 1,
+        group=group,
+    )

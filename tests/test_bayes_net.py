@@ -375,6 +375,18 @@ def test_net_from_json_rejects_nets_inference_cannot_use(rules_by_id, change, me
         net_from_json(json.dumps(payload))
 
 
+def test_net_from_json_rejects_a_key_given_twice(rules_by_id):
+    text = net_to_json(build_bn(rules_by_id["UK-HC-103"].equations))
+    twice = text.replace('"rule_id": "UK-HC-103"', '"rule_id": "UK-HC-103", "rule_id": "OTHER"')
+    assert twice.count('"rule_id"') == 2
+    with pytest.raises(ValueError, match="^key 'rule_id' appears twice$"):
+        net_from_json(twice)
+    # a key repeated inside a node is refused as well
+    node_twice = text.replace('"kind": "fact_root"', '"kind": "fact_root", "kind": "clause"', 1)
+    with pytest.raises(ValueError, match="^key 'kind' appears twice$"):
+        net_from_json(node_twice)
+
+
 def test_wmc_refuses_a_non_deterministic_cpt(rules_by_id):
     eqs = rules_by_id["UK-HC-99-100/2"].equations
     net = build_bn(eqs)

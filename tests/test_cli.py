@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from lexroad import bayes_net, boolean_core, cli, compliance, lawmap, rule_dsl, rulepack
 from lexroad.rulepack import default_pack_dir, default_profile_paths
-from test_rule_dsl import _clause_lines, _rule_texts
+from test_rule_dsl import _rule_files
 
 PACK = default_pack_dir()
 PROFILES = {p.name.split(".")[0]: p for p in default_profile_paths()}
@@ -375,6 +375,18 @@ EXIT_TABLE = [
         d, "c.rule", "rule: C\n\nIF:\n    [A] One; and, @var(p)\n    [B] Two. @var(p)\n"
         "ELSE:\n    [Y] q. @var(Y)\n")], 2,
      "error: naming conflict on 'p': 'One' vs 'Two'\n"),
+    ("compile-duplicate-outcome-label", lambda d: ["compile", write_file(
+        d, "dup.rule", "rule: D\n\nIF:\n    [A] p.\nTHEN:\n    [Y] t.\nELSE:\n    [Y] u.\n")], 1,
+     "<d>/dup.rule:8:5: error: duplicate label 'Y'\n"),
+    ("compile-header-rule-twice", lambda d: ["compile", write_file(
+        d, "t.rule", "rule: A\nrule: B\n\nIF:\n    [A] p.\nELSE:\n    [Y] q.\n")], 1,
+     "<d>/t.rule:2:1: error: header 'rule' given twice\n"),
+    ("compile-header-title-twice", lambda d: ["compile", write_file(
+        d, "t.rule", "rule: A\ntitle: One\n# note\ntitle: Two\n\nIF:\n    [A] p.\nELSE:\n    [Y] q.\n"
+    )], 1, "<d>/t.rule:4:1: error: header 'title' given twice\n"),
+    ("check-header-group-twice", lambda d: ["check", copy_pack(
+        d, "zz.rule", "rule: ZZ\ngroup: 113\ngroup: 300\n\nIF:\n    [A] p. @var(a)\nELSE:\n"
+        "    [Y] q. @var(Y)\n"), BMW], 5, "<d>/pack/zz.rule:3:1: error: header 'group' given twice\n"),
     ("eval-non-object", lambda d: ["eval", PACK / "103.rule", write_file(d, "s.json", [1])], 3,
      "error: <d>/s.json must be a JSON object\n"),
     ("eval-facts-non-object", lambda d: ["eval", PACK / "103.rule", write_file(
@@ -529,26 +541,6 @@ _JSON = st.recursive(
 _NAMES = st.sampled_from(
     ["GEN.IF.A", "GEN.IF.A.a", "GEN.IF.B.b", "GEN.EXCEPT.C", "GEN.ELSE.Y", "A", "B", "X", "nope"]
 )
-
-
-@st.composite
-def _rule_files(draw):
-    """A generated rule, small enough for exhaustive steps, maybe corrupted."""
-    lines = ["rule: GEN", ""] + draw(_rule_texts().filter(lambda t: t.count("\n") <= 9)).splitlines()
-    corruption = draw(st.sampled_from(["none", "none", "splice", "char", "drop", "latin-1"]))
-    at = draw(st.integers(0, len(lines) - 1))
-    if corruption == "splice":  # a clause of any depth anywhere, maybe a duplicate label
-        lines[at:at] = draw(_clause_lines(draw(st.integers(1, 3)), draw(st.integers(0, 2))))
-    elif corruption == "char":
-        col = draw(st.integers(0, len(lines[at])))
-        glyph = draw(st.sampled_from(list("[]().:;@\t #é\r") + ["@var(GEN.IF.A)", "EXCEPT:"]))
-        lines[at] = lines[at][:col] + glyph + lines[at][col:]
-    elif corruption == "drop":
-        del lines[at]
-    elif corruption == "latin-1":
-        lines[at] += " café"
-    text = "\n".join(lines) + "\n"
-    return text.encode("latin-1" if corruption == "latin-1" else "utf-8")
 
 
 def _corrupted(draw, valid: dict) -> object:

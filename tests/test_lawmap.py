@@ -162,6 +162,15 @@ def test_json_round_trip(pack):
         assert graph_from_json(export_json(graph)) == graph
 
 
+def test_graph_from_json_rejects_a_key_given_twice(rules_by_id):
+    entry = rules_by_id["UK-HC-103"]
+    text = export_json(build_lawmap(entry.equations, entry.ast))
+    twice = text.replace('"rule_id": "UK-HC-103"', '"rule_id": "UK-HC-103", "rule_id": "OTHER"')
+    assert twice.count('"rule_id"') == 2
+    with pytest.raises(ValueError, match="^key 'rule_id' appears twice$"):
+        graph_from_json(twice)
+
+
 def test_json_counts_condition_entries(rules_by_id):
     entry = rules_by_id["UK-HC-103"]
     payload = json.loads(export_json(build_lawmap(entry.equations, entry.ast)))

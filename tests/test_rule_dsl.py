@@ -1,16 +1,24 @@
 """Parser, printer and variable-assignment behaviour on the notation."""
 
+import re
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from lexroad.rule_dsl import (
     Connective,
     DuplicateLabelError,
     NamingConflictError,
+    RuleSource,
     RuleSyntaxError,
     VarKind,
     assign_variables,
+    load_rule_file,
+    parse_rule,
     parse_rule_text,
     pretty_print,
 )
@@ -337,8 +345,43 @@ def test_missing_if_section_is_rejected():
 
 def test_outcome_labels_unique_across_sections():
     text = "IF:\n    [A] p.\nEXCEPT:\n    [C] e.\nTHEN:\n    [X] t.\nELSE:\n    [X] u.\n"
-    with pytest.raises(DuplicateLabelError):
+    with pytest.raises(DuplicateLabelError) as err:
         parse_rule_text(text)
+    # reported at the second clause that carries the label
+    assert (err.value.label, err.value.line, err.value.col) == ("X", 8, 5)
+    assert str(err.value) == "<rule:adhoc>:8:5: error: duplicate label 'X'"
+
+
+def test_outcome_label_clash_names_the_first_then_label():
+    text = ("IF:\n    [A] p.\nTHEN:\n    [X] t; and,\n    [Z] z.\n"
+            "ELSE:\n    [Z] u; and,\n    [X] v.\n")
+    with pytest.raises(DuplicateLabelError) as err:
+        parse_rule_text(text)
+    assert str(err.value) == "<rule:adhoc>:8:5: error: duplicate label 'X'"
+
+
+@pytest.mark.parametrize("text, error", [
+    # a scan error anywhere comes before a nesting error
+    ("IF:\n    [A] p:\n            a. deep;\n        b. shallow.\nELSE:\n    [Y] ;\n",
+     "6:5: error: empty clause"),
+    ("IF:\n    [A] p; and,\n    [A] q.\nELSE:\n    [Y] r.\nWHEN:\n",
+     "6:1: error: clause line must be indented"),
+    # in a section, a line left of its first line comes before any other
+    ("IF:\n    [A] p:\n            a. deep;\n        b. shallow.\n  [B] r.\nELSE:\n    [Y] s.\n",
+     "5:3: error: unbalanced nesting"),
+    ("IF:\n    [A] p:\n        a. q; and,\n        a. r.\n    [B] s.\n  [C] t.\nELSE:\n    [Y] u.\n",
+     "6:3: error: unbalanced nesting"),
+    # else the first one met, in the earliest section that has one
+    ("IF:\n    [A] p:\n        a. q; and,\n        a. r.\n    [B] s:\n            b. t.\n"
+     "        c. u.\nELSE:\n    [Y] v.\n", "4:9: error: duplicate label 'a'"),
+    ("IF:\n    [A] p.\nTHEN:\n    [X] q; and,\n    [X] r.\nELSE:\n  [Y] s.\n    [Z] t.\n",
+     "5:5: error: duplicate label 'X'"),
+], ids=["scan-after-nesting", "scan-after-label", "left-of-first", "left-of-first-after-label",
+     "first-met", "earlier-section"])
+def test_error_precedence(text, error):
+    with pytest.raises(RuleSyntaxError) as err:
+        parse_rule_text(text)
+    assert str(err.value).startswith(f"<rule:adhoc>:{error}")
 
 
 def test_unbalanced_nesting():
@@ -381,6 +424,31 @@ def test_rule_file_header_round_trip(tmp_path):
     assert source.citations == ("First source, s1", "Second source, s2")
     ast = parse_rule_text(source.text, source.rule_id)
     assert ast.if_clauses[0].text == "p"
+
+
+@pytest.mark.parametrize("key", ["rule", "title", "group"])
+def test_rule_file_header_given_twice_is_rejected(tmp_path, key):
+    path = tmp_path / "twice.rule"
+    path.write_text(
+        "rule: TEST-1\ntitle: A title\ngroup: 113\ncites: s1\ncites: s2\n"
+        f"# a comment\n  {key}: again\n\nIF:\n    [A] p.\nELSE:\n    [Y] q.\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(RuleSyntaxError) as err:
+        load_rule_file(path)
+    assert str(err.value) == f"{path}:7:1: error: header '{key}' given twice"
+
+
+def test_rule_file_path_is_spelled_as_pathlib_does(tmp_path, monkeypatch):
+    (tmp_path / "d").mkdir()
+    rule = tmp_path / "d" / "r.rule"
+    rule.write_text("rule: R\n\nIF:\n    [A] p.\nELSE:\n    [Y] q.\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for spelling in (rule, str(rule), f"{tmp_path}//d/./r.rule", f"{tmp_path}/d/../d/r.rule",
+                     "d/r.rule", "./d/r.rule", "d//r.rule", "d/./r.rule"):
+        assert load_rule_file(spelling).path == str(Path(spelling)), spelling
+    with pytest.raises(TypeError):  # as Path(bytes) does
+        load_rule_file(bytes(rule))
 
 
 def test_rule_file_without_id_is_rejected(tmp_path):
@@ -539,3 +607,105 @@ def _rule_texts(draw):
 def test_generated_rules_round_trip(text):
     ast = parse_rule_text(text, "generated")
     assert parse_rule_text(pretty_print(ast), "generated") == ast
+
+
+@st.composite
+def _rule_files(draw):
+    """A generated rule, small enough for exhaustive steps, maybe corrupted."""
+    lines = ["rule: GEN", ""] + draw(_rule_texts().filter(lambda t: t.count("\n") <= 9)).splitlines()
+    corruption = draw(st.sampled_from(["none", "none", "splice", "char", "drop", "latin-1"]))
+    at = draw(st.integers(0, len(lines) - 1))
+    if corruption == "splice":  # a clause of any depth anywhere, maybe a duplicate label
+        lines[at:at] = draw(_clause_lines(draw(st.integers(1, 3)), draw(st.integers(0, 2))))
+    elif corruption == "char":
+        col = draw(st.integers(0, len(lines[at])))
+        glyph = draw(st.sampled_from(list("[]().:;@\t #é\r") + ["@var(GEN.IF.A)", "EXCEPT:"]))
+        lines[at] = lines[at][:col] + glyph + lines[at][col:]
+    elif corruption == "drop":
+        del lines[at]
+    elif corruption == "latin-1":
+        lines[at] += " café"
+    text = "\n".join(lines) + "\n"
+    return text.encode("latin-1" if corruption == "latin-1" else "utf-8")
+
+
+_HEADER_LINES = st.sampled_from([
+    "rule: GEN", "rule: OTHER", "rule:", "title: A title", "title: Another", "cites: Act s1",
+    "group: 103-105", "  group: 300  ", "rules: GEN", "# a comment", "",
+])
+# smart punctuation the reader folds, a combining accent NFC composes,
+# whitespace str.split() and str.strip() see, and line breaks only
+# str.splitlines() sees
+_ODD_GLYPHS = st.sampled_from(list("\u2018\u2019\u201c\u201d\u2013\u2014\u00a0\u2003\x1f\x0b\x85")
+                              + ["e\u0301", "  "])
+_SIBLING_MARKERS = st.sampled_from(["[K] ", "[L] ", "k. ", "l. ", "iv. ", ""])
+_VARS = st.sampled_from([" @var(a)", " @var(b_1)", "  @var(GEN.x-2)  ", "@var(a)", " @var(9z)"])
+
+
+@st.composite
+def _mangled_rule_files(draw):
+    """``_rule_files``, and on those that decode one more change: more
+    siblings after a clause, ``@var`` on some clauses, a bracket label
+    swapped for another, a line indented more or less, a line repeated,
+    leading spaces turned to tabs, an odd glyph inserted, header lines
+    added or CRLF line ends."""
+    data = draw(_rule_files())
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        return data
+    change = draw(st.sampled_from(["none", "siblings", "vars", "label", "indent", "repeat", "tabs",
+                                   "glyph", "header", "crlf"]))
+    at = draw(st.integers(0, len(lines) - 1))
+    clauses = [i for i, line in enumerate(lines) if line[:1] == " "] or [at]
+    if change == "siblings":
+        at = draw(st.sampled_from(clauses))
+        indent = lines[at][: len(lines[at]) - len(lines[at].lstrip(" "))]
+        markers = draw(st.lists(_SIBLING_MARKERS, min_size=2, max_size=4, unique=True))
+        lines[at + 1:at + 1] = [indent + marker + draw(_TEXT) + draw(_TERMS) for marker in markers]
+    elif change == "vars":
+        for i in draw(st.sets(st.sampled_from(clauses), min_size=1, max_size=4)):
+            lines[i] += draw(_VARS)
+    elif change == "label":
+        at = draw(st.sampled_from([i for i in clauses if "[" in lines[i]] or [at]))
+        lines[at] = re.sub(r"\[[A-Z]\]", draw(st.sampled_from(["[A]", "[B]", "[X]", "[Y]"])),
+                           lines[at], count=1)
+    elif change == "indent":
+        lines[at] = " " * draw(st.integers(0, 6)) + lines[at].lstrip(" ")
+    elif change == "repeat":
+        lines.insert(draw(st.integers(at, len(lines))), lines[at])
+    elif change == "tabs":
+        lines[at] = lines[at].replace("    ", "\t", draw(st.integers(1, 3)))
+    elif change == "glyph":
+        col = draw(st.integers(0, len(lines[at])))
+        lines[at] = lines[at][:col] + draw(_ODD_GLYPHS) + lines[at][col:]
+    elif change == "header":
+        at = draw(st.integers(0, 2))
+        lines[at:at] = draw(st.lists(_HEADER_LINES, min_size=1, max_size=3))
+    return ("\r\n" if change == "crlf" else "\n").join(lines).encode("utf-8")
+
+
+def _outcome(read, *args):
+    """What ``read(*args)`` returns, or the class and text of what it raises."""
+    try:
+        return read(*args)
+    except (RuleSyntaxError, UnicodeDecodeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_mangled_rule_files())
+def test_parser_agrees_with_the_plain_reference(data):
+    """The one-pass reader gives the source, tree or error that the plain
+    line-by-line parser in ``reference`` gives, on a file and on its body
+    as ``parse_rule_text`` would get it."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "r.rule"
+        path.write_bytes(data)
+        source = _outcome(load_rule_file, path)
+        assert source == _outcome(reference.load_rule_file, path)
+        if isinstance(source, RuleSource):
+            assert _outcome(parse_rule, source) == _outcome(reference.parse_rule, source)
+    text = data.decode("utf-8", errors="replace")
+    body = RuleSource("GEN", text=text.partition("\n\n")[2] or text)
+    assert _outcome(parse_rule, body) == _outcome(reference.parse_rule, body)
