@@ -9,12 +9,12 @@ fold ``A*``, exception fold ``C*`` and optional per-outcome guards::
 and ``C* = FALSE`` when the rule has no exception, so THEN outcomes are
 unsatisfiable and ELSE outcomes reduce to ``A*``.
 
-Scenario evaluation is three-valued (Kleene): a decision is TRUE or FALSE
-only when the known facts force it, otherwise UNKNOWN (``None``).
+Scenario evaluation is exact: a decision is TRUE or FALSE when every
+completion of the known facts gives it that value, otherwise UNKNOWN
+(``None``); it is read off the rule's cached decision diagram (:class:`Bdd`).
 Equations may reference decisions defined earlier in the same set
 (expanded by substitution before analysis).  Equivalence and property
-checks work on decision diagrams (:class:`Bdd`) and have no variable
-bound.
+checks work on decision diagrams too and have no variable bound.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import itertools
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .rule_dsl import (
     Clause,
@@ -123,28 +124,9 @@ def free_vars(expr: BoolExpr) -> tuple[str, ...]:
     return tuple(seen)
 
 
-def kleene_eval(expr: BoolExpr, env: dict[str, bool | None]) -> bool | None:
-    """Three-valued evaluation; missing or None bindings are UNKNOWN."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Var):
-        return env.get(expr.id)
-    if isinstance(expr, Not):
-        value = kleene_eval(expr.child, env)
-        return None if value is None else not value
-    values = [kleene_eval(child, env) for child in expr.children]
-    if isinstance(expr, And):
-        if any(v is False for v in values):
-            return False
-        return None if any(v is None for v in values) else True
-    if any(v is True for v in values):
-        return True
-    return None if any(v is None for v in values) else False
-
-
 # --- rule equations ----------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class RuleEquations:
     """Ordered decision → expression map for one rule.
 
@@ -165,6 +147,13 @@ class RuleEquations:
 
     def input_ids(self) -> tuple[str, ...]:
         return self.input_order
+
+    @cached_property
+    def diagram(self) -> tuple[Bdd, dict[str, int]]:
+        """One decision diagram over the inputs, in clause order, and each
+        decision's node in it; built on first use."""
+        bdd = Bdd(self.input_ids())
+        return bdd, {d: bdd.of(e) for d, e in expand(self).items()}
 
 
 def compile_rule(ast: RuleAst, table: VariableTable) -> RuleEquations:
@@ -255,14 +244,11 @@ def compile_rule(ast: RuleAst, table: VariableTable) -> RuleEquations:
 
 
 def evaluate(eqs: RuleEquations, assignment: dict[str, bool | None]) -> dict[str, bool | None]:
-    """Kleene-evaluate every decision; missing variables are UNKNOWN."""
-    env: dict[str, bool | None] = dict(assignment)
-    results: dict[str, bool | None] = {}
-    for decision, expr in eqs.equations.items():
-        value = kleene_eval(expr, env)
-        env[decision] = value
-        results[decision] = value
-    return results
+    """Each decision TRUE or FALSE when every completion of the facts (missing
+    or None ones are unknown) gives it that value, else None (UNKNOWN); a
+    decision used before its definition raises CyclicDefinitionError."""
+    bdd, nodes = eqs.diagram
+    return dict(zip(nodes, bdd.settle(tuple(nodes.values()), assignment)))
 
 
 def expand(eqs: RuleEquations) -> dict[str, BoolExpr]:
@@ -526,7 +512,7 @@ class Bdd:
     that two nodes of one manager are the same int exactly when they are the
     same function.  Node 0 is FALSE, node 1 TRUE.  Variables are ordered by
     first appearance, starting with ``names``; callers pass clause order, as
-    the order decides the size.  A manager serves one computation."""
+    the order decides the size.  A manager serves one computation or one rule."""
 
     FALSE, TRUE = 0, 1
     _LEAF = 1 << 30  # level of the terminals, below every variable
@@ -588,6 +574,24 @@ class Bdd:
         for g in rest:
             f = self.ite(f, g, self.FALSE) if isinstance(expr, And) else self.ite(f, self.TRUE, g)
         return f
+
+    def settle(self, fs: tuple[int, ...], facts: dict[str, bool | None]) -> list[bool | None]:
+        """Each of ``fs`` as TRUE or FALSE when it is that constant on every
+        completion of ``facts``, else None; a memoised walk that adds no node."""
+        seen: dict[int, bool | None] = {self.FALSE: False, self.TRUE: True}
+
+        def walk(f: int) -> bool | None:
+            if f not in seen:
+                level, hi, lo = self._nodes[f]
+                value = facts.get(self.names[level])
+                if value is None:  # unknown: both branches must agree
+                    first = walk(hi)
+                    seen[f] = None if first is None or walk(lo) != first else first
+                else:
+                    seen[f] = walk(hi if value else lo)
+            return seen[f]
+
+        return [walk(f) for f in fs]
 
     def witness(self, f: int, names: tuple[str, ...], first: bool) -> dict[str, bool] | None:
         """The first assignment to ``names`` (which cover ``f``'s variables)

@@ -125,7 +125,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
               file=sys.stderr)
     results = evaluate(eqs, dict(facts))
     lines = [
-        f"{decision}: {compliance.kleene_name(value)} ({eqs.table.describe(decision)})"
+        f"{decision}: {compliance.verdict_name(value)} ({eqs.table.describe(decision)})"
         for decision, value in results.items()
     ]
     _write("\n".join(lines) + "\n", args.out)

@@ -71,10 +71,8 @@ def check_facts(eqs: RuleEquations, names: Iterable[str], source: str = "scenari
         raise UnknownScenarioVariableError(eqs.rule_id, decisions, "decisions, not facts", source)
 
 
-def kleene_name(value: bool | None) -> str:
-    if value is None:
-        return "UNKNOWN"
-    return "TRUE" if value else "FALSE"
+def verdict_name(value: bool | None) -> str:
+    return {True: "TRUE", False: "FALSE", None: "UNKNOWN"}[value]
 
 
 @dataclass
@@ -119,7 +117,7 @@ def build_report(
         check_facts(rule.equations, scenario.facts)
         outcome = evaluate(rule.equations, dict(scenario.facts))
         rule_outcomes[scenario.rule_id] = {
-            decision: kleene_name(value) for decision, value in outcome.items()
+            decision: verdict_name(value) for decision, value in outcome.items()
         }
         rule_groups[scenario.rule_id] = rule.source.group
 

@@ -23,7 +23,7 @@ from enum import Enum
 from functools import cached_property
 
 from . import strict_json
-from .boolean_core import Bdd, RuleEquations, expand
+from .boolean_core import Bdd, RuleEquations
 from .rule_dsl import RuleAst
 
 
@@ -128,16 +128,13 @@ def build_lawmap(
             raise InconsistentInputsError(
                 f"{outcome_count} outcomes in the rule vs {len(eqs.decision_ids())} equations"
             )
-    order = eqs.input_ids()
-    if not order:
+    if not eqs.input_ids():
         raise InconsistentInputsError("rule has no condition variables")
 
-    # One decision diagram per decision; a tuple of their nodes is one node
-    # of the Lawmap, which tests the first variable any of them tests.
-    bdd = Bdd(order)
-    exprs = expand(eqs)
-    decisions = eqs.decision_ids()
-    root = tuple(bdd.of(exprs[d]) for d in decisions)
+    # The rule's decision diagram; a tuple of the decisions' nodes is one
+    # node of the Lawmap, which tests the first variable any of them tests.
+    bdd, by_decision = eqs.diagram
+    decisions, root = tuple(by_decision), tuple(by_decision.values())
 
     nodes: list[LawmapNode] = [LawmapNode("start", NodeKind.START, "START")]
     branches: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []

@@ -4,7 +4,10 @@ lexroad answers these questions on decision diagrams; the 2^n versions here
 are the independent references it must agree with: the truth table of an
 equation set, a node's CPT evaluated row by row, inference by weighted
 enumeration of the joint states, and BN validation that runs that
-inference on every assignment of the roots.
+inference on every assignment of the roots.  ``kleene_eval``, the
+three-valued evaluator these are written with, is what ``evaluate`` used
+before it read verdicts off the rule's diagram; it stays as a sound (but
+not complete) reference.
 
 ``load_rule_file`` and ``parse_rule`` here read rules the plain way: each
 line through four patterns, then each section's tree built recursively
@@ -29,13 +32,15 @@ from lexroad.bayes_net import (
     ValidationReport,
 )
 from lexroad.boolean_core import (
+    And,
     Bdd,
     BoolExpr,
+    Const,
+    Not,
     RuleEquations,
-    evaluate,
+    Var,
     expand,
     free_vars,
-    kleene_eval,
 )
 from lexroad.rule_dsl import (
     SECTIONS,
@@ -48,6 +53,28 @@ from lexroad.rule_dsl import (
 )
 
 MAX_TRUTH_TABLE_VARS = 24
+
+
+def kleene_eval(expr: BoolExpr, env: dict[str, bool | None]) -> bool | None:
+    """Three-valued (Kleene) evaluation; missing or None bindings are
+    UNKNOWN.  Sound but not complete: a definite answer is the value on
+    every completion, but UNKNOWN may hide a forced value once a variable
+    occurs twice (``a ∨ ¬a``)."""
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Var):
+        return env.get(expr.id)
+    if isinstance(expr, Not):
+        value = kleene_eval(expr.child, env)
+        return None if value is None else not value
+    values = [kleene_eval(child, env) for child in expr.children]
+    if isinstance(expr, And):
+        if any(v is False for v in values):
+            return False
+        return None if any(v is None for v in values) else True
+    if any(v is True for v in values):
+        return True
+    return None if any(v is None for v in values) else False
 
 
 @dataclass(frozen=True)
@@ -128,21 +155,20 @@ def infer_enumeration(net: BayesNet, evidence: dict[str, bool] | None = None) ->
 
 def validate_by_enumeration(net: BayesNet, eqs: RuleEquations) -> ValidationReport:
     """``validate_bn`` by enumeration inference on each of the 2^roots
-    assignments of the roots, checked against ``evaluate``."""
+    assignments of the roots, checked against each expanded equation."""
     roots = net.ids(BnNodeKind.FACT_ROOT)
     report = ValidationReport(rule_id=net.rule_id, assignments_checked=0)
     decisions = eqs.decision_ids()
+    exprs = expand(eqs)
     for combo in itertools.product((False, True), repeat=len(roots)):
         ev = dict(zip(roots, combo))
         posteriors = infer_enumeration(net, ev)
-        expected = evaluate(eqs, dict(ev))
         report.assignments_checked += 1
         for decision in decisions:
             p = posteriors[decision]
-            want = bool(expected[decision])
+            want = bool(kleene_eval(exprs[decision], ev))
             if min(p, 1.0 - p) > AGREEMENT_TOLERANCE or (p > 0.5) != want:
                 report.divergences.append(Divergence(decision, ev, want, p))
-    exprs = expand(eqs)
     bdd = Bdd(eqs.input_ids())
     for decision in decisions:
         expr = exprs[decision]

@@ -22,18 +22,19 @@ from lexroad.boolean_core import (
     Const,
     Not,
     Or,
+    RuleEquations,
     Var,
     check_properties,
     equations_equivalent,
+    evaluate,
     expand,
-    kleene_eval,
     normalize,
     parse_equations,
 )
 from lexroad.lawmap import build_lawmap, export_dot, export_json, trace_path
-from lexroad.rule_dsl import RuleSource, parse_rule, pretty_print
+from lexroad.rule_dsl import RuleSource, VariableTable, parse_rule, pretty_print
 from lexroad.rulepack import default_pack_dir, default_profile_paths
-from reference import infer_enumeration, truth_table
+from reference import infer_enumeration, kleene_eval, truth_table
 
 GOLDEN_MATRIX = Path(__file__).parent / "golden" / "capability_matrix.txt"
 
@@ -259,7 +260,8 @@ def _random_expr(rng, depth, names):
 
 def test_criterion_7_randomized_invariants(pack):
     with criterion(7, "normalization preserves truth tables (500 exprs); "
-                      "Kleene agrees with completion consensus (500 partials)", 10.0):
+                      "evaluate equals, and Kleene agrees with, completion consensus "
+                      "(500 partials)", 10.0):
         names = tuple("abcdefgh")
         rng = random.Random(57721)
         for _ in range(500):
@@ -286,6 +288,9 @@ def test_criterion_7_randomized_invariants(pack):
             if agree is None:
                 # disagreeing completions can never look definite
                 assert got is None, (expr, partial)
+            # evaluate is exact: the consensus itself, in both directions
+            eqs = RuleEquations("random", VariableTable("random"), {"Z": expr}, input_order=scope)
+            assert evaluate(eqs, dict(partial)) == {"Z": agree}, (expr, partial)
             checked += 1
 
         # on the shipped equations every variable occurs once, so Kleene

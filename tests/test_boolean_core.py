@@ -1,9 +1,10 @@
-"""Compilation, Kleene evaluation, truth tables and normalization.
+"""Compilation, scenario evaluation, truth tables and normalization.
 
 Expected values for the derived cases are computed by independent
 brute-force evaluators written here, not by the code under test.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -19,6 +20,7 @@ from lexroad.boolean_core import (
     FALSE,
     Not,
     Or,
+    RuleEquations,
     Var,
     check_properties,
     compile_rule,
@@ -26,14 +28,13 @@ from lexroad.boolean_core import (
     equivalent,
     evaluate,
     expand,
-    kleene_eval,
     normalize,
     parse_equations,
     parse_expr,
     to_text,
 )
-from lexroad.rule_dsl import assign_variables, parse_rule_text
-from reference import truth_table
+from lexroad.rule_dsl import VariableTable, assign_variables, parse_rule_text
+from reference import kleene_eval, truth_table
 
 
 def brute_eval(expr, env):
@@ -136,6 +137,116 @@ def test_decision_reference_is_expanded():
     }
     exprs = expand(eqs)
     assert to_text(exprs["F"]) == "((u ∨ v) ∧ ¬p) ∧ x"
+
+
+# Z = (a ∨ b) ∧ ¬a: with b FALSE, Z is FALSE on every completion, although
+# Kleene evaluation, which reads each occurrence of a on its own, says UNKNOWN.
+REPEATED_VAR_RULE = (
+    "IF:\n"
+    "    [A] a holds; or, @var(a)\n"
+    "    [B] b holds. @var(b)\n"
+    "EXCEPT:\n"
+    "    [C] a holds. @var(a)\n"
+    "THEN:\n"
+    "    [Y] y. @var(Y)\n"
+    "ELSE:\n"
+    "    [Z] z. @var(Z)\n"
+)
+
+
+def _compiled(text, rule_id="R"):
+    ast = parse_rule_text(text, rule_id)
+    return compile_rule(ast, assign_variables(ast))
+
+
+def test_repeated_variable_verdict_is_exact():
+    eqs = _compiled(REPEATED_VAR_RULE)
+    assert equations_to_text(eqs) == "Y = (a ∨ b) ∧ a\nZ = (a ∨ b) ∧ ¬a\n"
+    assert kleene_eval(expand(eqs)["Z"], {"b": False}) is None
+    assert evaluate(eqs, {"b": False}) == {"Y": None, "Z": False}
+    assert evaluate(eqs, {"a": True}) == {"Y": True, "Z": False}
+    assert evaluate(eqs, {"b": True}) == {"Y": None, "Z": None}
+
+
+def test_evaluate_rejects_a_hand_built_forward_reference():
+    eqs = RuleEquations(
+        rule_id="bad",
+        table=VariableTable(rule_id="bad"),
+        equations={"F": Var("E"), "E": Var("u")},
+        input_order=("u",),
+    )
+    with pytest.raises(CyclicDefinitionError):
+        evaluate(eqs, {"u": True})
+
+
+def test_equations_are_frozen(rules_by_id):
+    eqs = rules_by_id["UK-HC-103"].equations
+    for name, value in (("equations", {}), ("input_order", ()), ("rule_id", "other")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(eqs, name, value)
+
+
+def test_evaluate_adds_no_diagram_nodes():
+    eqs = _compiled(REPEATED_VAR_RULE)
+    bdd, _ = eqs.diagram
+    size = len(bdd._nodes)
+    rng = random.Random(11)
+    for _ in range(1000):
+        evaluate(eqs, {name: rng.choice((True, False, None)) for name in ("a", "b")})
+    assert eqs.diagram[0] is bdd and len(bdd._nodes) == size
+
+
+_REPEATED_NAMES = st.sampled_from(tuple("abcdefghijkl"))  # at most 12 inputs
+
+
+@st.composite
+def _repeated_var_rules(draw):
+    """Rule text whose clauses draw their @vars from 12 names with
+    replacement, so a name may occur twice: in one section, or in the
+    antecedent and the exception."""
+
+    def section(depth):
+        lines, count = [], draw(st.integers(1, 3))
+        for i in range(count):
+            label = f"[{'ABCD'[i]}]" if depth == 1 else f"{'abc'[i]}."
+            term = "." if i == count - 1 else draw(st.sampled_from(["; or,", "; and,"]))
+            if depth == 1 and draw(st.booleans()):
+                lines.append(f"    {label} any of:")
+                lines += section(2)
+            else:
+                lines.append(f"{'    ' * depth}{label} {leaf(term)}")
+        return lines
+
+    def leaf(term):
+        # one text per name, so that a name's clauses agree (an outcome's
+        # guard is a clause that starts "Where")
+        name = draw(_REPEATED_NAMES)
+        return f"Where {name} holds{term} @var({name})"
+
+    lines = ["IF:", *section(1)]
+    if draw(st.booleans()):
+        lines += ["EXCEPT:", *section(1), "THEN:", "    [X] x. @var(X)"]
+    lines += ["ELSE:", "    [Y] y. @var(Y)"]
+    if draw(st.booleans()):
+        lines += ["    [W] w: @var(W)", f"        a. {leaf('.')}"]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_repeated_var_rules(), st.data())
+def test_evaluate_is_exact_on_repeated_variables(text, data):
+    """Each verdict is the consensus of brute force over every completion of
+    the facts; Kleene evaluation only has to be sound."""
+    eqs = _compiled(text)
+    names = eqs.input_ids()
+    facts = data.draw(st.fixed_dictionaries(
+        {}, optional={name: st.sampled_from([True, False, None]) for name in names}))
+    known = {k: v for k, v in facts.items() if v is not None}
+    got = evaluate(eqs, facts)
+    for decision, expr in expand(eqs).items():
+        want = completions_consensus(expr, known, names)
+        assert got[decision] == want, (text, facts, decision)
+        assert kleene_eval(expr, facts) in (None, want)
 
 
 def test_forward_reference_is_a_cycle():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from lexroad import bayes_net, boolean_core, cli, compliance, lawmap, rule_dsl, rulepack
 from lexroad.rulepack import default_pack_dir, default_profile_paths
+from test_boolean_core import REPEATED_VAR_RULE
 from test_rule_dsl import _rule_files
 
 PACK = default_pack_dir()
@@ -303,6 +304,18 @@ def test_check_pack_adds_a_rule_group(tmp_path):
                           "300-301"]
     assert "Smart function detects queues ahead" in out
     assert out.endswith("UK-HC-300 (group 300-301): Y=TRUE\n")
+
+
+def test_eval_and_check_give_the_forced_verdict_on_a_repeated_variable(tmp_path):
+    """Z = (a ∨ b) ∧ ¬a is FALSE once b is FALSE, whatever a is."""
+    pack = tmp_path / "pack"
+    shutil.copytree(PACK, pack)
+    rule = write_file(pack, "r.rule", "rule: R\n\n" + REPEATED_VAR_RULE)
+    scenario = write_scenario(tmp_path, "R", {"b": False})
+    assert run_main(["eval", rule, scenario]) == (0, "Y: UNKNOWN (y)\nZ: FALSE (z)\n", "")
+    code, out, err = run_main(["check", pack, BMW, "--scenario", scenario])
+    assert (code, err) == (0, "")
+    assert out.endswith("R: Y=UNKNOWN, Z=FALSE\n")
 
 
 def test_check_tampered_pack_exits_5(tmp_path):

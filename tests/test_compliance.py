@@ -1,6 +1,7 @@
 """Report assembly and rendering, independent of the CLI surface."""
 
 import json
+import shutil
 
 import pytest
 
@@ -12,7 +13,8 @@ from lexroad.compliance import (
     render_text,
     report_to_json,
 )
-from lexroad.rulepack import default_profile_paths, load_profile
+from lexroad.rulepack import default_pack_dir, default_profile_paths, load_profile, load_rulepack
+from test_boolean_core import REPEATED_VAR_RULE
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +46,16 @@ def test_partial_scenario_reports_unknown(pack, profiles):
     scenario = Scenario("UK-HC-99-100/1", {"q": True})
     report = build_report(pack, profiles[:1], scenarios=[scenario])
     assert report.rule_outcomes["UK-HC-99-100/1"] == {"B": "UNKNOWN", "D": "UNKNOWN"}
+
+
+def test_scenario_reports_the_verdict_the_facts_force(tmp_path, profiles):
+    """A repeated variable: Z = (a ∨ b) ∧ ¬a is FALSE once b is FALSE."""
+    shutil.copytree(default_pack_dir(), tmp_path / "pack")
+    (tmp_path / "pack" / "r.rule").write_text("rule: R\n\n" + REPEATED_VAR_RULE, encoding="utf-8")
+    pack = load_rulepack(tmp_path / "pack")
+    report = build_report(pack, profiles[:1], scenarios=[Scenario("R", {"b": False})])
+    assert report.rule_outcomes["R"] == {"Y": "UNKNOWN", "Z": "FALSE"}
+    assert json.loads(report_to_json(report))["rule_outcomes"]["R"] == report.rule_outcomes["R"]
 
 
 def test_unknown_scenario_variable_is_rejected(pack, profiles):

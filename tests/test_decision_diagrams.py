@@ -23,7 +23,6 @@ from lexroad.boolean_core import (
     equivalent,
     expand,
     free_vars,
-    kleene_eval,
     parse_equations,
     to_text,
 )
@@ -37,7 +36,7 @@ from lexroad.lawmap import (
     export_json,
 )
 from lexroad.rule_dsl import Variable, VarKind
-from reference import truth_table
+from reference import kleene_eval, truth_table
 from test_boolean_core import exprs
 
 
