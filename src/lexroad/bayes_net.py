@@ -32,6 +32,7 @@ evidence function is FALSE.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -141,16 +142,14 @@ def _cpt_for(expr: BoolExpr, parents: tuple[str, ...]) -> tuple[float, ...]:
     return rows(bdd.of(expr), 0)
 
 
-def _replace_folds(expr: BoolExpr, folds: dict[str, BoolExpr]) -> BoolExpr:
-    for name, fold_expr in folds.items():
-        if expr == fold_expr:
-            return Var(name)
+def _replace_folds(expr: BoolExpr, fold_of: dict[BoolExpr, str]) -> BoolExpr:
+    """``expr`` with every subterm that is a fold replaced by its node."""
+    if expr in fold_of:
+        return Var(fold_of[expr])
     if isinstance(expr, Not):
-        return Not(_replace_folds(expr.child, folds))
-    if isinstance(expr, And):
-        return And(tuple(_replace_folds(c, folds) for c in expr.children))
-    if isinstance(expr, Or):
-        return Or(tuple(_replace_folds(c, folds) for c in expr.children))
+        return Not(_replace_folds(expr.child, fold_of))
+    if isinstance(expr, (And, Or)):
+        return type(expr)(tuple(_replace_folds(c, fold_of) for c in expr.children))
     return expr
 
 
@@ -161,7 +160,7 @@ def _fresh_name(name: str, taken: set[str], suffix: str) -> str:
     return name
 
 
-def _split(owner: str, expr: BoolExpr, taken: set[str], nodes: list[BnNode]) -> BoolExpr:
+def _split(owner: str, expr: BoolExpr, taken: set[str], add: Callable[..., Var]) -> BoolExpr:
     """Parent divorcing (Olesen et al. 1989) for expressions too wide for
     one CPT.
 
@@ -172,7 +171,8 @@ def _split(owner: str, expr: BoolExpr, taken: set[str], nodes: list[BnNode]) -> 
     ``And``/``Or`` become intermediate nodes of the same connective until
     the rest fits; both connectives are associative, so the node's function
     is unchanged.  New nodes are named ``<owner>_<k>``, avoiding every name
-    in ``taken``, and appended to ``nodes`` before the node they feed.
+    in ``taken``, and made by ``add(name, kind, expr)`` before the node they
+    feed.
     """
     count = 0
 
@@ -180,10 +180,7 @@ def _split(owner: str, expr: BoolExpr, taken: set[str], nodes: list[BnNode]) -> 
         nonlocal count
         part = narrow(part)
         count += 1
-        name = _fresh_name(f"{owner}_{count}", taken, "_split")
-        parents = free_vars(part)
-        nodes.append(BnNode(name, BnNodeKind.CLAUSE, parents, _cpt_for(part, parents)))
-        return Var(name)
+        return add(_fresh_name(f"{owner}_{count}", taken, "_split"), BnNodeKind.CLAUSE, part)
 
     def narrow(e: BoolExpr) -> BoolExpr:
         if len(free_vars(e)) <= MAX_NODE_PARENTS:
@@ -207,61 +204,42 @@ def _split(owner: str, expr: BoolExpr, taken: set[str], nodes: list[BnNode]) -> 
 def build_bn(
     eqs: RuleEquations, priors: dict[str, float] | None = None
 ) -> BayesNet:
-    """Mechanically derive the network from the equations' structure."""
+    """Mechanically derive the network from the equations' structure: the
+    used folds, then the decisions, each after the nodes it reads."""
     priors = dict(priors or {})
     for fact, p in priors.items():
         if not 0.0 < p < 1.0:
             raise ValueError(f"prior for {fact} must be in (0, 1), got {p}")
 
-    nodes: list[BnNode] = []
     table = eqs.table
-    for var_id in eqs.input_ids():
-        nodes.append(
-            BnNode(
-                var_id,
-                BnNodeKind.FACT_ROOT,
-                (),
-                (priors.get(var_id, 0.5),),
-                table.describe(var_id),
-            )
-        )
+    nodes = [
+        BnNode(var_id, BnNodeKind.FACT_ROOT, (), (priors.get(var_id, 0.5),),
+               table.describe(var_id))
+        for var_id in eqs.input_ids()
+    ]
+    defined = set(eqs.input_ids())
+    taken = defined | set(eqs.decision_ids())
 
-    taken = set(eqs.input_ids()) | set(eqs.decision_ids())
-    fold_names: dict[str, BoolExpr] = {}
+    def add(name: str, kind: BnNodeKind, expr: BoolExpr, description: str = "") -> Var:
+        """Append the node computing ``expr``, split to fit its table."""
+        if not defined.issuperset(free_vars(expr)):
+            raise CyclicDefinitionError(name)
+        expr = _split(name, expr, taken, add)
+        parents = free_vars(expr)
+        nodes.append(BnNode(name, kind, parents, _cpt_for(expr, parents), description))
+        defined.add(name)
+        return Var(name)
+
+    fold_of: dict[BoolExpr, str] = {}  # the first label of equal folds names the node
     for label, expr in eqs.folds.items():
-        fold_names[_fresh_name(label, taken, "_fold")] = expr
-
-    used: dict[str, BoolExpr] = {}
-    rewritten: dict[str, BoolExpr] = {}
-    for decision, expr in eqs.equations.items():
-        new = _replace_folds(expr, fold_names)
-        rewritten[decision] = new
-        for ref in free_vars(new):
-            if ref in fold_names:
-                used[ref] = fold_names[ref]
-
-    for name, expr in used.items():
-        expr = _split(name, expr, taken, nodes)
-        parents = free_vars(expr)
-        nodes.append(BnNode(name, BnNodeKind.CLAUSE, parents, _cpt_for(expr, parents)))
-
-    defined = {n.id for n in nodes}
+        fold_of.setdefault(expr, _fresh_name(label, taken, "_fold"))
+    folds = {name: expr for expr, name in fold_of.items()}
+    rewritten = {d: _replace_folds(e, fold_of) for d, e in eqs.equations.items()}
+    for name in dict.fromkeys(v for e in rewritten.values() for v in free_vars(e)):
+        if name in folds:
+            add(name, BnNodeKind.CLAUSE, folds[name])
     for decision, expr in rewritten.items():
-        for parent in free_vars(expr):
-            if parent not in defined:
-                raise CyclicDefinitionError(decision)
-        expr = _split(decision, expr, taken, nodes)
-        parents = free_vars(expr)
-        nodes.append(
-            BnNode(
-                decision,
-                BnNodeKind.DECISION,
-                parents,
-                _cpt_for(expr, parents),
-                table.describe(decision),
-            )
-        )
-        defined.add(decision)
+        add(decision, BnNodeKind.DECISION, expr, table.describe(decision))
     return BayesNet(rule_id=eqs.rule_id, nodes=tuple(nodes))
 
 

@@ -183,11 +183,15 @@ def compile_rule(ast: RuleAst, table: VariableTable) -> RuleEquations:
                 groups[-1].append(part)
         return disj([conj(group) for group in groups])
 
+    folds: dict[str, BoolExpr] = {}
+
     def fold_section(section: str, clauses: tuple[Clause, ...]) -> BoolExpr:
-        parts = [
-            fold(clause, clause_path(section, (_child_key(clause, i),)))
-            for i, clause in enumerate(clauses)
-        ]
+        parts = []
+        for i, clause in enumerate(clauses):
+            part = fold(clause, clause_path(section, (_child_key(clause, i),)))
+            if clause.label and clause.label.isupper() and not isinstance(part, (Var, Const)):
+                folds[clause.label] = part
+            parts.append(part)
         conns = [clause.connective for clause in clauses[:-1]]
         return _fold_with(parts, conns)
 
@@ -195,15 +199,6 @@ def compile_rule(ast: RuleAst, table: VariableTable) -> RuleEquations:
     exception = (
         fold_section("EXCEPT", ast.except_clauses) if ast.except_clauses else None
     )
-
-    folds: dict[str, BoolExpr] = {}
-    for section, clauses in (("IF", ast.if_clauses), ("EXCEPT", ast.except_clauses)):
-        for i, clause in enumerate(clauses):
-            if clause.label is None or not clause.label.isupper():
-                continue
-            expr = fold(clause, clause_path(section, (_child_key(clause, i),)))
-            if not isinstance(expr, (Var, Const)):
-                folds[clause.label] = expr
 
     def outcome_eq(section: str, outcome: Clause, index: int, branch: bool) -> tuple[str, BoolExpr]:
         path = clause_path(section, (_child_key(outcome, index),))
@@ -596,15 +591,15 @@ class Bdd:
     def witness(self, f: int, names: tuple[str, ...], first: bool) -> dict[str, bool] | None:
         """The first assignment to ``names`` (which cover ``f``'s variables)
         that satisfies ``f``, in the order of ``names`` with ``first`` before
-        its negation; None when ``f`` is FALSE."""
+        its negation; None when ``f`` is FALSE.  Each choice keeps ``f``
+        satisfiable, as :meth:`settle` tells, so no node is added."""
         if f == self.FALSE:
             return None
         assignment: dict[str, bool] = {}
         for name in names:
-            literal = self.var(name) if first else self.ite(self.var(name), self.FALSE, self.TRUE)
-            g = self.ite(f, literal, self.FALSE)
-            assignment[name] = first if g != self.FALSE else not first
-            f = g if g != self.FALSE else self.ite(literal, self.FALSE, f)
+            assignment[name] = first
+            if self.settle((f,), assignment)[0] is False:
+                assignment[name] = not first
         return assignment
 
     def models(self, f: int) -> Iterator[tuple[bool, ...]]:

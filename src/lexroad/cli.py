@@ -5,12 +5,12 @@ Exit codes: 0 success; 1 the command line is not valid, the rule cannot be
 read (missing, not UTF-8) or parsed, or an ``--out`` file cannot be
 written; 2 it does not compile; 3 the scenario is unreadable, not a JSON
 object, gives a key twice, is for another rule, names a variable the rule
-lacks or a decision, or leaves out a fact ``lawmap --trace`` needs; 4 priors
-or evidence are unusable (a prior on a decision or on a name the rules lack,
-a priors key or an evidence name given twice included), evidence is
-impossible, a decision is cyclic or a validated net diverges; 5 anything
-wrong in the rulepack or a profile, a key given twice in one of its JSON
-files included.
+lacks or a decision, leaves out a fact ``lawmap --trace`` needs, or is a
+second one for its rule under ``check``; 4 priors or evidence are unusable
+(a prior on a decision or on a name the rules lack, a priors key or an
+evidence name given twice included), evidence is impossible, a decision is
+cyclic or a validated net diverges; 5 anything wrong in the rulepack or a
+profile, a key given twice in one of its JSON files included.
 ``lawmap`` and ``bn`` work on decision diagrams and have no input bound.
 ``EXIT_CODES`` gives each lexroad error its code, and ``_exits`` gives
 errors raised while reading one input the code of that input.
@@ -181,11 +181,15 @@ def cmd_bn(args: argparse.Namespace) -> int:
         with _exits(EXIT_INFERENCE):
             priors = _load_priors(args.priors)
     rules = [_load_compiled(rule_path)[2] for rule_path in args.rules]
-    # a prior must name a fact of one of the rules: any other name is unknown
-    # to the first rule or one of its decisions
+    # a prior must name a fact of one of the rules: a name no rule has is
+    # unknown to the first rule, and a decision is blamed on its rule
     facts = {v for eqs in rules for v in eqs.input_ids()}
+    known = {v for eqs in rules for v in eqs.table.variables}
     with _exits(EXIT_INFERENCE, (compliance.UnknownScenarioVariableError,)):
-        compliance.check_facts(rules[0], [k for k in priors if k not in facts], "priors file")
+        compliance.check_facts(rules[0], [k for k in priors if k not in known], "priors file")
+        for eqs in rules:
+            decisions = [k for k in priors if k in eqs.equations and k not in facts]
+            compliance.check_facts(eqs, decisions, "priors file")
     lines: list[str] = []
     total = passed = 0
     for eqs in rules:
@@ -238,8 +242,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         profiles = [rulepack.load_profile(p) for p in profile_paths]
     with _exits(EXIT_SCENARIO):
         scenarios = [compliance.load_scenario(path) for path in args.scenario or []]
-    # KeyError: a scenario for a rule the pack does not have
-    with _exits(EXIT_SCENARIO, (KeyError,)):
+    # KeyError: a scenario for a rule the pack does not have; ValueError: a
+    # second scenario for one rule
+    with _exits(EXIT_SCENARIO, (KeyError, ValueError)):
         report = compliance.build_report(
             pack,
             profiles,

@@ -114,6 +114,8 @@ def build_report(
         rule = pack.rules_by_id.get(scenario.rule_id)
         if rule is None:
             raise KeyError(f"scenario names unknown rule '{scenario.rule_id}'")
+        if scenario.rule_id in rule_outcomes:
+            raise ValueError(f"two scenarios for rule '{scenario.rule_id}'")
         check_facts(rule.equations, scenario.facts)
         outcome = evaluate(rule.equations, dict(scenario.facts))
         rule_outcomes[scenario.rule_id] = {
@@ -191,51 +193,36 @@ def _columns(widths: list[int], cells: list[str]) -> str:
     return "  ".join(padded).rstrip()
 
 
+def _table(head: list[str], rows: list[list[str]]) -> list[str]:
+    """Aligned lines: the head, a rule, then the rows with each group
+    (first column) named on its first row only."""
+    widths = [max(map(len, column)) for column in zip(head, *rows)]
+    lines = [_columns(widths, head), _columns(widths, ["-" * w for w in widths])]
+    for i, row in enumerate(rows):
+        shown = "" if i and rows[i - 1][0] == row[0] else row[0]
+        lines.append(_columns(widths, [shown] + row[1:]))
+    return lines
+
+
 def render_text(report: ComplianceReport) -> str:
     """The human-readable matrix: one row per requirement, one mark column
     per vehicle, then the traffic-light rating block."""
     vehicles = [p["vehicle_id"] for p in report.profiles]
     names = [p["display_name"] for p in report.profiles]
 
-    head = ["Rule group", "Requirement"] + names
-    rows = [
-        [r.rule_group, r.description]
-        + [MARKS[report.answers[v][r.id]] for v in vehicles]
-        for r in report.requirements
-    ]
-    widths = [
-        max(len(head[i]), *(len(row[i]) for row in rows)) if rows else len(head[i])
-        for i in range(len(head))
-    ]
     lines = ["Capability evaluation matrix", ""]
-    lines.append(_columns(widths, head))
-    lines.append(_columns(widths, ["-" * w for w in widths]))
-    last_group = None
-    for row in rows:
-        group = row[0]
-        shown = group if group != last_group else ""
-        lines.append(_columns(widths, [shown] + row[1:]))
-        last_group = group
-    lines.append("")
-    lines.append("Legend: ✓ met, ✗ unmet, N/A no relevant function fitted")
-    lines.append("")
-
-    groups = list(dict.fromkeys(r.rule_group for r in report.requirements))
-    head = ["Rule group"] + names
-    rating_rows = [
-        [group] + [report.ratings[v][group].rating.value for v in vehicles]
-        for group in groups
-    ]
-    widths = [
-        max(len(head[i]), *(len(row[i]) for row in rating_rows))
-        for i in range(len(head))
-    ]
-    lines.append("Traffic-light ratings")
-    lines.append("")
-    lines.append(_columns(widths, head))
-    lines.append(_columns(widths, ["-" * w for w in widths]))
-    for row in rating_rows:
-        lines.append(_columns(widths, row))
+    lines += _table(
+        ["Rule group", "Requirement"] + names,
+        [[r.rule_group, r.description] + [MARKS[report.answers[v][r.id]] for v in vehicles]
+         for r in report.requirements],
+    )
+    lines += ["", "Legend: ✓ met, ✗ unmet, N/A no relevant function fitted", ""]
+    lines += ["Traffic-light ratings", ""]
+    groups = dict.fromkeys(r.rule_group for r in report.requirements)
+    lines += _table(
+        ["Rule group"] + names,
+        [[group] + [report.ratings[v][group].rating.value for v in vehicles] for group in groups],
+    )
 
     if report.rule_outcomes:
         lines.append("")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -180,17 +181,25 @@ def build_lawmap(
 
 
 def _validate(graph: LawmapGraph) -> None:
-    starts = [n for n in graph.nodes if n.kind == NodeKind.START]
-    if len(starts) != 1:
-        raise InconsistentInputsError("graph must have exactly one START node")
+    """Raise ``InconsistentInputsError`` naming the fault unless every path
+    from START is one ``trace_path`` can walk to an outcome."""
+    if tuple(n for n in graph.nodes if n.kind == NodeKind.START) != graph.nodes[:1]:
+        raise InconsistentInputsError("graph must have one START node, the first")
     if not any(n.kind == NodeKind.OUTCOME for n in graph.nodes):
         raise InconsistentInputsError("graph has no OUTCOME nodes")
+    ids = graph._index[0]
+    for edge in graph.edges:
+        for end in (edge.src, edge.dst):
+            if end not in ids:
+                raise InconsistentInputsError(f"edge {edge.src} -> {edge.dst}: no node {end}")
     for node in graph.nodes:
         out = graph.out_edges(node.id)
         if node.kind == NodeKind.START:
             if len(out) < 1 or any(e.guard != EdgeGuard.ALWAYS for e in out):
                 raise InconsistentInputsError("START must have unconditional out-edges")
         if node.kind == NodeKind.CONDITION:
+            if not node.var:
+                raise InconsistentInputsError(f"condition {node.id} names no variable")
             guards = sorted(e.guard.value for e in out)
             if guards != ["no", "yes"]:
                 raise InconsistentInputsError(
@@ -198,6 +207,17 @@ def _validate(graph: LawmapGraph) -> None:
                 )
         if node.kind == NodeKind.OUTCOME and out:
             raise InconsistentInputsError(f"outcome {node.id} must be terminal")
+    # take nodes in an order that puts every edge forwards: none is left
+    # exactly when no path revisits a node
+    waiting = Counter(edge.dst for edge in graph.edges)
+    ordered = [node_id for node_id in ids if not waiting[node_id]]
+    for node_id in ordered:
+        for edge in graph.out_edges(node_id):
+            waiting[edge.dst] -= 1
+            if not waiting[edge.dst]:
+                ordered.append(edge.dst)
+    if len(ordered) < len(ids):
+        raise InconsistentInputsError("graph has a cycle")
 
 
 def trace_path(graph: LawmapGraph, assignment: dict[str, bool]) -> list[str]:
@@ -286,7 +306,8 @@ def export_json(graph: LawmapGraph) -> str:
 
 def graph_from_json(text: str) -> LawmapGraph:
     """The graph ``export_json`` wrote; ``ValueError`` for a JSON object
-    that gives a key twice."""
+    that gives a key twice, ``InconsistentInputsError`` for a graph
+    ``trace_path`` cannot walk."""
     payload = strict_json.loads(text)
     nodes = tuple(
         LawmapNode(
@@ -298,9 +319,11 @@ def graph_from_json(text: str) -> LawmapGraph:
     edges = tuple(
         LawmapEdge(e["from"], e["to"], EdgeGuard(e["guard"])) for e in payload["edges"]
     )
-    return LawmapGraph(
+    graph = LawmapGraph(
         rule_id=payload["rule_id"],
         nodes=nodes,
         edges=edges,
         meta=tuple(sorted(payload.get("meta", {}).items())),
     )
+    _validate(graph)
+    return graph

@@ -44,7 +44,3 @@ def pack():
 def rules_by_id(pack):
     return {entry.rule_id: entry for entry in pack.rules()}
 
-
-@pytest.fixture(scope="session")
-def matrix_rows():
-    return MATRIX_ROWS

@@ -2,7 +2,8 @@
 
 lexroad answers these questions on decision diagrams; the 2^n versions here
 are the independent references it must agree with: the truth table of an
-equation set, a node's CPT evaluated row by row, inference by weighted
+equation set, a witness found by restricting the diagram one name at a
+time, a node's CPT evaluated row by row, inference by weighted
 enumeration of the joint states, and BN validation that runs that
 inference on every assignment of the roots.  ``kleene_eval``, the
 three-valued evaluator these are written with, is what ``evaluate`` used
@@ -98,6 +99,23 @@ def truth_table(eqs: RuleEquations) -> list[TruthTableRow]:
         decisions = {d: bool(kleene_eval(e, env)) for d, e in exprs.items()}
         rows.append(TruthTableRow(dict(zip(inputs, values)), decisions))
     return rows
+
+
+def witness_by_restriction(
+    bdd: Bdd, f: int, names: tuple[str, ...], first: bool
+) -> dict[str, bool] | None:
+    """``Bdd.witness`` by restriction: conjoin each name's literal with
+    ``f`` (``first`` before its negation) and keep the one that leaves it
+    satisfiable.  Builds nodes, and may add names to ``bdd``."""
+    if f == Bdd.FALSE:
+        return None
+    assignment: dict[str, bool] = {}
+    for name in names:
+        literal = bdd.var(name) if first else bdd.ite(bdd.var(name), Bdd.FALSE, Bdd.TRUE)
+        g = bdd.ite(f, literal, Bdd.FALSE)
+        assignment[name] = first if g != Bdd.FALSE else not first
+        f = g if g != Bdd.FALSE else bdd.ite(literal, Bdd.FALSE, f)
+    return assignment
 
 
 def cpt_by_rows(expr: BoolExpr, parents: tuple[str, ...]) -> tuple[float, ...]:

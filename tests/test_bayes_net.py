@@ -30,11 +30,13 @@ from lexroad.boolean_core import (
     Not,
     Or,
     Var,
+    compile_rule,
     evaluate,
     free_vars,
     parse_equations,
     to_text,
 )
+from lexroad.rule_dsl import assign_variables, load_rule_file, parse_rule
 from reference import cpt_by_rows, infer_enumeration, p_true, validate_by_enumeration
 from test_boolean_core import exprs
 
@@ -165,6 +167,53 @@ def test_hand_built_forward_reference_is_cyclic():
     )
     with pytest.raises(CyclicDefinitionError):
         build_bn(eqs)
+
+
+def test_forward_reference_in_a_wide_decision_names_the_decision():
+    """The cycle check runs before the split, so it blames the decision, not
+    the split clause that would read the undefined node."""
+    from lexroad.boolean_core import CyclicDefinitionError, RuleEquations
+    from lexroad.rule_dsl import VariableTable
+
+    inputs = tuple(f"v{i}" for i in range(MAX_NODE_PARENTS + 1))
+    eqs = RuleEquations(
+        rule_id="bad",
+        table=VariableTable(rule_id="bad"),
+        equations={"F": Or((*map(Var, inputs), Var("E"))), "E": Var("v0")},
+        input_order=inputs,
+    )
+    with pytest.raises(CyclicDefinitionError) as err:
+        build_bn(eqs)
+    assert err.value.var_id == "F"
+
+
+EQUAL_FOLDS_RULE = (
+    "rule: EQ\n\n"
+    "IF:\n"
+    "    [A] Either:\n"
+    "        a. p holds; or, @var(p)\n"
+    "        b. q holds. @var(q)\n"
+    "EXCEPT:\n"
+    "    [C] Either:\n"
+    "        a. p holds; or, @var(p)\n"
+    "        b. q holds. @var(q)\n"
+    "THEN:\n"
+    "    [X] x. @var(X)\n"
+    "ELSE:\n"
+    "    [Y] y. @var(Y)\n"
+)
+
+
+def test_equal_folds_share_the_first_labels_node(tmp_path):
+    path = tmp_path / "eq.rule"
+    path.write_text(EQUAL_FOLDS_RULE, encoding="utf-8")
+    ast = parse_rule(load_rule_file(path))
+    eqs = compile_rule(ast, assign_variables(ast))
+    assert eqs.folds == {"A": Or((Var("p"), Var("q"))), "C": Or((Var("p"), Var("q")))}
+    net = build_bn(eqs)
+    assert net.ids(BnNodeKind.CLAUSE) == ("A",)
+    assert net.node("X").parents == net.node("Y").parents == ("A",)
+    assert validate_bn(net, eqs).ok
 
 
 def test_validation_root_bound():

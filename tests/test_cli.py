@@ -306,6 +306,31 @@ def test_check_pack_adds_a_rule_group(tmp_path):
     assert out.endswith("UK-HC-300 (group 300-301): Y=TRUE\n")
 
 
+def test_check_a_pack_with_no_checklists(tmp_path):
+    """Empty matrix and rating tables, in text and JSON, not a traceback."""
+    pack = tmp_path / "pack"
+    pack.mkdir()
+    rule = (PACK / "103.rule").read_text(encoding="utf-8")
+    write_file(pack, "103.rule", "".join(
+        line for line in rule.splitlines(keepends=True) if not line.startswith("group:")))
+    shutil.copy(PACK / "103.golden.beq", pack)
+    profile = write_file(tmp_path, "v.profile.json", {"vehicle_id": "v", "answers": {}})
+    assert run_main(["check", pack, profile]) == (0, (
+        "Capability evaluation matrix\n\n"
+        "Rule group  Requirement  v\n"
+        "----------  -----------  -\n\n"
+        "Legend: ✓ met, ✗ unmet, N/A no relevant function fitted\n\n"
+        "Traffic-light ratings\n\n"
+        "Rule group  v\n"
+        "----------  -\n"
+    ), "")
+    code, out, err = run_main(["check", pack, profile, "--format", "json"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["requirements"], payload["answers"], payload["ratings"]) == (
+        [], {"v": {}}, {"v": {}})
+
+
 def test_eval_and_check_give_the_forced_verdict_on_a_repeated_variable(tmp_path):
     """Z = (a ∨ b) ∧ ¬a is FALSE once b is FALSE, whatever a is."""
     pack = tmp_path / "pack"
@@ -433,6 +458,14 @@ EXIT_TABLE = [
     ("bn-priors-unknown-name", lambda d: ["bn", PACK / "103.rule", "--infer", "", "--priors",
                                           write_file(d, "p.json", {"X": 0.9, "zzz": 0.3})], 4,
      "error: priors file for UK-HC-103 names unknown variables: zzz\n"),
+    ("bn-priors-decision-of-second-rule", lambda d: [
+        "bn", PACK / "99-100-r1.rule", PACK / "103.rule", "--priors",
+        write_file(d, "p.json", {"Y": 0.3})], 4,
+     "error: priors file for UK-HC-103 names decisions, not facts: Y\n"),
+    ("bn-priors-name-no-rule-has", lambda d: [
+        "bn", PACK / "99-100-r1.rule", PACK / "103.rule", "--priors",
+        write_file(d, "p.json", {"Y": 0.3, "zzz": 0.3})], 4,
+     "error: priors file for UK-HC-99-100/1 names unknown variables: zzz\n"),
     ("bn-priors-decision", lambda d: ["bn", PACK / "103.rule", "--priors",
                                       write_file(d, "p.json", {"A": 0.9, "X": 0.9})], 4,
      "error: priors file for UK-HC-103 names decisions, not facts: X\n"),
@@ -483,6 +516,11 @@ EXIT_TABLE = [
     ("check-scenario-unknown-rule", lambda d: ["check", PACK, BMW, "--scenario", write_file(
         d, "s.json", {"rule_id": "UK-HC-999", "facts": {}})], 3,
      "error: scenario names unknown rule 'UK-HC-999'\n"),
+    ("check-two-scenarios-for-one-rule", lambda d: [
+        "check", PACK, BMW,
+        "--scenario", write_scenario(d, "UK-HC-103", {"A": False}, "s1.json"),
+        "--scenario", write_scenario(d, "UK-HC-103", {"A": True, "B": True, "C": True}, "s2.json"),
+    ], 3, "error: two scenarios for rule 'UK-HC-103'\n"),
     ("eval-scenario-fact-twice", lambda d: ["eval", PACK / "103.rule", write_file(
         d, "s.json", '{"rule_id": "UK-HC-103", "facts": {"C": true, "C": false}}')], 3,
      "error: <d>/s.json: key 'C' appears twice\n"),

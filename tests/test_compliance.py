@@ -48,6 +48,14 @@ def test_partial_scenario_reports_unknown(pack, profiles):
     assert report.rule_outcomes["UK-HC-99-100/1"] == {"B": "UNKNOWN", "D": "UNKNOWN"}
 
 
+def test_a_second_scenario_for_one_rule_is_refused(pack, profiles):
+    """It used to replace the first one's verdicts without a word."""
+    scenarios = [Scenario("UK-HC-103", {"A": False}),
+                 Scenario("UK-HC-103", {"A": True, "B": True, "C": True})]
+    with pytest.raises(ValueError, match="^two scenarios for rule 'UK-HC-103'$"):
+        build_report(pack, profiles[:1], scenarios=scenarios)
+
+
 def test_scenario_reports_the_verdict_the_facts_force(tmp_path, profiles):
     """A repeated variable: Z = (a ∨ b) ∧ ¬a is FALSE once b is FALSE."""
     shutil.copytree(default_pack_dir(), tmp_path / "pack")

@@ -36,7 +36,7 @@ from lexroad.lawmap import (
     export_json,
 )
 from lexroad.rule_dsl import Variable, VarKind
-from reference import kleene_eval, truth_table
+from reference import kleene_eval, truth_table, witness_by_restriction
 from test_boolean_core import exprs
 
 
@@ -160,6 +160,28 @@ def test_witness_is_first_in_the_given_order():
     assert bdd.witness(f, ("c", "b", "a"), False) == {"c": False, "b": True, "a": False}
     assert bdd.witness(f, ("b", "a", "c"), True) == {"b": True, "a": True, "c": True}
     assert bdd.witness(Bdd.FALSE, ("a",), True) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(exprs(), st.data(), st.booleans())
+def test_witness_agrees_with_restriction(expr, data, first):
+    bdd = Bdd()
+    f = bdd.of(expr)
+    # "z" is a name the manager lacks: it is free, so it takes ``first``
+    names = tuple(data.draw(st.permutations([*bdd.names, "z"])))
+    got = bdd.witness(f, names, first)
+    assert got == witness_by_restriction(bdd, f, names, first)
+
+
+def test_witness_adds_no_node(pack):
+    """Witnesses read the cached rule diagram without growing it."""
+    for entry in pack.rules():
+        bdd, nodes = entry.equations.diagram
+        size, names = len(bdd._nodes), list(bdd.names)
+        for f in nodes.values():
+            for first in (False, True):
+                bdd.witness(f, (*reversed(names), "z"), first)
+        assert (len(bdd._nodes), bdd.names) == (size, names)
 
 
 @settings(max_examples=100, deadline=None)

@@ -171,6 +171,43 @@ def test_graph_from_json_rejects_a_key_given_twice(rules_by_id):
         graph_from_json(twice)
 
 
+def _drop_c1_no(payload):
+    payload["edges"] = [e for e in payload["edges"] if (e["from"], e["guard"]) != ("c1", "no")]
+
+
+def _edge_to_nowhere(payload):
+    payload["edges"][1]["to"] = "nowhere"
+
+
+def _c1_yes_to_itself(payload):
+    next(e for e in payload["edges"] if (e["from"], e["guard"]) == ("c1", "yes"))["to"] = "c1"
+
+
+def _start_last(payload):
+    payload["nodes"].append(payload["nodes"].pop(0))
+
+
+def _c1_without_var(payload):
+    payload["nodes"][1]["var"] = None
+
+
+@pytest.mark.parametrize("change, message", [
+    (_drop_c1_no, "condition c1 needs exactly one yes and one no edge"),
+    (_edge_to_nowhere, "edge c1 -> nowhere: no node nowhere"),
+    (_c1_yes_to_itself, "graph has a cycle"),
+    (_start_last, "graph must have one START node, the first"),
+    (_c1_without_var, "condition c1 names no variable"),
+])
+def test_graph_from_json_rejects_graphs_trace_path_cannot_walk(rules_by_id, change, message):
+    """Each of these once loaded, and then ``trace_path`` raised a KeyError
+    or, for the cycle, never returned."""
+    entry = rules_by_id["UK-HC-103"]
+    payload = json.loads(export_json(build_lawmap(entry.equations, entry.ast)))
+    change(payload)
+    with pytest.raises(InconsistentInputsError, match=f"^{message}$"):
+        graph_from_json(json.dumps(payload))
+
+
 def test_json_counts_condition_entries(rules_by_id):
     entry = rules_by_id["UK-HC-103"]
     payload = json.loads(export_json(build_lawmap(entry.equations, entry.ast)))
