@@ -32,7 +32,7 @@ evidence function is FALSE.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -287,14 +287,16 @@ def infer(net: BayesNet, evidence: dict[str, bool] | None = None) -> dict[str, f
             raise ValueError(f"evidence for {key} must be true or false")
     bdd = Bdd()
     fn, prior = _node_functions(net, bdd)
-    return _posteriors(bdd, fn, prior, evidence)
+    return _posteriors(bdd, fn, prior, evidence, fn)
 
 
 def _posteriors(
-    bdd: Bdd, fn: dict[str, int], prior: list[float], evidence: dict[str, bool]
+    bdd: Bdd, fn: dict[str, int], prior: list[float], evidence: dict[str, bool],
+    targets: Iterable[str],
 ) -> dict[str, float]:
-    """``infer`` on the node functions and root priors that
-    :func:`_node_functions` put in ``bdd``, for evidence on known nodes."""
+    """``infer`` for the ``targets`` nodes only, on the node functions and
+    root priors that :func:`_node_functions` put in ``bdd``, for evidence on
+    known nodes."""
     e = Bdd.TRUE
     for node_id, value in evidence.items():
         e = bdd.ite(fn[node_id], e, Bdd.FALSE) if value else bdd.ite(fn[node_id], Bdd.FALSE, e)
@@ -312,7 +314,7 @@ def _posteriors(
     z = wmc(e)
     if z == 0.0:
         raise ImpossibleEvidenceError("evidence probability underflows to 0")
-    return {node_id: wmc(bdd.ite(e, f, Bdd.FALSE)) / z for node_id, f in fn.items()}
+    return {node_id: wmc(bdd.ite(e, fn[node_id], Bdd.FALSE)) / z for node_id in targets}
 
 
 # --- validation --------------------------------------------------------------
@@ -385,7 +387,7 @@ def validate_bn(net: BayesNet, eqs: RuleEquations) -> ValidationReport:
         satisfying = bdd.witness(bdd.of(expr), free_vars(expr), first=True)
         if satisfying is None:
             continue  # unsatisfiable decision: nothing to instantiate
-        p = _posteriors(bdd, fn, prior, satisfying)[decision]
+        p = _posteriors(bdd, fn, prior, satisfying, (decision,))[decision]
         report.equation_checks.append(
             EquationCheck(decision, satisfying, p, abs(p - 1.0) <= AGREEMENT_TOLERANCE)
         )

@@ -507,7 +507,13 @@ class Bdd:
     that two nodes of one manager are the same int exactly when they are the
     same function.  Node 0 is FALSE, node 1 TRUE.  Variables are ordered by
     first appearance, starting with ``names``; callers pass clause order, as
-    the order decides the size.  A manager serves one computation or one rule."""
+    the order decides the size.  A manager serves one computation or one rule.
+
+    The node table is a function of the calls made: the same sequence of
+    ``var``, ``ite`` and ``of`` calls creates the same nodes, with the same
+    ids, in the same order (``tests/reference.py`` keeps the plain kernel
+    this must match).  Witnesses, model order, Lawmaps, CPTs and reports
+    follow from the table, so a faster kernel may not change it."""
 
     FALSE, TRUE = 0, 1
     _LEAF = 1 << 30  # level of the terminals, below every variable
@@ -535,10 +541,11 @@ class Bdd:
         if hi == lo:
             return hi
         key = (level, hi, lo)
-        if key not in self._unique:
-            self._unique[key] = len(self._nodes)
+        r = self._unique.get(key)
+        if r is None:
+            r = self._unique[key] = len(self._nodes)
             self._nodes.append(key)
-        return self._unique[key]
+        return r
 
     def cofactors(self, f: int, level: int) -> tuple[int, int]:
         """``f`` with the variable at ``level`` (not below ``f``'s) TRUE, FALSE."""
@@ -546,28 +553,49 @@ class Bdd:
         return (hi, lo) if top == level else (f, f)
 
     def ite(self, f: int, g: int, h: int) -> int:
-        """If ``f`` then ``g`` else ``h``: every Boolean connective."""
+        """If ``f`` then ``g`` else ``h``: every Boolean connective.  The TRUE
+        branch is built before the FALSE one, then the node joining them."""
         if f <= self.TRUE or g == h:
             return h if f == self.FALSE else g
-        if (g, h) == (self.TRUE, self.FALSE):
+        if g == self.TRUE and h == self.FALSE:
             return f
         key = (f, g, h)
-        if key not in self._ite:
-            level = min(self.level(f), self.level(g), self.level(h))
-            (f1, f0), (g1, g0), (h1, h0) = (self.cofactors(x, level) for x in key)
-            self._ite[key] = self._node(level, self.ite(f1, g1, h1), self.ite(f0, g0, h0))
-        return self._ite[key]
+        r = self._ite.get(key)
+        if r is not None:
+            return r
+        nodes = self._nodes
+        fl, f1, f0 = nodes[f]
+        gl, g1, g0 = nodes[g]
+        hl, h1, h0 = nodes[h]
+        level = min(fl, gl, hl)
+        # a node below ``level`` (a terminal included) is its own cofactor
+        if fl != level:
+            f1 = f0 = f
+        if gl != level:
+            g1 = g0 = g
+        if hl != level:
+            h1 = h0 = h
+        r = self._ite[key] = self._node(level, self.ite(f1, g1, h1), self.ite(f0, g0, h0))
+        return r
 
     def of(self, expr: BoolExpr) -> int:
-        if isinstance(expr, Const):
-            return self.TRUE if expr.value else self.FALSE
-        if isinstance(expr, Var):
+        """``expr``'s node: every child of an And/Or is built, left to right,
+        before they are folded into one node from the left."""
+        kind = type(expr)
+        if kind is Var:
             return self.var(expr.id)
-        if isinstance(expr, Not):
+        if kind is Not:
             return self.ite(self.of(expr.child), self.FALSE, self.TRUE)
-        f, *rest = (self.of(child) for child in expr.children)
-        for g in rest:
-            f = self.ite(f, g, self.FALSE) if isinstance(expr, And) else self.ite(f, self.TRUE, g)
+        if kind is Const:
+            return self.TRUE if expr.value else self.FALSE
+        fs = [self.of(child) for child in expr.children]
+        f = fs[0]
+        if kind is And:
+            for g in fs[1:]:
+                f = self.ite(f, g, self.FALSE)
+        else:
+            for g in fs[1:]:
+                f = self.ite(f, self.TRUE, g)
         return f
 
     def settle(self, fs: tuple[int, ...], facts: dict[str, bool | None]) -> list[bool | None]:

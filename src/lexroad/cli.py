@@ -10,7 +10,8 @@ second one for its rule under ``check``; 4 priors or evidence are unusable
 (a prior on a decision or on a name the rules lack, a priors key or an
 evidence name given twice included), evidence is impossible, a decision is
 cyclic or a validated net diverges; 5 anything wrong in the rulepack or a
-profile, a key given twice in one of its JSON files included.
+profile, a key given twice in one of its JSON files or a second profile
+with one ``vehicle_id`` included.
 ``lawmap`` and ``bn`` work on decision diagrams and have no input bound.
 ``EXIT_CODES`` gives each lexroad error its code, and ``_exits`` gives
 errors raised while reading one input the code of that input.
@@ -55,6 +56,7 @@ EXIT_CODES: dict[type[Exception], int] = {
     bayes_net.ImpossibleEvidenceError: EXIT_INFERENCE,
     rulepack.GoldenMismatchError: EXIT_RULEPACK,
     rulepack.IncompleteProfileError: EXIT_RULEPACK,
+    compliance.DuplicateProfileError: EXIT_RULEPACK,
 }
 # what reading a file, or a value in it that is not what it should be, raises
 _INPUT_ERRORS = (OSError, ValueError, KeyError)

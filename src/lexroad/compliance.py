@@ -39,6 +39,12 @@ class UnknownScenarioVariableError(Exception):
         super().__init__(f"{source} for {rule_id} names {kind}: {', '.join(unknown)}")
 
 
+class DuplicateProfileError(Exception):
+    def __init__(self, vehicle_id: str):
+        self.vehicle_id = vehicle_id
+        super().__init__(f"two profiles for vehicle '{vehicle_id}'")
+
+
 @dataclass(frozen=True)
 class Scenario:
     rule_id: str
@@ -100,6 +106,8 @@ def build_report(
     answers: dict[str, dict[str, Answer]] = {}
     ratings: dict[str, dict[str, RagRating]] = {}
     for profile in profiles:
+        if profile.vehicle_id in answers:
+            raise DuplicateProfileError(profile.vehicle_id)
         answers[profile.vehicle_id] = {
             req.id: profile.answers.get(req.id, Answer.NOT_APPLICABLE)
             for req in requirements

@@ -1,4 +1,5 @@
-"""Explicit enumerations and a plain rule parser kept as test oracles.
+"""Explicit enumerations, a plain diagram kernel and a plain rule parser
+kept as test oracles.
 
 lexroad answers these questions on decision diagrams; the 2^n versions here
 are the independent references it must agree with: the truth table of an
@@ -9,6 +10,9 @@ inference on every assignment of the roots.  ``kleene_eval``, the
 three-valued evaluator these are written with, is what ``evaluate`` used
 before it read verdicts off the rule's diagram; it stays as a sound (but
 not complete) reference.
+
+``PlainBdd`` is ``Bdd`` with the kernel written the plain way, through
+``level`` and ``cofactors``; ``Bdd`` must build the same node table.
 
 ``load_rule_file`` and ``parse_rule`` here read rules the plain way: each
 line through four patterns, then each section's tree built recursively
@@ -99,6 +103,36 @@ def truth_table(eqs: RuleEquations) -> list[TruthTableRow]:
         decisions = {d: bool(kleene_eval(e, env)) for d, e in exprs.items()}
         rows.append(TruthTableRow(dict(zip(inputs, values)), decisions))
     return rows
+
+
+class PlainBdd(Bdd):
+    """``Bdd`` with the plain kernel: ``ite`` through ``level`` and
+    ``cofactors``, ``of`` by ``isinstance`` with every child of an And/Or
+    built before the fold."""
+
+    def ite(self, f: int, g: int, h: int) -> int:
+        if f <= self.TRUE or g == h:
+            return h if f == self.FALSE else g
+        if (g, h) == (self.TRUE, self.FALSE):
+            return f
+        key = (f, g, h)
+        if key not in self._ite:
+            level = min(self.level(f), self.level(g), self.level(h))
+            (f1, f0), (g1, g0), (h1, h0) = (self.cofactors(x, level) for x in key)
+            self._ite[key] = self._node(level, self.ite(f1, g1, h1), self.ite(f0, g0, h0))
+        return self._ite[key]
+
+    def of(self, expr: BoolExpr) -> int:
+        if isinstance(expr, Const):
+            return self.TRUE if expr.value else self.FALSE
+        if isinstance(expr, Var):
+            return self.var(expr.id)
+        if isinstance(expr, Not):
+            return self.ite(self.of(expr.child), self.FALSE, self.TRUE)
+        f, *rest = (self.of(child) for child in expr.children)  # every child first
+        for g in rest:
+            f = self.ite(f, g, self.FALSE) if isinstance(expr, And) else self.ite(f, self.TRUE, g)
+        return f
 
 
 def witness_by_restriction(

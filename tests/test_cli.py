@@ -524,6 +524,9 @@ EXIT_TABLE = [
     ("eval-scenario-fact-twice", lambda d: ["eval", PACK / "103.rule", write_file(
         d, "s.json", '{"rule_id": "UK-HC-103", "facts": {"C": true, "C": false}}')], 3,
      "error: <d>/s.json: key 'C' appears twice\n"),
+    ("check-two-profiles-for-one-vehicle", lambda d: ["check", PACK, BMW, write_file(
+        d, "b2.json", {**json.loads(BMW.read_text(encoding="utf-8")), "display_name": "Other"})],
+     5, "error: two profiles for vehicle 'bmw-740li'\n"),
     ("check-profile-key-twice", lambda d: ["check", PACK, write_file(
         d, "v.json", '{"vehicle_id": "v", "answers": {}, "vehicle_id": "w"}')], 5,
      "error: <d>/v.json: key 'vehicle_id' appears twice\n"),

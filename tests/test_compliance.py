@@ -2,18 +2,26 @@
 
 import json
 import shutil
+from dataclasses import replace
 
 import pytest
 
 from lexroad import compliance
 from lexroad.compliance import (
+    DuplicateProfileError,
     Scenario,
     UnknownScenarioVariableError,
     build_report,
     render_text,
     report_to_json,
 )
-from lexroad.rulepack import default_pack_dir, default_profile_paths, load_profile, load_rulepack
+from lexroad.rulepack import (
+    Answer,
+    default_pack_dir,
+    default_profile_paths,
+    load_profile,
+    load_rulepack,
+)
 from test_boolean_core import REPEATED_VAR_RULE
 
 
@@ -54,6 +62,16 @@ def test_a_second_scenario_for_one_rule_is_refused(pack, profiles):
                  Scenario("UK-HC-103", {"A": True, "B": True, "C": True})]
     with pytest.raises(ValueError, match="^two scenarios for rule 'UK-HC-103'$"):
         build_report(pack, profiles[:1], scenarios=scenarios)
+
+
+def test_a_second_profile_for_one_vehicle_is_refused(pack, profiles):
+    """Answers and ratings are keyed by vehicle id: two profiles with one id
+    used to share one column, showing the second profile's answers twice."""
+    bmw = next(p for p in profiles if p.vehicle_id == "bmw-740li")
+    other = replace(bmw, display_name="Other",
+                    answers={**bmw.answers, "103-105.braking-alert": Answer.UNMET})
+    with pytest.raises(DuplicateProfileError, match="^two profiles for vehicle 'bmw-740li'$"):
+        build_report(pack, [bmw, other])
 
 
 def test_scenario_reports_the_verdict_the_facts_force(tmp_path, profiles):

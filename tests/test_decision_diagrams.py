@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexroad.boolean_core import (
+    FALSE,
+    TRUE,
     And,
     Bdd,
     Or,
@@ -36,8 +38,8 @@ from lexroad.lawmap import (
     export_json,
 )
 from lexroad.rule_dsl import Variable, VarKind
-from reference import kleene_eval, truth_table, witness_by_restriction
-from test_boolean_core import exprs
+from reference import PlainBdd, kleene_eval, truth_table, witness_by_restriction
+from test_boolean_core import _NAMES, exprs
 
 
 def reference_equivalent(a, b):
@@ -182,6 +184,29 @@ def test_witness_adds_no_node(pack):
             for first in (False, True):
                 bdd.witness(f, (*reversed(names), "z"), first)
         assert (len(bdd._nodes), bdd.names) == (size, names)
+
+
+_LEAVES = st.one_of(st.sampled_from(_NAMES).map(Var), st.sampled_from((TRUE, FALSE)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(exprs(leaves=_LEAVES), min_size=1, max_size=4), st.data())
+def test_kernel_builds_the_plain_node_table(expressions, data):
+    """The same ``of`` calls, then ``ite`` calls on nodes built so far, give
+    ``Bdd`` and the plain kernel the same results and the same node table:
+    the same ids, created in the same order."""
+    fast, plain = Bdd(("h", "c")), PlainBdd(("h", "c"))
+    built = [Bdd.FALSE, Bdd.TRUE]
+    for expr in expressions:
+        built.append(fast.of(expr))
+        assert built[-1] == plain.of(expr)
+        assert fast._nodes == plain._nodes
+    for _ in range(data.draw(st.integers(0, 12))):
+        f, g, h = (data.draw(st.sampled_from(built)) for _ in range(3))
+        built.append(fast.ite(f, g, h))
+        assert built[-1] == plain.ite(f, g, h)
+        assert fast._nodes == plain._nodes
+    assert fast.names == plain.names
 
 
 @settings(max_examples=100, deadline=None)
