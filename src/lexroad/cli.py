@@ -10,8 +10,9 @@ second one for its rule under ``check``; 4 priors or evidence are unusable
 (a prior on a decision or on a name the rules lack, a priors key or an
 evidence name given twice included), evidence is impossible, a decision is
 cyclic or a validated net diverges; 5 anything wrong in the rulepack or a
-profile, a key given twice in one of its JSON files or a second profile
-with one ``vehicle_id`` included.
+profile, a pack path that is missing or not a directory, a key given twice
+in one of its JSON files or a second profile with one ``vehicle_id``
+included.
 ``lawmap`` and ``bn`` work on decision diagrams and have no input bound.
 ``EXIT_CODES`` gives each lexroad error its code, and ``_exits`` gives
 errors raised while reading one input the code of that input.

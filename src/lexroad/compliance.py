@@ -27,7 +27,6 @@ from .rulepack import (
     file_digest,
     json_value,
     load_json_object,
-    pack_digest,
 )
 
 
@@ -147,7 +146,7 @@ def build_report(
     return ComplianceReport(
         tool_version=__version__,
         pack_path=str(pack.path),
-        pack_sha256=pack_digest(pack.path),
+        pack_sha256=pack.sha256,
         profiles=meta,
         requirements=requirements,
         answers=answers,

@@ -362,15 +362,37 @@ def parse_rule_text(text: str, rule_id: str = "adhoc") -> RuleAst:
     return parse_rule(RuleSource(rule_id=rule_id, text=text))
 
 
-def load_rule_file(path: str | Path) -> RuleSource:
-    """Read a ``.rule`` file: header lines, blank line, DSL body."""
+def file_name(path: str | os.PathLike) -> str:
+    """``str(Path(path))``, the spelling sources and error messages use."""
     path = os.fspath(path)
     # Path spells a str name differently only where normpath changes it
     if not isinstance(path, str) or os.path.normpath(path) != path:
         path = str(Path(path))
-    # unbuffered and undecoded: splitlines() takes \r\n and \r as text mode would
-    with open(path, "rb", buffering=0) as f:
-        lines = _prepare(f.read().decode("utf-8")).splitlines()
+    return path
+
+
+def read_bytes(name: str) -> bytes:
+    """The bytes of the file ``name``, read unbuffered in one call."""
+    with open(name, "rb", buffering=0) as f:
+        return f.read()
+
+
+def decode_text(data: bytes) -> str:
+    """UTF-8 ``data`` as text mode reads it: ``\\r\\n`` and ``\\r`` become ``\\n``."""
+    text = data.decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def load_rule_file(path: str | Path) -> RuleSource:
+    """Read a ``.rule`` file: header lines, blank line, DSL body."""
+    path = file_name(path)
+    return rule_source(decode_text(read_bytes(path)), path)
+
+
+def rule_source(text: str, path: str) -> RuleSource:
+    """The rule in ``text``, read from the ``.rule`` file ``path``: header
+    lines, blank line, DSL body."""
+    lines = _prepare(text).splitlines()
     header: dict[str, str] = {}
     citations: list[str] = []
     i = len(lines)

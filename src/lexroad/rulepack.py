@@ -15,6 +15,14 @@ and the checklists by group, in natural order of the group names (numbers
 compared by value, so ``99-100`` comes before ``103-105``).  A rule whose
 group has no checklist, and two checklists for one group, are rejected.
 
+Loading walks the pack directory once and reads each file under it once.
+The pack's ``sha256`` (the ``pack_sha256`` of a compliance report) is the
+:func:`pack_digest` of exactly the bytes loaded, so a file changed after
+loading does not change it.  A pack path that is missing or not a
+directory is refused with OSError, as is a ``.rule``, ``.golden.beq`` or
+``.checklist.json`` entry that cannot be read as a file (a directory or a
+broken symlink); an existing empty directory is an empty pack.
+
 The traffic-light rating per group is mechanical: GREEN when every
 applicable requirement is met, RED when a requirement flagged as needing
 new hardware is unmet, AMBER for software-fixable gaps - and AMBER, never
@@ -24,6 +32,7 @@ GREEN, when a profile has no applicable evidence for the group at all.
 from __future__ import annotations
 
 import hashlib
+import os
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -116,6 +125,7 @@ class Rulepack:
     path: Path
     rules_by_id: dict[str, PackRule]  # in file order
     checklists: dict[str, tuple[CapabilityRequirement, ...]]  # by group, natural order
+    sha256: str  # pack_digest of the bytes the pack was loaded from
 
     def rules(self) -> list[PackRule]:
         return list(self.rules_by_id.values())
@@ -158,18 +168,33 @@ def rate(
 # --- loading -----------------------------------------------------------------
 
 def load_rulepack(path: str | Path) -> Rulepack:
-    """Parse, compile and cross-check every rule and checklist in a directory."""
+    """Parse, compile and cross-check every rule and checklist in a directory.
+
+    The directory is walked once and each file in it read once; the pack's
+    ``sha256`` is the digest of those bytes (see :func:`pack_digest`).
+    """
     path = Path(path)
+    names, files = _read_pack(path)
+
+    def text(name: str) -> str:
+        data = files.get(name)
+        if data is None:  # not a regular file: reading it raises the OSError that refuses it
+            data = rule_dsl.read_bytes(str(path / name))
+        return rule_dsl.decode_text(data)
+
     rules: dict[str, PackRule] = {}
-    for rule_file in sorted(path.glob("*.rule")):
-        source = rule_dsl.load_rule_file(rule_file)
+    for name in names:
+        if not name.endswith(".rule"):
+            continue
+        rule_file = path / name
+        source = rule_dsl.rule_source(text(name), str(rule_file))
         ast = rule_dsl.parse_rule(source)
         table = rule_dsl.assign_variables(ast)
         eqs = compile_rule(ast, table)
-        golden_file = rule_file.parent / (rule_file.stem + ".golden.beq")
+        golden_name = rule_file.stem + ".golden.beq"
         golden_text = None
-        if golden_file.exists():
-            golden_text = golden_file.read_text(encoding="utf-8")
+        if golden_name in names:
+            golden_text = text(golden_name)
             golden = parse_equations(golden_text, rule_id=source.rule_id)
             ok, decision, witness = equations_equivalent(eqs, golden)
             if not ok:
@@ -178,8 +203,11 @@ def load_rulepack(path: str | Path) -> Rulepack:
             raise ValueError(f"duplicate rule id '{source.rule_id}' in pack")
         rules[source.rule_id] = PackRule(source, ast, eqs, golden_text)
     checklists: dict[str, tuple[CapabilityRequirement, ...]] = {}
-    for checklist_file in sorted(path.glob("*.checklist.json")):
-        group, requirements = _load_checklist(checklist_file)
+    for name in names:
+        if not name.endswith(".checklist.json"):
+            continue
+        checklist_file = str(path / name)
+        group, requirements = _checklist(text(name), checklist_file)
         if group in checklists:
             raise ValueError(f"{checklist_file}: a second checklist for group '{group}'")
         checklists[group] = requirements
@@ -187,12 +215,14 @@ def load_rulepack(path: str | Path) -> Rulepack:
         group = rule.source.group
         if group is not None and group not in checklists:
             raise ValueError(f"{rule.source.path}: group '{group}' has no checklist")
-    return Rulepack(path, rules, {g: checklists[g] for g in sorted(checklists, key=_natural_key)})
+    return Rulepack(path, rules, {g: checklists[g] for g in sorted(checklists, key=_natural_key)},
+                    _digest(files))
 
 
-def _load_checklist(path: Path) -> tuple[str, tuple[CapabilityRequirement, ...]]:
-    """The group a checklist file names and its requirements, in file order."""
-    payload = load_json_object(path)
+def _checklist(text: str, path: str) -> tuple[str, tuple[CapabilityRequirement, ...]]:
+    """The group the checklist ``text`` read from ``path`` names and its
+    requirements, in file order."""
+    payload = _json_object(text, path)
     group = json_value(payload.get("group"), str, f"{path}: group")
     requirements = []
     for item in json_value(payload.get("requirements"), list, f"{path}: requirements"):
@@ -207,7 +237,7 @@ def _load_checklist(path: Path) -> tuple[str, tuple[CapabilityRequirement, ...]]
         ))
     ids = [r.id for r in requirements]
     if len(ids) != len(set(ids)):
-        raise ValueError(f"{path.name}: duplicate requirement ids")
+        raise ValueError(f"{os.path.basename(path)}: duplicate requirement ids")
     return group, tuple(requirements)
 
 
@@ -225,8 +255,14 @@ def json_value(value, kind: type, what: str):
 def load_json_object(path: str | Path) -> dict:
     """The JSON object in the file at ``path``; ValueError naming the file and
     the key if any object in it gives a key twice."""
-    text = Path(path).read_text(encoding="utf-8")
-    return json_value(strict_json.loads(text, str(path)), dict, str(path))
+    return _json_object(rule_dsl.decode_text(rule_dsl.read_bytes(rule_dsl.file_name(path))),
+                        str(path))
+
+
+def _json_object(text: str, where: str) -> dict:
+    """The JSON object ``text`` read from ``where``; ValueError naming it and
+    the key if any object in it gives a key twice."""
+    return json_value(strict_json.loads(text, where), dict, where)
 
 
 def load_profile(path: str | Path) -> CapabilityProfile:
@@ -259,12 +295,40 @@ def file_digest(path: str | Path) -> str:
 
 
 def pack_digest(path: str | Path) -> str:
-    """Digest of every pack file, keyed by relative path — order-independent."""
-    path = Path(path)
+    """Digest of every file under the pack directory ``path``, keyed by
+    relative path: what a loaded pack carries as its ``sha256``."""
+    return _digest(_read_pack(Path(path))[1])
+
+
+def _read_pack(path: Path) -> tuple[list[str], dict[str, bytes]]:
+    """The names in the directory ``path``, sorted, and the bytes of every
+    regular file under it by relative path, read once, in the order of their
+    path components.  Symlinks to files are read; directories, symlinked
+    ones included, are not files, and only real directories are entered.
+    OSError if ``path`` is missing or not a directory."""
+    names: list[str] = []
+    found: list[tuple[tuple[str, ...], str]] = []
+
+    def walk(directory: str, parts: tuple[str, ...]) -> None:
+        with os.scandir(directory) as entries:
+            for entry in entries:
+                if not parts:
+                    names.append(entry.name)
+                if entry.is_dir(follow_symlinks=False):
+                    walk(entry.path, (*parts, entry.name))
+                elif entry.is_file():
+                    found.append(((*parts, entry.name), entry.path))
+
+    walk(str(path), ())
+    found.sort()
+    return sorted(names), {"/".join(parts): rule_dsl.read_bytes(file) for parts, file in found}
+
+
+def _digest(files: dict[str, bytes]) -> str:
     h = hashlib.sha256()
-    for item in sorted(p for p in path.rglob("*") if p.is_file()):
-        h.update(str(item.relative_to(path)).encode("utf-8"))
+    for name, data in files.items():
+        h.update(name.encode("utf-8"))
         h.update(b"\0")
-        h.update(item.read_bytes())
+        h.update(data)
         h.update(b"\0")
     return h.hexdigest()

@@ -18,14 +18,20 @@ not complete) reference.
 line through four patterns, then each section's tree built recursively
 once the whole body is scanned.  lexroad's one-pass reader must give the
 same sources, trees and errors.
+
+``pack_digest`` walks a pack with ``Path.rglob`` and reads each file again,
+and ``load_json_object`` reads JSON in text mode: lexroad's one walk and its
+one binary reader must give the same digest and the same objects and errors.
 """
 
+import hashlib
 import itertools
 import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
+from lexroad import strict_json
 from lexroad.bayes_net import (
     AGREEMENT_TOLERANCE,
     BayesNet,
@@ -475,3 +481,20 @@ def load_rule_file(path: str | Path) -> RuleSource:
         line_offset=i + 1,
         group=group,
     )
+
+
+def pack_digest(path: str | Path) -> str:
+    """Digest of every pack file, keyed by relative path — order-independent."""
+    path = Path(path)
+    h = hashlib.sha256()
+    for item in sorted(p for p in path.rglob("*") if p.is_file()):
+        h.update(str(item.relative_to(path)).encode("utf-8"))
+        h.update(b"\0")
+        h.update(item.read_bytes())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def load_json_object(path: str | Path) -> object:
+    """The JSON value in the file at ``path``, read in text mode."""
+    return strict_json.loads(Path(path).read_text(encoding="utf-8"), str(path))

@@ -402,6 +402,18 @@ def copy_pack(d, name, text):
     return d / "pack"
 
 
+def pack_with_entry(d, name, kind):
+    """The shipped pack with an entry ``name``, in place of any file of that
+    name, that is not a regular file: a directory, or a symlink to nothing."""
+    shutil.copytree(PACK, d / "pack")
+    (d / "pack" / name).unlink(missing_ok=True)
+    if kind == "directory":
+        (d / "pack" / name).mkdir()
+    else:
+        (d / "pack" / name).symlink_to(d / "nowhere")
+    return d / "pack"
+
+
 LATIN1_RULE = "rule: L\n\nIF:\n    [A] Café open.\nELSE:\n    [Y] q.\n".encode("latin-1")
 DECISION_FACT = {"rule_id": "UK-HC-103", "facts": {"A": True, "B": True, "C": False, "X": True}}
 
@@ -425,6 +437,24 @@ EXIT_TABLE = [
     ("check-header-group-twice", lambda d: ["check", copy_pack(
         d, "zz.rule", "rule: ZZ\ngroup: 113\ngroup: 300\n\nIF:\n    [A] p. @var(a)\nELSE:\n"
         "    [Y] q. @var(Y)\n"), BMW], 5, "<d>/pack/zz.rule:3:1: error: header 'group' given twice\n"),
+    ("check-rule-directory", lambda d: [
+        "check", pack_with_entry(d, "zz.rule", "directory"), BMW], 5,
+     "error: [Errno 21] Is a directory: '<d>/pack/zz.rule'\n"),
+    ("check-rule-broken-symlink", lambda d: [
+        "check", pack_with_entry(d, "zz.rule", "broken symlink"), BMW], 5,
+     "error: [Errno 2] No such file or directory: '<d>/pack/zz.rule'\n"),
+    ("check-golden-directory", lambda d: [
+        "check", pack_with_entry(d, "103.golden.beq", "directory"), BMW], 5,
+     "error: [Errno 21] Is a directory: '<d>/pack/103.golden.beq'\n"),
+    ("check-golden-broken-symlink", lambda d: [
+        "check", pack_with_entry(d, "103.golden.beq", "broken symlink"), BMW], 5,
+     "error: [Errno 2] No such file or directory: '<d>/pack/103.golden.beq'\n"),
+    ("check-checklist-directory", lambda d: [
+        "check", pack_with_entry(d, "zz.checklist.json", "directory"), BMW], 5,
+     "error: [Errno 21] Is a directory: '<d>/pack/zz.checklist.json'\n"),
+    ("check-checklist-broken-symlink", lambda d: [
+        "check", pack_with_entry(d, "zz.checklist.json", "broken symlink"), BMW], 5,
+     "error: [Errno 2] No such file or directory: '<d>/pack/zz.checklist.json'\n"),
     ("eval-non-object", lambda d: ["eval", PACK / "103.rule", write_file(d, "s.json", [1])], 3,
      "error: <d>/s.json must be a JSON object\n"),
     ("eval-facts-non-object", lambda d: ["eval", PACK / "103.rule", write_file(
@@ -551,6 +581,24 @@ EXIT_TABLE = [
 )
 def test_exit_code_table(tmp_path, make_argv, code, stderr):
     assert run_main(make_argv(tmp_path)) == (code, "", stderr.replace("<d>", str(tmp_path)))
+
+
+# (id, $LEXROAD_RULEPACK in a scratch dir <d>, stderr of ``check`` on one profile)
+PACK_ENV_TABLE = [
+    ("missing", lambda d: d / "no" / "such",
+     "error: [Errno 2] No such file or directory: '<d>/no/such'\n"),
+    ("a-file", lambda d: write_file(d, "pack.json", {}),
+     "error: [Errno 20] Not a directory: '<d>/pack.json'\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "make_pack, stderr", [row[1:] for row in PACK_ENV_TABLE], ids=[row[0] for row in PACK_ENV_TABLE]
+)
+def test_a_pack_from_the_environment_must_be_a_directory(tmp_path, monkeypatch, make_pack,
+                                                         stderr):
+    monkeypatch.setenv("LEXROAD_RULEPACK", str(make_pack(tmp_path)))
+    assert run_main(["check", BMW]) == (5, "", stderr.replace("<d>", str(tmp_path)))
 
 
 def test_main_is_repeatable_in_one_process(tmp_path):

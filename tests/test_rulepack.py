@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 from lexroad import rulepack
+from lexroad.compliance import build_report
 from lexroad.rulepack import (
     Answer,
     CapabilityProfile,
@@ -17,6 +18,7 @@ from lexroad.rulepack import (
     load_rulepack,
     rate,
 )
+import reference
 
 def test_shipped_pack_shape(pack):
     # rules in file order, each with its group
@@ -177,3 +179,84 @@ def test_pack_digest_is_stable_and_content_sensitive(tmp_path):
     assert rulepack.pack_digest(tmp_path / "pack") == rulepack.pack_digest(src)
     (tmp_path / "pack" / "99-100-r1.rule").write_text("rule: x\n\nIF:\n    [A] p.\nELSE:\n    [Y] q.\n")
     assert rulepack.pack_digest(tmp_path / "pack") != rulepack.pack_digest(src)
+
+
+def _nested(pack):
+    # "a/b" sorts before "a-c" by path component, after it as a string
+    (pack / "a" / "deeper").mkdir(parents=True)
+    (pack / "a" / "b").write_bytes(b"under a")
+    (pack / "a" / "deeper" / "c.txt").write_bytes(b"two down")
+    (pack / "a-c").write_bytes(b"beside a")
+
+
+def _hidden(pack):
+    (pack / ".hidden").write_bytes(b"dot file")
+    (pack / "vehicles" / ".more").write_bytes(b"dot file below")
+
+
+def _empty_subdirectory(pack):
+    (pack / "empty" / "emptier").mkdir(parents=True)
+
+
+def _symlinked_file(pack):
+    (pack.parent / "outside.txt").write_bytes(b"kept outside the pack")
+    (pack / "linked.txt").symlink_to(pack.parent / "outside.txt")
+    (pack / "linked-dir").symlink_to(pack / "vehicles")
+
+
+def _non_utf8_file(pack):
+    (pack / "notes.latin1").write_bytes("café".encode("latin-1"))
+
+
+@pytest.mark.parametrize("change", [None, _nested, _hidden, _empty_subdirectory,
+                                    _symlinked_file, _non_utf8_file])
+def test_pack_digest_matches_the_rglob_oracle(tmp_path, change):
+    pack = tmp_path / "pack"
+    shutil.copytree(default_pack_dir(), pack)
+    if change is not None:
+        change(pack)
+    want = reference.pack_digest(pack)
+    assert rulepack.pack_digest(pack) == want
+    assert load_rulepack(pack).sha256 == want
+    if change is None:
+        assert rulepack.pack_digest(default_pack_dir()) == want
+
+
+def test_report_digest_is_of_the_bytes_loaded(tmp_path):
+    shutil.copytree(default_pack_dir(), tmp_path / "pack")
+    pack = load_rulepack(tmp_path / "pack")
+    loaded = rulepack.pack_digest(tmp_path / "pack")
+    with open(tmp_path / "pack" / "113.checklist.json", "a", encoding="utf-8") as f:
+        f.write("\n")
+    report = build_report(pack, [])
+    assert report.pack_sha256 == loaded != rulepack.pack_digest(tmp_path / "pack")
+
+
+@pytest.mark.parametrize("read", [load_rulepack, rulepack.pack_digest])
+def test_a_pack_that_is_not_a_directory_is_refused(tmp_path, read):
+    with pytest.raises(FileNotFoundError):
+        read(tmp_path / "no" / "such")
+    (tmp_path / "file").write_text("{}", encoding="utf-8")
+    with pytest.raises(NotADirectoryError):
+        read(tmp_path / "file")
+
+
+@pytest.mark.parametrize("data", [
+    b'{"group": "113",\r\n "requirements": [],\r\n}',
+    b'{"group": "113",\r "requirements": [] ]',
+    b'{\r\n"a": 1,\r\n"a": 2}',
+    b'{"a":\n"caf\xe9"}',
+    b'\r\n{"a": "\r\n"}',
+    b'{"a": "b"}\r\n',
+])
+def test_json_inputs_read_as_text_mode_reads_them(tmp_path, data):
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+
+    def outcome(load):
+        try:
+            return load(str(path))
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    assert outcome(rulepack.load_json_object) == outcome(reference.load_json_object)
