@@ -43,9 +43,8 @@ def main() -> None:
     print(f"{passed}/{total} equations validated")
 
     by_id = {p.name.split(".")[0]: p for p in default_profile_paths()}
-    paths = [by_id[vid] for vid in PROFILE_ORDER]
-    profiles = [load_profile(p) for p in paths]
-    report = build_report(pack, profiles, profile_paths=paths)
+    profiles = [load_profile(by_id[vid]) for vid in PROFILE_ORDER]
+    report = build_report(pack, profiles)
     (outdir / "capability_matrix.txt").write_text(render_text(report), encoding="utf-8")
     (outdir / "report.json").write_text(report_to_json(report), encoding="utf-8")
     print(f"matrix -> {outdir / 'capability_matrix.txt'}")

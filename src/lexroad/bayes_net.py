@@ -36,6 +36,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from . import strict_json
 from .boolean_core import (
@@ -65,7 +66,7 @@ class BnNodeKind(Enum):
     DECISION = "decision"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a tuple: infer reads its fields in the hot loop
 class BnNode:
     """One binary node: states are (true, false).
 
@@ -82,8 +83,10 @@ class BnNode:
     description: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a tuple: cached_property needs a __dict__
 class BayesNet:
+    """One rule's net: its nodes in topological order."""
+
     rule_id: str
     nodes: tuple[BnNode, ...]  # topological order
 
@@ -319,16 +322,14 @@ def _posteriors(
 
 # --- validation --------------------------------------------------------------
 
-@dataclass
-class Divergence:
+class Divergence(NamedTuple):
     decision: str
     evidence: dict[str, bool]
     expected: bool
     posterior: float
 
 
-@dataclass
-class EquationCheck:
+class EquationCheck(NamedTuple):
     decision: str
     evidence: dict[str, bool]
     posterior: float
@@ -337,6 +338,8 @@ class EquationCheck:
 
 @dataclass
 class ValidationReport:
+    """What :func:`validate_bn` found for one net."""
+
     rule_id: str
     assignments_checked: int
     divergences: list[Divergence] = field(default_factory=list)

@@ -24,6 +24,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .rule_dsl import (
     Clause,
@@ -59,19 +60,27 @@ class EquationSyntaxError(Exception):
 
 
 # --- expression nodes --------------------------------------------------------
+# Dataclasses, not tuples: equality and hashing include the class, so
+# And((a, b)) and Or((a, b)) are different values and different dict keys.
 
 @dataclass(frozen=True)
 class Var:
+    """A variable, by id."""
+
     id: str
 
 
 @dataclass(frozen=True)
 class Not:
+    """Negation of ``child``."""
+
     child: "BoolExpr"
 
 
 @dataclass(frozen=True)
 class And:
+    """Conjunction of two or more children."""
+
     children: tuple["BoolExpr", ...]
 
     def __post_init__(self):
@@ -81,6 +90,8 @@ class And:
 
 @dataclass(frozen=True)
 class Or:
+    """Disjunction of two or more children."""
+
     children: tuple["BoolExpr", ...]
 
     def __post_init__(self):
@@ -90,6 +101,8 @@ class Or:
 
 @dataclass(frozen=True)
 class Const:
+    """The constant TRUE or FALSE."""
+
     value: bool
 
 
@@ -126,7 +139,7 @@ def free_vars(expr: BoolExpr) -> tuple[str, ...]:
 
 # --- rule equations ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a tuple: cached_property needs a __dict__
 class RuleEquations:
     """Ordered decision → expression map for one rule.
 
@@ -270,8 +283,7 @@ def expand(eqs: RuleEquations) -> dict[str, BoolExpr]:
     return expanded
 
 
-@dataclass
-class PropertyReport:
+class PropertyReport(NamedTuple):
     mutually_exclusive: dict[tuple[str, str], bool]
     exhaustive_given_antecedent: bool | None
     witnesses: dict[str, dict[str, bool]]

@@ -241,8 +241,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         pack_dir = str(rulepack.default_pack_dir())
     with _exits(EXIT_RULEPACK, (*_INPUT_ERRORS, *EXIT_CODES)):
         pack = rulepack.load_rulepack(pack_dir)
-        profile_paths = [Path(p) for p in profile_args]
-        profiles = [rulepack.load_profile(p) for p in profile_paths]
+        profiles = [rulepack.load_profile(Path(p)) for p in profile_args]
     with _exits(EXIT_SCENARIO):
         scenarios = [compliance.load_scenario(path) for path in args.scenario or []]
     # KeyError: a scenario for a rule the pack does not have; ValueError: a
@@ -251,7 +250,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         report = compliance.build_report(
             pack,
             profiles,
-            profile_paths=profile_paths,
             scenarios=scenarios,
             timestamps=args.timestamps,
         )

@@ -14,6 +14,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .boolean_core import RuleEquations, evaluate
@@ -24,7 +25,6 @@ from .rulepack import (
     CapabilityRequirement,
     RagRating,
     Rulepack,
-    file_digest,
     json_value,
     load_json_object,
 )
@@ -44,8 +44,7 @@ class DuplicateProfileError(Exception):
         super().__init__(f"two profiles for vehicle '{vehicle_id}'")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     rule_id: str
     facts: dict[str, bool]
     description: str = ""
@@ -82,6 +81,8 @@ def verdict_name(value: bool | None) -> str:
 
 @dataclass
 class ComplianceReport:
+    """The capability matrix, ratings and scenario outcomes of one ``check``."""
+
     tool_version: str
     pack_path: str
     pack_sha256: str
@@ -97,7 +98,6 @@ class ComplianceReport:
 def build_report(
     pack: Rulepack,
     profiles: list[CapabilityProfile],
-    profile_paths: list[Path] | None = None,
     scenarios: list[Scenario] = (),
     timestamps: bool = False,
 ) -> ComplianceReport:
@@ -130,19 +130,15 @@ def build_report(
         }
         rule_groups[scenario.rule_id] = rule.source.group
 
-    meta = []
-    for i, profile in enumerate(profiles):
-        digest = ""
-        if profile_paths and i < len(profile_paths):
-            digest = file_digest(profile_paths[i])
-        meta.append(
-            {
-                "vehicle_id": profile.vehicle_id,
-                "display_name": profile.display_name,
-                "sae_level": profile.sae_level,
-                "sha256": digest,
-            }
-        )
+    meta = [
+        {
+            "vehicle_id": profile.vehicle_id,
+            "display_name": profile.display_name,
+            "sae_level": profile.sae_level,
+            "sha256": profile.sha256,
+        }
+        for profile in profiles
+    ]
     return ComplianceReport(
         tool_version=__version__,
         pack_path=str(pack.path),

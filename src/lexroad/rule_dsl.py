@@ -53,6 +53,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 
 class Connective(Enum):
@@ -94,8 +95,7 @@ class NamingConflictError(Exception):
         super().__init__(f"naming conflict on '{var_id}'" + (f": {detail}" if detail else ""))
 
 
-@dataclass(frozen=True)
-class RuleSource:
+class RuleSource(NamedTuple):
     """One rule as shipped: id, title, citation list, DSL body text and
     the rule group whose checklist it belongs to, if any."""
 
@@ -108,8 +108,7 @@ class RuleSource:
     group: str | None = None
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     """A node of the condition/outcome tree.
 
     ``connective`` is the resolved relation to the next sibling (None for
@@ -124,8 +123,7 @@ class Clause:
     children: tuple["Clause", ...] = ()
 
 
-@dataclass(frozen=True)
-class RuleAst:
+class RuleAst(NamedTuple):
     rule_id: str
     if_clauses: tuple[Clause, ...]
     except_clauses: tuple[Clause, ...] = ()
@@ -133,8 +131,7 @@ class RuleAst:
     else_outcomes: tuple[Clause, ...] = ()
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     id: str
     kind: VarKind
     description: str

@@ -20,8 +20,10 @@ The pack's ``sha256`` (the ``pack_sha256`` of a compliance report) is the
 :func:`pack_digest` of exactly the bytes loaded, so a file changed after
 loading does not change it.  A pack path that is missing or not a
 directory is refused with OSError, as is a ``.rule``, ``.golden.beq`` or
-``.checklist.json`` entry that cannot be read as a file (a directory or a
-broken symlink); an existing empty directory is an empty pack.
+``.checklist.json`` entry that is not a regular file (a directory, a broken
+symlink, a FIFO, a socket or a device), without opening it; an existing
+empty directory is an empty pack.  A profile carries the ``sha256`` of the
+bytes it was loaded from, which the report lists.
 
 The traffic-light rating per group is mechanical: GREEN when every
 applicable requirement is met, RED when a requirement flagged as needing
@@ -31,13 +33,15 @@ GREEN, when a profile has no applicable evidence for the group at all.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import os
 import re
-from dataclasses import dataclass
+import stat
 from enum import Enum
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from . import rule_dsl, strict_json
 from .boolean_core import (
@@ -83,31 +87,28 @@ class IncompleteProfileError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class CapabilityRequirement:
+class CapabilityRequirement(NamedTuple):
     id: str
     description: str
     rule_group: str
     hardware_gap: bool = False
 
 
-@dataclass(frozen=True)
-class CapabilityProfile:
+class CapabilityProfile(NamedTuple):
     vehicle_id: str
     display_name: str
     answers: dict[str, Answer]  # requirement id → answer
     sae_level: int | None = None
+    sha256: str = ""  # of the bytes the profile was loaded from
 
 
-@dataclass(frozen=True)
-class RagRating:
+class RagRating(NamedTuple):
     rule_group: str
     rating: Rag
     rationale: str
 
 
-@dataclass(frozen=True)
-class PackRule:
+class PackRule(NamedTuple):
     """One compiled rule of a pack, with its golden text if it has one."""
 
     source: RuleSource
@@ -120,8 +121,7 @@ class PackRule:
         return self.source.rule_id
 
 
-@dataclass
-class Rulepack:
+class Rulepack(NamedTuple):
     path: Path
     rules_by_id: dict[str, PackRule]  # in file order
     checklists: dict[str, tuple[CapabilityRequirement, ...]]  # by group, natural order
@@ -178,8 +178,8 @@ def load_rulepack(path: str | Path) -> Rulepack:
 
     def text(name: str) -> str:
         data = files.get(name)
-        if data is None:  # not a regular file: reading it raises the OSError that refuses it
-            data = rule_dsl.read_bytes(str(path / name))
+        if data is None:
+            raise _not_a_file(str(path / name))
         return rule_dsl.decode_text(data)
 
     rules: dict[str, PackRule] = {}
@@ -266,7 +266,10 @@ def _json_object(text: str, where: str) -> dict:
 
 
 def load_profile(path: str | Path) -> CapabilityProfile:
-    payload = load_json_object(path)
+    """The profile in the file at ``path``, carrying the sha256 of the bytes
+    it was parsed from."""
+    data = rule_dsl.read_bytes(rule_dsl.file_name(path))
+    payload = _json_object(rule_dsl.decode_text(data), str(path))
     answers = json_value(payload.get("answers"), dict, f"{path}: answers")
     vehicle_id = json_value(payload.get("vehicle_id"), str, f"{path}: vehicle_id")
     valid = {answer.value: answer for answer in Answer}
@@ -279,6 +282,7 @@ def load_profile(path: str | Path) -> CapabilityProfile:
                                 f"{path}: display_name"),
         answers={key: valid[value] for key, value in sorted(answers.items())},
         sae_level=payload.get("sae_level"),
+        sha256=hashlib.sha256(data).hexdigest(),
     )
 
 
@@ -288,10 +292,6 @@ def default_pack_dir() -> Path:
 
 def default_profile_paths() -> list[Path]:
     return sorted(default_pack_dir().joinpath("vehicles").glob("*.profile.json"))
-
-
-def file_digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def pack_digest(path: str | Path) -> str:
@@ -322,6 +322,19 @@ def _read_pack(path: Path) -> tuple[list[str], dict[str, bytes]]:
     walk(str(path), ())
     found.sort()
     return sorted(names), {"/".join(parts): rule_dsl.read_bytes(file) for parts, file in found}
+
+
+def _not_a_file(file: str) -> OSError:
+    """The error refusing the pack entry ``file``, which the walk found not to
+    be a regular file, told from its type without opening it: opening a FIFO
+    would block."""
+    try:
+        mode = os.stat(file).st_mode
+    except OSError as exc:  # a broken symlink
+        return exc
+    if stat.S_ISDIR(mode):
+        return IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), file)
+    return OSError(f"{file}: not a regular file")
 
 
 def _digest(files: dict[str, bytes]) -> str:

@@ -264,14 +264,12 @@ def test_compile_requires_covering_table():
 
 
 def test_compile_requires_an_else_outcome():
-    from dataclasses import replace
-
     from lexroad.boolean_core import NoOutcomeError
 
     ast = parse_rule_text("IF:\n    [A] p.\nELSE:\n    [Y] q.\n", "bare")
     table = assign_variables(ast)
     with pytest.raises(NoOutcomeError):
-        compile_rule(replace(ast, else_outcomes=()), table)
+        compile_rule(ast._replace(else_outcomes=()), table)
 
 
 def test_equivalence_detects_decision_set_mismatch():

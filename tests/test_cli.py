@@ -1,10 +1,13 @@
 """End-to-end command behaviour: outputs, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import inspect
 import io
 import json
+import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -242,6 +245,27 @@ def test_check_matrix_and_report(tmp_path):
     assert "generated_at" not in payload
 
 
+def test_check_reads_each_profile_once(tmp_path, monkeypatch):
+    """The report's profile sha256 is of the bytes the profile was parsed
+    from, not of a second read of its file."""
+    profile = shutil.copy(BMW, tmp_path / "bmw.profile.json")
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file if isinstance(file, int) else os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    code, out, _ = run_main(["check", PACK, profile, "--format", "json"])
+    monkeypatch.undo()
+    assert code == 0
+    assert opened.count(str(profile)) == 1
+    digest = hashlib.sha256(profile.read_bytes()).hexdigest()
+    assert json.loads(out)["inputs"]["profiles"][0]["sha256"] == digest
+
+
 def test_check_single_profile_column():
     """The lone-vehicle rendering reproduces that vehicle's whole column."""
     from conftest import MATRIX_ROWS
@@ -404,11 +428,14 @@ def copy_pack(d, name, text):
 
 def pack_with_entry(d, name, kind):
     """The shipped pack with an entry ``name``, in place of any file of that
-    name, that is not a regular file: a directory, or a symlink to nothing."""
+    name, that is not a regular file: a directory, a FIFO, or a symlink to
+    nothing."""
     shutil.copytree(PACK, d / "pack")
     (d / "pack" / name).unlink(missing_ok=True)
     if kind == "directory":
         (d / "pack" / name).mkdir()
+    elif kind == "fifo":
+        os.mkfifo(d / "pack" / name)
     else:
         (d / "pack" / name).symlink_to(d / "nowhere")
     return d / "pack"
@@ -455,6 +482,15 @@ EXIT_TABLE = [
     ("check-checklist-broken-symlink", lambda d: [
         "check", pack_with_entry(d, "zz.checklist.json", "broken symlink"), BMW], 5,
      "error: [Errno 2] No such file or directory: '<d>/pack/zz.checklist.json'\n"),
+    # opening a FIFO waits for a writer: these rows hang if the entry is opened
+    ("check-rule-fifo", lambda d: ["check", pack_with_entry(d, "zz.rule", "fifo"), BMW], 5,
+     "error: <d>/pack/zz.rule: not a regular file\n"),
+    ("check-golden-fifo", lambda d: [
+        "check", pack_with_entry(d, "103.golden.beq", "fifo"), BMW], 5,
+     "error: <d>/pack/103.golden.beq: not a regular file\n"),
+    ("check-checklist-fifo", lambda d: [
+        "check", pack_with_entry(d, "zz.checklist.json", "fifo"), BMW], 5,
+     "error: <d>/pack/zz.checklist.json: not a regular file\n"),
     ("eval-non-object", lambda d: ["eval", PACK / "103.rule", write_file(d, "s.json", [1])], 3,
      "error: <d>/s.json must be a JSON object\n"),
     ("eval-facts-non-object", lambda d: ["eval", PACK / "103.rule", write_file(
@@ -576,11 +612,32 @@ EXIT_TABLE = [
 ]
 
 
+class DeadlinePassed(Exception):
+    """Not an input error: ``main`` lets it through."""
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise :class:`DeadlinePassed` in the block once it has run ``seconds``;
+    the alarm signal interrupts a blocking ``open`` too."""
+    def expire(signum, frame):
+        raise DeadlinePassed(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize(
     "make_argv, code, stderr", [row[1:] for row in EXIT_TABLE], ids=[row[0] for row in EXIT_TABLE]
 )
 def test_exit_code_table(tmp_path, make_argv, code, stderr):
-    assert run_main(make_argv(tmp_path)) == (code, "", stderr.replace("<d>", str(tmp_path)))
+    with deadline(10.0):
+        assert run_main(make_argv(tmp_path)) == (code, "", stderr.replace("<d>", str(tmp_path)))
 
 
 # (id, $LEXROAD_RULEPACK in a scratch dir <d>, stderr of ``check`` on one profile)

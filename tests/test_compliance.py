@@ -2,7 +2,6 @@
 
 import json
 import shutil
-from dataclasses import replace
 
 import pytest
 
@@ -31,7 +30,7 @@ def profiles():
 
 
 def test_report_structure(pack, profiles):
-    report = build_report(pack, profiles, profile_paths=default_profile_paths())
+    report = build_report(pack, profiles)
     assert len(report.requirements) == 27
     assert set(report.answers) == {p.vehicle_id for p in profiles}
     assert list(report.ratings[profiles[0].vehicle_id]) == list(pack.checklists)
@@ -68,8 +67,8 @@ def test_a_second_profile_for_one_vehicle_is_refused(pack, profiles):
     """Answers and ratings are keyed by vehicle id: two profiles with one id
     used to share one column, showing the second profile's answers twice."""
     bmw = next(p for p in profiles if p.vehicle_id == "bmw-740li")
-    other = replace(bmw, display_name="Other",
-                    answers={**bmw.answers, "103-105.braking-alert": Answer.UNMET})
+    other = bmw._replace(display_name="Other",
+                         answers={**bmw.answers, "103-105.braking-alert": Answer.UNMET})
     with pytest.raises(DuplicateProfileError, match="^two profiles for vehicle 'bmw-740li'$"):
         build_report(pack, [bmw, other])
 
