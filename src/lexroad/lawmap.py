@@ -9,6 +9,11 @@ a minimal route to a verdict.  The graph is read off the decisions' binary
 decision diagrams (``boolean_core.Bdd``) in clause order, so its size, not
 the 2^n input assignments, sets the cost, and rules of any width build.
 
+``trace_path`` walks a transition table cached on the graph (each node's
+condition variable and yes and no successors), so after a graph's first
+trace a trace costs its path length plus one check per condition variable
+that no fact is missing, not a scan of the graph's nodes and edges.
+
 Exports are deterministic: DOT for rendering (START circle, CONDITION
 diamond, OUTCOME box, yes/no edge labels) and canonical JSON for golden
 diffs.
@@ -50,9 +55,10 @@ class IncompleteAssignmentError(Exception):
         super().__init__(f"assignment missing condition variables: {', '.join(missing)}")
 
 
-# LawmapNode and LawmapEdge are not tuples: trace_path reads their fields on
-# every step, and CPython reads an instance attribute faster than a
-# NamedTuple field (as NamedTuples, synth-query trace_ms rose 5-11%).
+# LawmapNode and LawmapEdge are dataclasses, not NamedTuples, by a measure
+# taken when trace_path read their fields on every step (as NamedTuples,
+# synth-query trace_ms rose 5-11%).  trace_path now reads the graph's
+# _transitions table instead, so the choice is open to measuring again.
 
 @dataclass(frozen=True)
 class LawmapNode:
@@ -85,13 +91,31 @@ class LawmapGraph:
 
     @cached_property
     def _index(self) -> tuple[dict[str, LawmapNode], dict[str, tuple[LawmapEdge, ...]]]:
-        """Nodes by id, the first of a repeated id winning, and each node's
-        out-edges in edge order; built on first use."""
+        """Nodes by id and each node's out-edges in edge order; built on
+        first use."""
         out: dict[str, list[LawmapEdge]] = {}
         for edge in self.edges:
             out.setdefault(edge.src, []).append(edge)
-        nodes = {node.id: node for node in reversed(self.nodes)}
+        nodes = {node.id: node for node in self.nodes}
         return nodes, {src: tuple(edges) for src, edges in out.items()}
+
+    @cached_property
+    def _transitions(self) -> tuple[str, dict[str, tuple[str, str, str] | None], tuple[str, ...]]:
+        """What ``trace_path`` reads, built on first use from a graph
+        ``_validate`` passed: START's successor; for every other node id,
+        its condition variable and yes and no successors (``None`` for an
+        OUTCOME); and the condition variables in ``condition_vars`` order."""
+        steps: dict[str, tuple[str, str, str] | None] = {}
+        for node in self.nodes[1:]:
+            if node.kind == NodeKind.CONDITION:
+                yes, no = self.out_edges(node.id)
+                if yes.guard != EdgeGuard.TRUE_BRANCH:
+                    yes, no = no, yes
+                steps[node.id] = (node.var, yes.dst, no.dst)
+            else:
+                steps[node.id] = None
+        first = self.out_edges(self.nodes[0].id)[0].dst
+        return first, steps, self.condition_vars()
 
     def node(self, node_id: str) -> LawmapNode:
         return self._index[0][node_id]
@@ -197,6 +221,9 @@ def _validate(graph: LawmapGraph) -> None:
         raise InconsistentInputsError("graph must have one START node, the first")
     if not any(n.kind == NodeKind.OUTCOME for n in graph.nodes):
         raise InconsistentInputsError("graph has no OUTCOME nodes")
+    twice = [node_id for node_id, count in Counter(n.id for n in graph.nodes).items() if count > 1]
+    if twice:
+        raise InconsistentInputsError(f"node {twice[0]} is defined twice")
     ids = graph._index[0]
     for edge in graph.edges:
         for end in (edge.src, edge.dst):
@@ -205,8 +232,8 @@ def _validate(graph: LawmapGraph) -> None:
     for node in graph.nodes:
         out = graph.out_edges(node.id)
         if node.kind == NodeKind.START:
-            if len(out) < 1 or any(e.guard != EdgeGuard.ALWAYS for e in out):
-                raise InconsistentInputsError("START must have unconditional out-edges")
+            if [e.guard for e in out] != [EdgeGuard.ALWAYS]:
+                raise InconsistentInputsError("START must have one out-edge, unconditional")
         if node.kind == NodeKind.CONDITION:
             if not node.var:
                 raise InconsistentInputsError(f"condition {node.id} names no variable")
@@ -231,25 +258,23 @@ def _validate(graph: LawmapGraph) -> None:
 
 
 def trace_path(graph: LawmapGraph, assignment: dict[str, bool]) -> list[str]:
-    """Follow the unique START→OUTCOME path the assignment realizes."""
-    missing = tuple(
-        v for v in graph.condition_vars() if assignment.get(v) is None
-    )
+    """Follow the unique START→OUTCOME path the assignment realizes.
+
+    Every condition variable of the graph must be set, also those off the
+    path (``IncompleteAssignmentError`` lists all that are not).  The first
+    trace of a graph builds its transition table; after that a trace costs
+    its path length, one lookup per step, plus that check over the cached
+    condition variables, not a scan of the graph."""
+    first, steps, condition_vars = graph._transitions
+    missing = tuple(v for v in condition_vars if assignment.get(v) is None)
     if missing:
         raise IncompleteAssignmentError(missing)
-    current = graph.nodes[0]
-    path = [current.id]
-    while current.kind != NodeKind.OUTCOME:
-        if current.kind == NodeKind.START:
-            guard = EdgeGuard.ALWAYS
-        elif assignment[current.var]:
-            guard = EdgeGuard.TRUE_BRANCH
-        else:
-            guard = EdgeGuard.FALSE_BRANCH
-        # reversed, so the first of several edges with this guard wins
-        step = {edge.guard: edge.dst for edge in reversed(graph.out_edges(current.id))}
-        path.append(step[guard])
-        current = graph.node(path[-1])
+    path = [graph.nodes[0].id, first]
+    step = steps[first]
+    while step:
+        var, yes, no = step
+        path.append(yes if assignment[var] else no)
+        step = steps[path[-1]]
     return path
 
 

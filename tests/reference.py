@@ -22,6 +22,11 @@ same sources, trees and errors.
 ``pack_digest`` walks a pack with ``Path.rglob`` and reads each file again,
 and ``load_json_object`` reads JSON in text mode: lexroad's one walk and its
 one binary reader must give the same digest and the same objects and errors.
+
+``trace_path_by_edges`` traces a Lawmap the plain way: it scans every node
+for the condition variables and, at each step, the node's out-edges for
+the one its guard selects.  ``lawmap.trace_path`` walks a transition table
+and must give the same paths and the same ``missing`` tuples.
 """
 
 import hashlib
@@ -52,6 +57,12 @@ from lexroad.boolean_core import (
     Var,
     expand,
     free_vars,
+)
+from lexroad.lawmap import (
+    EdgeGuard,
+    IncompleteAssignmentError,
+    LawmapGraph,
+    NodeKind,
 )
 from lexroad.rule_dsl import (
     SECTIONS,
@@ -498,3 +509,25 @@ def pack_digest(path: str | Path) -> str:
 def load_json_object(path: str | Path) -> object:
     """The JSON value in the file at ``path``, read in text mode."""
     return strict_json.loads(Path(path).read_text(encoding="utf-8"), str(path))
+
+
+def trace_path_by_edges(graph: LawmapGraph, assignment: dict[str, bool]) -> list[str]:
+    """The START→OUTCOME path the assignment realizes, found edge by edge."""
+    missing = tuple(
+        v for v in graph.condition_vars() if assignment.get(v) is None
+    )
+    if missing:
+        raise IncompleteAssignmentError(missing)
+    current = graph.nodes[0]
+    path = [current.id]
+    while current.kind != NodeKind.OUTCOME:
+        if current.kind == NodeKind.START:
+            guard = EdgeGuard.ALWAYS
+        elif assignment[current.var]:
+            guard = EdgeGuard.TRUE_BRANCH
+        else:
+            guard = EdgeGuard.FALSE_BRANCH
+        step = {edge.guard: edge.dst for edge in graph.out_edges(current.id)}
+        path.append(step[guard])
+        current = graph.node(path[-1])
+    return path

@@ -443,6 +443,7 @@ def pack_with_entry(d, name, kind):
 
 LATIN1_RULE = "rule: L\n\nIF:\n    [A] Café open.\nELSE:\n    [Y] q.\n".encode("latin-1")
 DECISION_FACT = {"rule_id": "UK-HC-103", "facts": {"A": True, "B": True, "C": False, "X": True}}
+A_FALSE = {"rule_id": "UK-HC-103", "facts": {"A": False}}
 
 # (id, argv in a scratch dir <d>, exit code, stderr with <d> for that dir)
 EXIT_TABLE = [
@@ -505,6 +506,10 @@ EXIT_TABLE = [
     ("lawmap-trace-unknown-fact", lambda d: ["lawmap", PACK / "103.rule", "--trace", write_file(
         d, "s.json", {"rule_id": "UK-HC-103", "facts": {"A": True, "nope": True}})], 3,
      "error: scenario for UK-HC-103 names unknown variables: nope\n"),
+    # A FALSE ends the path before B and C are tested; the trace still needs them
+    ("lawmap-trace-fact-off-the-path", lambda d: ["lawmap", PACK / "103.rule", "--trace",
+                                                  write_file(d, "s.json", A_FALSE)], 3,
+     "error: assignment missing condition variables: B, C\n"),
     ("bn-priors-non-object", lambda d: ["bn", PACK / "103.rule", "--priors",
                                         write_file(d, "p.json", [0.5])], 4,
      "error: <d>/p.json must be a JSON object\n"),

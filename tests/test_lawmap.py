@@ -2,13 +2,16 @@
 
 import itertools
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lexroad.boolean_core import evaluate, parse_equations
+from lexroad.boolean_core import And, Not, Or, Var, evaluate, parse_equations, to_text
 from lexroad.lawmap import (
     EdgeGuard,
     IncompleteAssignmentError,
@@ -20,7 +23,8 @@ from lexroad.lawmap import (
     graph_from_json,
     trace_path,
 )
-from reference import truth_table
+from reference import trace_path_by_edges, truth_table
+from test_boolean_core import _compiled, _repeated_var_rules
 
 
 def graphs_for(pack):
@@ -77,6 +81,93 @@ def test_incomplete_assignment_is_rejected(rules_by_id):
     with pytest.raises(IncompleteAssignmentError) as err:
         trace_path(graph, {"A": True})
     assert "B" in err.value.missing and "C" in err.value.missing
+
+
+def test_a_fact_off_the_path_is_still_required(rules_by_id):
+    """A is FALSE, so the path ends at the sink before B and C are tested;
+    the trace is still refused, naming both, not walked on partial facts."""
+    entry = rules_by_id["UK-HC-103"]
+    graph = build_lawmap(entry.equations, entry.ast)
+    for trace in (trace_path, trace_path_by_edges):
+        with pytest.raises(IncompleteAssignmentError) as err:
+            trace(graph, {"A": False})
+        assert err.value.missing == ("B", "C")
+    assert trace_path(graph, {"A": False, "B": True, "C": True}) == ["start", "c1", "sink"]
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _trace_or_missing(trace, graph, assignment):
+    try:
+        return trace(graph, assignment)
+    except IncompleteAssignmentError as err:
+        return err.missing
+
+
+def _assert_trace_matches_the_edge_walk(graph, names, data):
+    """Every complete assignment of up to 10 inputs (64 random ones above),
+    then one partial assignment: the same path, or the same ``missing``."""
+    if len(names) <= 10:
+        combos = itertools.product((False, True), repeat=len(names))
+    else:
+        rng = random.Random(data.draw(_SEEDS))
+        combos = ([rng.random() < 0.5 for _ in names] for _ in range(64))
+    for combo in combos:
+        assignment = dict(zip(names, combo))
+        assert trace_path(graph, assignment) == trace_path_by_edges(graph, assignment)
+    partial = data.draw(st.fixed_dictionaries(
+        {}, optional={name: st.sampled_from([True, False, None]) for name in names}))
+    assert (_trace_or_missing(trace_path, graph, partial)
+            == _trace_or_missing(trace_path_by_edges, graph, partial))
+
+
+def _round_trip(graph, data):
+    """``graph`` through ``export_json`` and ``graph_from_json``, its edges
+    listed in a drawn order (a yes edge may follow its no edge)."""
+    payload = json.loads(export_json(graph))
+    random.Random(data.draw(_SEEDS)).shuffle(payload["edges"])
+    return graph_from_json(json.dumps(payload))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_trace_matches_the_edge_walk_on_the_shipped_pack(pack, data):
+    for entry in pack.rules():
+        graph = build_lawmap(entry.equations, entry.ast)
+        names = entry.equations.input_ids()
+        _assert_trace_matches_the_edge_walk(graph, names, data)
+        _assert_trace_matches_the_edge_walk(_round_trip(graph, data), names, data)
+
+
+@st.composite
+def _wide_equations(draw):
+    """1-2 decisions, each a drawn tree over 11-16 inputs, up to three of
+    them read twice (the rule texts above stay under 10 inputs)."""
+
+    def tree(leaves):
+        if len(leaves) == 1:
+            return Not(leaves[0]) if draw(st.booleans()) else leaves[0]
+        cut = draw(st.integers(1, len(leaves) - 1))
+        return draw(st.sampled_from((And, Or)))((tree(leaves[:cut]), tree(leaves[cut:])))
+
+    names = draw(st.permutations([f"v{i:02d}" for i in range(16)]))[:draw(st.integers(11, 16))]
+    decisions = []
+    for _ in range(draw(st.integers(1, 2))):
+        twice = draw(st.lists(st.sampled_from(names), max_size=3))
+        leaves = draw(st.permutations([Var(name) for name in [*names, *twice]]))
+        decisions.append(tree(leaves))
+    return parse_equations("".join(f"D{i} = {to_text(d)}\n" for i, d in enumerate(decisions)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_repeated_var_rules().map(_compiled), _wide_equations()), st.booleans(),
+       st.data())
+def test_trace_matches_the_edge_walk_on_generated_rules(eqs, round_trip, data):
+    graph = build_lawmap(eqs)
+    if round_trip:
+        graph = _round_trip(graph, data)
+    _assert_trace_matches_the_edge_walk(graph, eqs.input_ids(), data)
 
 
 def test_path_evaluate_agreement_everywhere(pack):
@@ -191,16 +282,27 @@ def _c1_without_var(payload):
     payload["nodes"][1]["var"] = None
 
 
+def _c1_twice(payload):
+    payload["nodes"].append({**payload["nodes"][1], "var": "B"})
+
+
+def _second_start_edge(payload):
+    payload["edges"].append({"from": "start", "to": "sink", "guard": "always"})
+
+
 @pytest.mark.parametrize("change, message", [
     (_drop_c1_no, "condition c1 needs exactly one yes and one no edge"),
     (_edge_to_nowhere, "edge c1 -> nowhere: no node nowhere"),
     (_c1_yes_to_itself, "graph has a cycle"),
     (_start_last, "graph must have one START node, the first"),
     (_c1_without_var, "condition c1 names no variable"),
+    (_c1_twice, "node c1 is defined twice"),
+    (_second_start_edge, "START must have one out-edge, unconditional"),
 ])
 def test_graph_from_json_rejects_graphs_trace_path_cannot_walk(rules_by_id, change, message):
-    """Each of these once loaded, and then ``trace_path`` raised a KeyError
-    or, for the cycle, never returned."""
+    """Each of these once loaded, and then ``trace_path`` raised a KeyError,
+    never returned (the cycle) or silently followed the first of two nodes
+    or START edges."""
     entry = rules_by_id["UK-HC-103"]
     payload = json.loads(export_json(build_lawmap(entry.equations, entry.ast)))
     change(payload)

@@ -18,7 +18,8 @@ DATACLASSES = {
     boolean_core.Var, boolean_core.Not, boolean_core.And, boolean_core.Or, boolean_core.Const,
     # cached_property needs an instance __dict__
     boolean_core.RuleEquations, bayes_net.BayesNet, lawmap.LawmapGraph,
-    # read field by field in infer's inner loop and trace_path's steps
+    # read field by field in infer's inner loop; for LawmapNode and
+    # LawmapEdge, see the comment above them in lawmap.py
     bayes_net.BnNode, lawmap.LawmapNode, lawmap.LawmapEdge,
     # filled from default factories after construction
     rule_dsl.VariableTable, bayes_net.ValidationReport, compliance.ComplianceReport,
