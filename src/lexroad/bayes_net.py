@@ -26,16 +26,18 @@ divergences.  Inference is exact, by weighted model counting (Chavira &
 Darwiche 2008): P(n | e) = WMC(n ∧ e) / WMC(e).  Both take only such
 deterministic nets, so they refuse a non-root CPT entry other than 0 or 1,
 and inference raises :class:`ImpossibleEvidenceError` exactly when the
-evidence function is FALSE.
+evidence function is FALSE.  :func:`net_to_json` writes its JSON directly,
+byte for byte what ``json``'s ``dumps(payload, sort_keys=True,
+ensure_ascii=False, indent=2)`` writes.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from json.encoder import encode_basestring as _json_quote
 from typing import NamedTuple
 
 from . import strict_json
@@ -400,20 +402,18 @@ def validate_bn(net: BayesNet, eqs: RuleEquations) -> ValidationReport:
 # --- serialization -----------------------------------------------------------
 
 def net_to_json(net: BayesNet) -> str:
-    payload = {
-        "rule_id": net.rule_id,
-        "nodes": [
-            {
-                "id": n.id,
-                "kind": n.kind.value,
-                "parents": list(n.parents),
-                "cpt": list(n.cpt),
-                "description": n.description,
-            }
-            for n in net.nodes
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    """The net as canonical JSON, written directly (see the module
+    docstring).  ``repr`` writes a CPT entry as ``json`` does, for every
+    number but a ``bool``, which :func:`net_from_json` refuses."""
+    q = _json_quote
+    nodes = [
+        f'{{\n      "cpt": {strict_json.array([*map(repr, n.cpt)], "      ")},'
+        f'\n      "description": {q(n.description)},\n      "id": {q(n.id)},'
+        f'\n      "kind": "{n.kind.value}",'
+        f'\n      "parents": {strict_json.array([*map(q, n.parents)], "      ")}\n    }}'
+        for n in net.nodes
+    ]
+    return f'{{\n  "nodes": {strict_json.array(nodes, "  ")},\n  "rule_id": {q(net.rule_id)}\n}}\n'
 
 
 def net_from_json(text: str) -> BayesNet:
@@ -430,5 +430,8 @@ def net_from_json(text: str) -> BayesNet:
         )
         for n in payload["nodes"]
     )
+    for node in nodes:  # True == 1.0 would pass _check_nodes
+        if any(isinstance(p, bool) for p in node.cpt):
+            raise ValueError(f"node {node.id}: CPT entries must be numbers, not true or false")
     _check_nodes(nodes)
     return BayesNet(rule_id=payload["rule_id"], nodes=nodes)

@@ -7,12 +7,12 @@ written; 2 it does not compile; 3 the scenario is unreadable, not a JSON
 object, gives a key twice, is for another rule, names a variable the rule
 lacks or a decision, leaves out a fact ``lawmap --trace`` needs, or is a
 second one for its rule under ``check``; 4 priors or evidence are unusable
-(a prior on a decision or on a name the rules lack, a priors key or an
-evidence name given twice included), evidence is impossible, a decision is
-cyclic or a validated net diverges; 5 anything wrong in the rulepack or a
-profile, a pack path that is missing or not a directory, a key given twice
-in one of its JSON files or a second profile with one ``vehicle_id``
-included.
+(a prior that is not a JSON number, on a decision or on a name the rules
+lack, a priors key or an evidence name given twice included), evidence is
+impossible, a decision is cyclic or a validated net diverges; 5 anything
+wrong in the rulepack or a profile, a pack path that is missing or not a
+directory, a key given twice in one of its JSON files or a second profile
+with one ``vehicle_id`` included.
 ``lawmap`` and ``bn`` work on decision diagrams and have no input bound.
 ``EXIT_CODES`` gives each lexroad error its code, and ``_exits`` gives
 errors raised while reading one input the code of that input.
@@ -173,7 +173,7 @@ def _parse_evidence(text: str) -> dict[str, bool]:
 def _load_priors(path: str) -> dict[str, float]:
     priors = rulepack.load_json_object(path)
     for name, value in priors.items():
-        if not isinstance(value, (int, float, str)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"prior for {name} must be a number")
     return {name: float(value) for name, value in priors.items()}
 

@@ -16,17 +16,18 @@ that no fact is missing, not a scan of the graph's nodes and edges.
 
 Exports are deterministic: DOT for rendering (START circle, CONDITION
 diamond, OUTCOME box, yes/no edge labels) and canonical JSON for golden
-diffs.
+diffs, both written directly; the JSON is byte for byte what ``json``'s
+``dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)`` writes.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from json.encoder import encode_basestring as _json_quote
 
 from . import strict_json
 from .boolean_core import Bdd, RuleEquations
@@ -101,10 +102,11 @@ class LawmapGraph:
 
     @cached_property
     def _transitions(self) -> tuple[str, dict[str, tuple[str, str, str] | None], tuple[str, ...]]:
-        """What ``trace_path`` reads, built on first use from a graph
-        ``_validate`` passed: START's successor; for every other node id,
-        its condition variable and yes and no successors (``None`` for an
-        OUTCOME); and the condition variables in ``condition_vars`` order."""
+        """What ``trace_path`` reads, built on first use from a valid graph
+        (``build_lawmap``'s, or one ``_validate`` passed): START's successor;
+        for every other node id, its condition variable and yes and no
+        successors (``None`` for an OUTCOME); and the condition variables in
+        ``condition_vars`` order."""
         steps: dict[str, tuple[str, str, str] | None] = {}
         for node in self.nodes[1:]:
             if node.kind == NodeKind.CONDITION:
@@ -174,6 +176,7 @@ def build_lawmap(
     nodes: list[LawmapNode] = [LawmapNode("start", NodeKind.START, "START")]
     branches: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
     ids: dict[tuple[int, ...], str] = {}
+    outcome_ids: set[str] = set()
     counter = itertools.count(1)
 
     def realize(state: tuple[int, ...]) -> str:
@@ -183,6 +186,9 @@ def build_lawmap(
             fired = tuple(d for d, f in zip(decisions, state) if f == Bdd.TRUE)
             if fired:
                 node_id = "outcome_" + "_".join(fired)
+                while node_id in outcome_ids:  # (A, B) and (A_B,) join alike
+                    node_id += "'"
+                outcome_ids.add(node_id)
                 label = "; ".join(eqs.table.describe(d) for d in fired)
             else:
                 node_id = "sink"
@@ -204,14 +210,13 @@ def build_lawmap(
     for node_id, hi, lo in branches:
         edges.append(LawmapEdge(node_id, ids[hi], EdgeGuard.TRUE_BRANCH))
         edges.append(LawmapEdge(node_id, ids[lo], EdgeGuard.FALSE_BRANCH))
-    graph = LawmapGraph(
+    # valid by construction (unique ids, levels rise along edges): no _validate
+    return LawmapGraph(
         rule_id=eqs.rule_id,
         nodes=tuple(nodes),
         edges=tuple(edges),
         meta=tuple(sorted((meta or {}).items())),
     )
-    _validate(graph)
-    return graph
 
 
 def _validate(graph: LawmapGraph) -> None:
@@ -319,24 +324,25 @@ def export_dot(graph: LawmapGraph, highlight: list[str] | None = None) -> str:
 
 
 def export_json(graph: LawmapGraph) -> str:
-    payload = {
-        "rule_id": graph.rule_id,
-        "meta": {k: v for k, v in graph.meta},
-        "nodes": [
-            {
-                "id": n.id,
-                "kind": n.kind.value,
-                "label": n.label,
-                "var": n.var,
-                "decisions": list(n.decisions),
-            }
-            for n in graph.nodes
-        ],
-        "edges": [
-            {"from": e.src, "to": e.dst, "guard": e.guard.value} for e in graph.edges
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    """Canonical JSON, written directly (see the module docstring)."""
+    q = _json_quote
+    meta = ",\n    ".join(f"{q(k)}: {q(v)}" for k, v in sorted(dict(graph.meta).items()))
+    meta = f"{{\n    {meta}\n  }}" if meta else "{}"
+    nodes = [
+        f'{{\n      "decisions": {strict_json.array([*map(q, n.decisions)], "      ")},'
+        f'\n      "id": {q(n.id)},\n      "kind": "{n.kind.value}",\n      "label": {q(n.label)},'
+        f'\n      "var": {"null" if n.var is None else q(n.var)}\n    }}'
+        for n in graph.nodes
+    ]
+    edges = [
+        f'{{\n      "from": {q(e.src)},\n      "guard": "{e.guard.value}",'
+        f'\n      "to": {q(e.dst)}\n    }}'
+        for e in graph.edges
+    ]
+    return (
+        f'{{\n  "edges": {strict_json.array(edges, "  ")},\n  "meta": {meta},'
+        f'\n  "nodes": {strict_json.array(nodes, "  ")},\n  "rule_id": {q(graph.rule_id)}\n}}\n'
+    )
 
 
 def graph_from_json(text: str) -> LawmapGraph:

@@ -1,4 +1,7 @@
-"""JSON text to Python values, refusing an object that gives a key twice.
+"""JSON in and out: ``loads`` refuses an object that gives a key twice, and
+``array`` lays out a list as ``json.dumps(..., indent=2)`` does, for the
+writers that build their text directly (``json`` has a C encoder only for
+output without ``indent``).
 
 ``json.loads`` keeps the last of two equal keys, so a second ``"rule_id"``
 in a file would silently win over the first.
@@ -23,3 +26,10 @@ def loads(text: str, where: str = "") -> object:
         return obj
 
     return json.loads(text, object_pairs_hook=unique_keys)
+
+
+def array(items: list[str], indent: str) -> str:
+    """The JSON array of the already encoded ``items`` as ``json.dumps(...,
+    indent=2)`` writes it when its opening line is indented by ``indent``."""
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]" if items else "[]"

@@ -27,10 +27,16 @@ one binary reader must give the same digest and the same objects and errors.
 for the condition variables and, at each step, the node's out-edges for
 the one its guard selects.  ``lawmap.trace_path`` walks a transition table
 and must give the same paths and the same ``missing`` tuples.
+
+``export_json_by_dumps`` and ``net_to_json_by_dumps`` build each export's
+payload and hand it to ``json.dumps(..., sort_keys=True,
+ensure_ascii=False, indent=2)``; lexroad writes the same text directly and
+must give the same bytes.
 """
 
 import hashlib
 import itertools
+import json
 import re
 import unicodedata
 from dataclasses import dataclass
@@ -531,3 +537,43 @@ def trace_path_by_edges(graph: LawmapGraph, assignment: dict[str, bool]) -> list
         path.append(step[guard])
         current = graph.node(path[-1])
     return path
+
+
+def export_json_by_dumps(graph: LawmapGraph) -> str:
+    """``lawmap.export_json`` through ``json.dumps``."""
+    payload = {
+        "rule_id": graph.rule_id,
+        "meta": {k: v for k, v in graph.meta},
+        "nodes": [
+            {
+                "id": n.id,
+                "kind": n.kind.value,
+                "label": n.label,
+                "var": n.var,
+                "decisions": list(n.decisions),
+            }
+            for n in graph.nodes
+        ],
+        "edges": [
+            {"from": e.src, "to": e.dst, "guard": e.guard.value} for e in graph.edges
+        ],
+    }
+    return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+
+
+def net_to_json_by_dumps(net: BayesNet) -> str:
+    """``bayes_net.net_to_json`` through ``json.dumps``."""
+    payload = {
+        "rule_id": net.rule_id,
+        "nodes": [
+            {
+                "id": n.id,
+                "kind": n.kind.value,
+                "parents": list(n.parents),
+                "cpt": list(n.cpt),
+                "description": n.description,
+            }
+            for n in net.nodes
+        ],
+    }
+    return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"

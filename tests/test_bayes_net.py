@@ -37,8 +37,15 @@ from lexroad.boolean_core import (
     to_text,
 )
 from lexroad.rule_dsl import assign_variables, load_rule_file, parse_rule
-from reference import cpt_by_rows, infer_enumeration, p_true, validate_by_enumeration
+from reference import (
+    cpt_by_rows,
+    infer_enumeration,
+    net_to_json_by_dumps,
+    p_true,
+    validate_by_enumeration,
+)
 from test_boolean_core import exprs
+from test_lawmap import AWKWARD_TEXT, first_difference
 
 
 def joint_brute(net, evidence=None):
@@ -410,6 +417,11 @@ BAD_NETS = [
     ("parent-later", lambda nodes: nodes.insert(0, nodes.pop()),
      "node D: parent A is not defined before it"),
     ("duplicate-id", lambda nodes: nodes.insert(1, dict(nodes[0])), "node q is defined twice"),
+    # true == 1.0 and false == 0.0, so only the loader can tell them apart
+    ("boolean-cpt-true", lambda nodes: nodes[4]["cpt"].__setitem__(0, True),
+     "node A: CPT entries must be numbers, not true or false"),
+    ("boolean-cpt-false", lambda nodes: nodes[6]["cpt"].__setitem__(0, False),
+     "node D: CPT entries must be numbers, not true or false"),
 ]
 
 
@@ -562,3 +574,25 @@ def test_validation_agrees_with_the_enumeration_oracle(eqs, data):
     assert got.divergences == want.divergences
     assert got.assignments_checked == want.assignments_checked
     assert got.equation_checks == want.equation_checks
+
+
+_PRIORS = st.sampled_from([0.1, 1e-05, 0.30000000000000004, 2 / 3]) | st.floats(
+    0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.none(), _small_equations(), st.sampled_from([16, 32]).map(
+    lambda k: parse_equations(f"Y = {_join('∨', k)}\n"))), st.data())
+def test_net_json_is_the_json_dumps_text(pack, eqs, data):
+    """``net_to_json`` writes what ``json.dumps`` writes for the same
+    payload, byte for byte: nets of the shipped pack (``eqs`` None), of
+    generated rules and of flat ORs over 16 and 32 inputs (16-parent nodes,
+    the second split in two), with drawn priors and, in half of them, a
+    drawn rule id and descriptions."""
+    if eqs is None:
+        eqs = data.draw(st.sampled_from([entry.equations for entry in pack.rules()]))
+    net = build_bn(eqs, priors={v: data.draw(_PRIORS) for v in eqs.input_ids()})
+    if data.draw(st.booleans()):
+        net = BayesNet(data.draw(AWKWARD_TEXT), tuple(
+            replace(n, description=data.draw(AWKWARD_TEXT)) for n in net.nodes))
+    assert first_difference(net_to_json(net), net_to_json_by_dumps(net)) is None

@@ -7,6 +7,7 @@ brute-force evaluators written here, not by the code under test.
 import dataclasses
 import itertools
 import random
+from string import ascii_lowercase
 
 import pytest
 from hypothesis import given, settings
@@ -196,39 +197,50 @@ def test_evaluate_adds_no_diagram_nodes():
     assert eqs.diagram[0] is bdd and len(bdd._nodes) == size
 
 
-_REPEATED_NAMES = st.sampled_from(tuple("abcdefghijkl"))  # at most 12 inputs
-
-
 @st.composite
 def _repeated_var_rules(draw):
-    """Rule text whose clauses draw their @vars from 12 names with
-    replacement, so a name may occur twice: in one section, or in the
-    antecedent and the exception."""
+    """Rule text over 1-10 inputs or over 11-16, whose clauses give up to
+    three @vars a second time: in one section, in the antecedent and the
+    exception, or in an outcome's guard."""
+    width = draw(st.integers(1, 10) | st.integers(11, 16))
+    names = draw(st.permutations("abcdefghijklmnop"))[:width]
+    twice = draw(st.lists(st.sampled_from(names), max_size=3))
+    leaves = draw(st.permutations([*names, *twice]))
+    cut = len(leaves)
+    if len(leaves) > 1 and draw(st.booleans()):
+        cut = draw(st.integers(1, len(leaves) - 1))
 
-    def section(depth):
-        lines, count = [], draw(st.integers(1, 3))
-        for i in range(count):
-            label = f"[{'ABCD'[i]}]" if depth == 1 else f"{'abc'[i]}."
-            term = "." if i == count - 1 else draw(st.sampled_from(["; or,", "; and,"]))
-            if depth == 1 and draw(st.booleans()):
-                lines.append(f"    {label} any of:")
-                lines += section(2)
-            else:
-                lines.append(f"{'    ' * depth}{label} {leaf(term)}")
+    def section(leaves):
+        """Up to four top-level clauses over ``leaves`` in order: a leaf, or
+        an "any of" clause over a run of them."""
+        cuts = []
+        if len(leaves) > 1:
+            cuts = sorted(draw(st.sets(st.integers(1, len(leaves) - 1), max_size=3)))
+        runs = [leaves[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(leaves)])]
+        lines = []
+        for i, run in enumerate(runs):
+            if len(run) == 1:
+                lines.append(f"    [{'ABCD'[i]}] {leaf(run[0], term(i == len(runs) - 1))}")
+                continue
+            lines.append(f"    [{'ABCD'[i]}] any of:")
+            lines += [f"        {ascii_lowercase[j]}. {leaf(name, term(j == len(run) - 1))}"
+                      for j, name in enumerate(run)]
         return lines
 
-    def leaf(term):
+    def term(last):
+        return "." if last else draw(st.sampled_from(["; or,", "; and,"]))
+
+    def leaf(name, term):
         # one text per name, so that a name's clauses agree (an outcome's
         # guard is a clause that starts "Where")
-        name = draw(_REPEATED_NAMES)
         return f"Where {name} holds{term} @var({name})"
 
-    lines = ["IF:", *section(1)]
-    if draw(st.booleans()):
-        lines += ["EXCEPT:", *section(1), "THEN:", "    [X] x. @var(X)"]
+    lines = ["IF:", *section(leaves[:cut])]
+    if cut < len(leaves):
+        lines += ["EXCEPT:", *section(leaves[cut:]), "THEN:", "    [X] x. @var(X)"]
     lines += ["ELSE:", "    [Y] y. @var(Y)"]
     if draw(st.booleans()):
-        lines += ["    [W] w: @var(W)", f"        a. {leaf('.')}"]
+        lines += ["    [W] w: @var(W)", f"        a. {leaf(draw(st.sampled_from(names)), '.')}"]
     return "\n".join(lines) + "\n"
 
 
@@ -236,11 +248,14 @@ def _repeated_var_rules(draw):
 @given(_repeated_var_rules(), st.data())
 def test_evaluate_is_exact_on_repeated_variables(text, data):
     """Each verdict is the consensus of brute force over every completion of
-    the facts; Kleene evaluation only has to be sound."""
+    the facts; Kleene evaluation only has to be sound.  At most 8 inputs are
+    left open (missing or None), which keeps the completions at 256."""
     eqs = _compiled(text)
     names = eqs.input_ids()
+    open_names = data.draw(st.lists(st.sampled_from(names), max_size=8, unique=True))
     facts = data.draw(st.fixed_dictionaries(
-        {}, optional={name: st.sampled_from([True, False, None]) for name in names}))
+        {name: st.booleans() for name in names if name not in open_names},
+        optional={name: st.none() for name in open_names}))
     known = {k: v for k, v in facts.items() if v is not None}
     got = evaluate(eqs, facts)
     for decision, expr in expand(eqs).items():

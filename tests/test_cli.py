@@ -516,6 +516,15 @@ EXIT_TABLE = [
     ("bn-priors-not-a-number", lambda d: ["bn", PACK / "103.rule", "--priors",
                                           write_file(d, "p.json", {"A": None})], 4,
      "error: prior for A must be a number\n"),
+    ("bn-priors-numeric-string", lambda d: ["bn", PACK / "103.rule", "--priors",
+                                            write_file(d, "p.json", {"A": "0.3"})], 4,
+     "error: prior for A must be a number\n"),
+    ("bn-priors-boolean", lambda d: ["bn", PACK / "103.rule", "--priors",
+                                     write_file(d, "p.json", {"A": True})], 4,
+     "error: prior for A must be a number\n"),
+    ("bn-priors-text", lambda d: ["bn", PACK / "103.rule", "--priors",
+                                  write_file(d, "p.json", {"A": "abc"})], 4,
+     "error: prior for A must be a number\n"),
     ("bn-priors-name-with-line-break", lambda d: ["bn", PACK / "103.rule", "--priors",
                                                   write_file(d, "p.json", {"\r": None})], 4,
      "error: prior for \\r must be a number\n"),

@@ -5,6 +5,7 @@ import json
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,13 +18,14 @@ from lexroad.lawmap import (
     IncompleteAssignmentError,
     InconsistentInputsError,
     NodeKind,
+    _validate,
     build_lawmap,
     export_dot,
     export_json,
     graph_from_json,
     trace_path,
 )
-from reference import trace_path_by_edges, truth_table
+from reference import export_json_by_dumps, trace_path_by_edges, truth_table
 from test_boolean_core import _compiled, _repeated_var_rules
 
 
@@ -170,6 +172,26 @@ def test_trace_matches_the_edge_walk_on_generated_rules(eqs, round_trip, data):
     _assert_trace_matches_the_edge_walk(graph, eqs.input_ids(), data)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.none(), _repeated_var_rules().map(_compiled), _wide_equations()), st.data())
+def test_built_graphs_pass_validation(pack, eqs, data):
+    """``build_lawmap`` leaves ``_validate`` to ``graph_from_json``: every
+    graph it builds, of the shipped pack (``eqs`` None) or of generated
+    rules, is valid by construction."""
+    if eqs is None:
+        eqs = data.draw(st.sampled_from([entry.equations for entry in pack.rules()]))
+    _validate(build_lawmap(eqs))
+
+
+def test_outcome_ids_stay_unique_when_decision_names_join_alike():
+    """A and B firing together, and A_B alone, would both be outcome_A_B."""
+    graph = build_lawmap(parse_equations("A = x ∧ e\nB = x ∧ e\nA_B = x ∧ ¬e\n"))
+    _validate(graph)
+    for e, fired in ((True, ("A", "B")), (False, ("A_B",))):
+        assert graph.node(trace_path(graph, {"x": True, "e": e})[-1]).decisions == fired
+    assert graph_from_json(export_json(graph)) == graph
+
+
 def test_path_evaluate_agreement_everywhere(pack):
     """The traced leaf's decision set equals the TRUE decisions, for every
     complete assignment of every shipped rule."""
@@ -251,6 +273,42 @@ def test_json_round_trip(pack):
     for entry in pack.rules():
         graph = build_lawmap(entry.equations, entry.ast, meta={"title": "x"})
         assert graph_from_json(export_json(graph)) == graph
+
+
+# text a JSON writer must escape or pass through: quotes, backslashes,
+# control characters, U+2028 and other non-ASCII text
+AWKWARD_TEXT = st.one_of(
+    st.text(st.sampled_from('"\\\x00\x1f\n\t/aé€\u2028\U0001f697'), max_size=6),
+    st.text(max_size=6),
+)
+
+
+def first_difference(got, want):
+    """None for equal texts, else the number and both versions of the first
+    line where they differ (a pytest diff of two long texts takes minutes)."""
+    if got == want:
+        return None
+    got_lines, want_lines = got.splitlines(True), want.splitlines(True)
+    i = next((i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
+             min(len(got_lines), len(want_lines)))
+    return i + 1, got_lines[i:i + 1], want_lines[i:i + 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.none(), _repeated_var_rules().map(_compiled), _wide_equations()), st.data())
+def test_json_export_is_the_json_dumps_text(pack, eqs, data):
+    """``export_json`` writes what ``json.dumps`` writes for the same
+    payload, byte for byte: graphs of the shipped pack (``eqs`` None) and of
+    generated rules, with a drawn meta (maybe empty) and, in half of them, a
+    drawn rule id and labels."""
+    if eqs is None:
+        eqs = data.draw(st.sampled_from([entry.equations for entry in pack.rules()]))
+    graph = build_lawmap(eqs, meta=data.draw(st.dictionaries(AWKWARD_TEXT, AWKWARD_TEXT,
+                                                             max_size=3)))
+    if data.draw(st.booleans()):
+        graph = replace(graph, rule_id=data.draw(AWKWARD_TEXT), nodes=tuple(
+            replace(n, label=data.draw(AWKWARD_TEXT)) for n in graph.nodes))
+    assert first_difference(export_json(graph), export_json_by_dumps(graph)) is None
 
 
 def test_graph_from_json_rejects_a_key_given_twice(rules_by_id):
