@@ -41,6 +41,7 @@ from json.encoder import encode_basestring as _json_quote
 from typing import NamedTuple
 
 from . import strict_json
+from .strict_json import json_value
 from .boolean_core import (
     And,
     Bdd,
@@ -134,17 +135,18 @@ def _cpt_for(expr: BoolExpr, parents: tuple[str, ...]) -> tuple[float, ...]:
     node at level i are the rows of its TRUE cofactor, then those of its
     FALSE cofactor, which is the :class:`BnNode` row order."""
     bdd = Bdd(parents)
-    memo: dict[tuple[int, int], tuple[float, ...]] = {}
+    return _rows(bdd, bdd.of(expr), 0, {})
 
-    def rows(f: int, i: int) -> tuple[float, ...]:
-        if i == len(parents):
-            return (1.0,) if f == Bdd.TRUE else (0.0,)
-        if (f, i) not in memo:
-            hi, lo = bdd.cofactors(f, i)
-            memo[f, i] = rows(hi, i + 1) + rows(lo, i + 1)
-        return memo[f, i]
 
-    return rows(bdd.of(expr), 0)
+def _rows(bdd: Bdd, f: int, i: int, memo: dict[tuple[int, int], tuple[float, ...]]
+          ) -> tuple[float, ...]:
+    """The CPT rows under ``f`` at level ``i`` of ``bdd``, memoised in ``memo``."""
+    if i == len(bdd.names):
+        return (1.0,) if f == Bdd.TRUE else (0.0,)
+    if (f, i) not in memo:
+        hi, lo = bdd.cofactors(f, i)
+        memo[f, i] = _rows(bdd, hi, i + 1, memo) + _rows(bdd, lo, i + 1, memo)
+    return memo[f, i]
 
 
 def _replace_folds(expr: BoolExpr, fold_of: dict[BoolExpr, str]) -> BoolExpr:
@@ -180,6 +182,10 @@ def _split(owner: str, expr: BoolExpr, taken: set[str], add: Callable[..., Var])
     feed.
     """
     count = 0
+    # clause and narrow call each other through closure cells: the finally
+    # deletes them, so that a call frees its scratch state when it returns
+    # instead of leaving a reference cycle for the cyclic collector (as
+    # build_bn does with add, and _posteriors with wmc).
 
     def clause(part: BoolExpr) -> Var:
         nonlocal count
@@ -203,7 +209,10 @@ def _split(owner: str, expr: BoolExpr, taken: set[str], add: Callable[..., Var])
             ]
         return op(tuple(children))
 
-    return narrow(expr)
+    try:
+        return narrow(expr)
+    finally:
+        del clause, narrow
 
 
 def build_bn(
@@ -240,11 +249,14 @@ def build_bn(
         fold_of.setdefault(expr, _fresh_name(label, taken, "_fold"))
     folds = {name: expr for expr, name in fold_of.items()}
     rewritten = {d: _replace_folds(e, fold_of) for d, e in eqs.equations.items()}
-    for name in dict.fromkeys(v for e in rewritten.values() for v in free_vars(e)):
-        if name in folds:
-            add(name, BnNodeKind.CLAUSE, folds[name])
-    for decision, expr in rewritten.items():
-        add(decision, BnNodeKind.DECISION, expr, table.describe(decision))
+    try:
+        for name in dict.fromkeys(v for e in rewritten.values() for v in free_vars(e)):
+            if name in folds:
+                add(name, BnNodeKind.CLAUSE, folds[name])
+        for decision, expr in rewritten.items():
+            add(decision, BnNodeKind.DECISION, expr, table.describe(decision))
+    finally:
+        del add  # it passes itself to _split
     return BayesNet(rule_id=eqs.rule_id, nodes=tuple(nodes))
 
 
@@ -263,16 +275,18 @@ def _node_functions(net: BayesNet, bdd: Bdd) -> tuple[dict[str, int], list[float
             fn[node.id] = bdd.var(node.id)
             prior.append(node.cpt[0])
             continue
-        parents = [fn[p] for p in node.parents]
-
-        def shannon(rows: tuple[float, ...], i: int) -> int:
-            if min(rows) == max(rows):  # this half of the table is constant
-                return Bdd.TRUE if rows[0] else Bdd.FALSE
-            half = len(rows) // 2  # first half: parent i true
-            return bdd.ite(parents[i], shannon(rows[:half], i + 1), shannon(rows[half:], i + 1))
-
-        fn[node.id] = shannon(node.cpt, 0)
+        fn[node.id] = _shannon(bdd, [fn[p] for p in node.parents], node.cpt, 0)
     return fn, prior
+
+
+def _shannon(bdd: Bdd, parents: list[int], rows: tuple[float, ...], i: int) -> int:
+    """The node of ``bdd`` whose value is ``rows``, the CPT rows from parent
+    ``i`` on, by Shannon expansion over the ``parents`` nodes."""
+    if min(rows) == max(rows):  # this half of the table is constant
+        return Bdd.TRUE if rows[0] else Bdd.FALSE
+    half = len(rows) // 2  # first half: parent i true
+    return bdd.ite(parents[i], _shannon(bdd, parents, rows[:half], i + 1),
+                   _shannon(bdd, parents, rows[half:], i + 1))
 
 
 def infer(net: BayesNet, evidence: dict[str, bool] | None = None) -> dict[str, float]:
@@ -316,10 +330,13 @@ def _posteriors(
             weight[f] = prior[level] * wmc(hi) + (1.0 - prior[level]) * wmc(lo)
         return weight[f]
 
-    z = wmc(e)
-    if z == 0.0:
-        raise ImpossibleEvidenceError("evidence probability underflows to 0")
-    return {node_id: wmc(bdd.ite(e, fn[node_id], Bdd.FALSE)) / z for node_id in targets}
+    try:
+        z = wmc(e)
+        if z == 0.0:
+            raise ImpossibleEvidenceError("evidence probability underflows to 0")
+        return {node_id: wmc(bdd.ite(e, fn[node_id], Bdd.FALSE)) / z for node_id in targets}
+    finally:
+        del wmc
 
 
 # --- validation --------------------------------------------------------------
@@ -418,20 +435,26 @@ def net_to_json(net: BayesNet) -> str:
 
 def net_from_json(text: str) -> BayesNet:
     """The net ``net_to_json`` wrote; ``ValueError`` for one inference
-    cannot use, or for a JSON object that gives a key twice."""
-    payload = strict_json.loads(text)
-    nodes = tuple(
-        BnNode(
-            n["id"],
-            BnNodeKind(n["kind"]),
-            tuple(n["parents"]),
-            tuple(n["cpt"]),
-            n.get("description", ""),
-        )
-        for n in payload["nodes"]
-    )
-    for node in nodes:  # True == 1.0 would pass _check_nodes
-        if any(isinstance(p, bool) for p in node.cpt):
-            raise ValueError(f"node {node.id}: CPT entries must be numbers, not true or false")
-    _check_nodes(nodes)
-    return BayesNet(rule_id=payload["rule_id"], nodes=nodes)
+    cannot use, for a field of the wrong JSON type (naming it), or for a JSON
+    object that gives a key twice."""
+    payload = json_value(strict_json.loads(text), dict, "net")
+    nodes = []
+    for n in json_value(payload.get("nodes"), list, "nodes"):
+        n = json_value(n, dict, "each node")
+        node_id = json_value(n.get("id"), str, "node id")
+        cpt = tuple(json_value(n.get("cpt"), list, f"node {node_id}: cpt"))
+        if any(isinstance(p, bool) for p in cpt):  # True == 1.0 would pass _check_nodes
+            raise ValueError(f"node {node_id}: CPT entries must be numbers, not true or false")
+        if not all(isinstance(p, (int, float)) for p in cpt):
+            raise ValueError(f"node {node_id}: CPT entries must be numbers")
+        nodes.append(BnNode(
+            node_id,
+            BnNodeKind(json_value(n.get("kind"), str, f"node {node_id}: kind")),
+            tuple(json_value(p, str, f"node {node_id}: each parent")
+                  for p in json_value(n.get("parents"), list, f"node {node_id}: parents")),
+            cpt,
+            json_value(n.get("description", ""), str, f"node {node_id}: description"),
+        ))
+    _check_nodes(tuple(nodes))
+    return BayesNet(rule_id=json_value(payload.get("rule_id"), str, "rule_id"),
+                    nodes=tuple(nodes))

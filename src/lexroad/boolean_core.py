@@ -123,17 +123,15 @@ def disj(parts: list["BoolExpr"]) -> "BoolExpr":
 def free_vars(expr: BoolExpr) -> tuple[str, ...]:
     """Variable ids in order of first appearance."""
     seen: dict[str, None] = {}
-
-    def walk(e: BoolExpr) -> None:
+    stack = [expr]
+    while stack:
+        e = stack.pop()
         if isinstance(e, Var):
             seen.setdefault(e.id, None)
         elif isinstance(e, Not):
-            walk(e.child)
+            stack.append(e.child)
         elif isinstance(e, (And, Or)):
-            for child in e.children:
-                walk(child)
-
-    walk(expr)
+            stack.extend(reversed(e.children))
     return tuple(seen)
 
 
@@ -173,35 +171,12 @@ def compile_rule(ast: RuleAst, table: VariableTable) -> RuleEquations:
     """Compile a parsed rule against its variable table."""
     if not ast.else_outcomes:
         raise NoOutcomeError(f"rule {ast.rule_id} has no ELSE outcomes")
-
-    def fold(clause: Clause, path: str) -> BoolExpr:
-        if path in table.paths:
-            return Var(table.paths[path])
-        if not clause.children:
-            raise UnboundVariableError(path)
-        parts = [
-            fold(child, f"{path}.{_child_key(child, i)}")
-            for i, child in enumerate(clause.children)
-        ]
-        conns = [child.connective for child in clause.children[:-1]]
-        return _fold_with(parts, conns)
-
-    def _fold_with(parts: list[BoolExpr], conns: list[Connective | None]) -> BoolExpr:
-        # AND binds tighter than OR when a sibling list mixes connectives.
-        groups: list[list[BoolExpr]] = [[parts[0]]]
-        for conn, part in zip(conns, parts[1:]):
-            if conn == Connective.OR:
-                groups.append([part])
-            else:
-                groups[-1].append(part)
-        return disj([conj(group) for group in groups])
-
     folds: dict[str, BoolExpr] = {}
 
     def fold_section(section: str, clauses: tuple[Clause, ...]) -> BoolExpr:
         parts = []
         for i, clause in enumerate(clauses):
-            part = fold(clause, clause_path(section, (_child_key(clause, i),)))
+            part = _fold(clause, clause_path(section, (_child_key(clause, i),)), table.paths)
             if clause.label and clause.label.isupper() and not isinstance(part, (Var, Const)):
                 folds[clause.label] = part
             parts.append(part)
@@ -223,7 +198,7 @@ def compile_rule(ast: RuleAst, table: VariableTable) -> RuleEquations:
         else:
             base = And((antecedent, Not(exception))) if exception is not None else antecedent
         guards = [
-            fold(child, f"{path}.{_child_key(child, j)}")
+            _fold(child, f"{path}.{_child_key(child, j)}", table.paths)
             for j, child in enumerate(outcome.children)
             if is_guard(child)
         ]
@@ -251,6 +226,32 @@ def compile_rule(ast: RuleAst, table: VariableTable) -> RuleEquations:
     )
 
 
+def _fold(clause: Clause, path: str, paths: dict[str, str]) -> BoolExpr:
+    """The expression of ``clause`` at ``path``: its variable in ``paths``,
+    else the fold of its children."""
+    if path in paths:
+        return Var(paths[path])
+    if not clause.children:
+        raise UnboundVariableError(path)
+    parts = [
+        _fold(child, f"{path}.{_child_key(child, i)}", paths)
+        for i, child in enumerate(clause.children)
+    ]
+    conns = [child.connective for child in clause.children[:-1]]
+    return _fold_with(parts, conns)
+
+
+def _fold_with(parts: list[BoolExpr], conns: list[Connective | None]) -> BoolExpr:
+    # AND binds tighter than OR when a sibling list mixes connectives.
+    groups: list[list[BoolExpr]] = [[parts[0]]]
+    for conn, part in zip(conns, parts[1:]):
+        if conn == Connective.OR:
+            groups.append([part])
+        else:
+            groups[-1].append(part)
+    return disj([conj(group) for group in groups])
+
+
 def evaluate(eqs: RuleEquations, assignment: dict[str, bool | None]) -> dict[str, bool | None]:
     """Each decision TRUE or FALSE when every completion of the facts (missing
     or None ones are unknown) gives it that value, else None (UNKNOWN); a
@@ -262,25 +263,27 @@ def evaluate(eqs: RuleEquations, assignment: dict[str, bool | None]) -> dict[str
 def expand(eqs: RuleEquations) -> dict[str, BoolExpr]:
     """Substitute references to earlier decisions, leaving pure input expressions."""
     expanded: dict[str, BoolExpr] = {}
-
-    def subst(e: BoolExpr) -> BoolExpr:
-        if isinstance(e, Var):
-            if e.id in expanded:
-                return expanded[e.id]
-            if e.id in eqs.equations:
-                raise CyclicDefinitionError(e.id)
-            return e
-        if isinstance(e, Not):
-            return Not(subst(e.child))
-        if isinstance(e, And):
-            return And(tuple(subst(c) for c in e.children))
-        if isinstance(e, Or):
-            return Or(tuple(subst(c) for c in e.children))
-        return e
-
     for decision, expr in eqs.equations.items():
-        expanded[decision] = subst(expr)
+        expanded[decision] = _subst(expr, expanded, eqs.equations)
     return expanded
+
+
+def _subst(e: BoolExpr, expanded: dict[str, BoolExpr], equations: dict[str, BoolExpr]) -> BoolExpr:
+    """``e`` with each decision in ``expanded`` replaced by its expression; a
+    decision of ``equations`` not expanded yet is a cycle."""
+    if isinstance(e, Var):
+        if e.id in expanded:
+            return expanded[e.id]
+        if e.id in equations:
+            raise CyclicDefinitionError(e.id)
+        return e
+    if isinstance(e, Not):
+        return Not(_subst(e.child, expanded, equations))
+    if isinstance(e, And):
+        return And(tuple(_subst(c, expanded, equations) for c in e.children))
+    if isinstance(e, Or):
+        return Or(tuple(_subst(c, expanded, equations) for c in e.children))
+    return e
 
 
 class PropertyReport(NamedTuple):
@@ -355,23 +358,24 @@ _OPS = {"unicode": ("∧", "∨", "¬"), "ascii": ("&", "|", "!")}
 
 
 def to_text(expr: BoolExpr, ascii_ops: bool = False) -> str:
-    and_op, or_op, not_op = _OPS["ascii" if ascii_ops else "unicode"]
+    return _render(expr, _OPS["ascii" if ascii_ops else "unicode"])
 
-    def wrap(e: BoolExpr) -> str:
-        text = render(e)
-        return f"({text})" if isinstance(e, (And, Or)) else text
 
-    def render(e: BoolExpr) -> str:
-        if isinstance(e, Var):
-            return e.id
-        if isinstance(e, Const):
-            return "TRUE" if e.value else "FALSE"
-        if isinstance(e, Not):
-            return f"{not_op}{wrap(e.child)}"
-        op = f" {and_op} " if isinstance(e, And) else f" {or_op} "
-        return op.join(wrap(child) for child in e.children)
+def _render(e: BoolExpr, ops: tuple[str, str, str]) -> str:
+    """``e`` as text, with the and, or and not operators ``ops``."""
+    if isinstance(e, Var):
+        return e.id
+    if isinstance(e, Const):
+        return "TRUE" if e.value else "FALSE"
+    if isinstance(e, Not):
+        return f"{ops[2]}{_wrap(e.child, ops)}"
+    op = f" {ops[0]} " if isinstance(e, And) else f" {ops[1]} "
+    return op.join(_wrap(child, ops) for child in e.children)
 
-    return render(expr)
+
+def _wrap(e: BoolExpr, ops: tuple[str, str, str]) -> str:
+    text = _render(e, ops)
+    return f"({text})" if isinstance(e, (And, Or)) else text
 
 
 def equations_to_text(eqs: RuleEquations, ascii_ops: bool = False) -> str:
@@ -402,52 +406,50 @@ def parse_expr(text: str) -> BoolExpr:
         tokens.append((kind, m.group(kind)))
         pos = m.end()
     tokens.append(("end", ""))
-    index = 0
-
-    def peek() -> str:
-        return tokens[index][0]
-
-    def take(kind: str) -> str:
-        nonlocal index
-        got, value = tokens[index]
-        if got != kind:
-            raise EquationSyntaxError(f"expected {kind}, got {got or 'end'}")
-        index += 1
-        return value
-
-    def parse_or() -> BoolExpr:
-        parts = [parse_and()]
-        while peek() == "or":
-            take("or")
-            parts.append(parse_and())
-        return disj(parts)
-
-    def parse_and() -> BoolExpr:
-        parts = [parse_unary()]
-        while peek() == "and":
-            take("and")
-            parts.append(parse_unary())
-        return conj(parts)
-
-    def parse_unary() -> BoolExpr:
-        if peek() == "not":
-            take("not")
-            return Not(parse_unary())
-        if peek() == "lpar":
-            take("lpar")
-            inner = parse_or()
-            take("rpar")
-            return inner
-        name = take("id")
-        if name == "TRUE":
-            return TRUE
-        if name == "FALSE":
-            return FALSE
-        return Var(name)
-
-    result = parse_or()
-    take("end")
+    result, end = _parse_or(tokens, 0)
+    _take(tokens, end, "end")
     return result
+
+
+# The parser's functions take the tokens and the index of the next one; each
+# ``_parse_*`` returns what it parsed and the index after it.
+
+def _take(tokens: list[tuple[str, str]], index: int, kind: str) -> str:
+    got, value = tokens[index]
+    if got != kind:
+        raise EquationSyntaxError(f"expected {kind}, got {got or 'end'}")
+    return value
+
+
+def _parse_or(tokens: list[tuple[str, str]], index: int) -> tuple[BoolExpr, int]:
+    part, index = _parse_and(tokens, index)
+    parts = [part]
+    while tokens[index][0] == "or":
+        part, index = _parse_and(tokens, index + 1)
+        parts.append(part)
+    return disj(parts), index
+
+
+def _parse_and(tokens: list[tuple[str, str]], index: int) -> tuple[BoolExpr, int]:
+    part, index = _parse_unary(tokens, index)
+    parts = [part]
+    while tokens[index][0] == "and":
+        part, index = _parse_unary(tokens, index + 1)
+        parts.append(part)
+    return conj(parts), index
+
+
+def _parse_unary(tokens: list[tuple[str, str]], index: int) -> tuple[BoolExpr, int]:
+    kind = tokens[index][0]
+    if kind == "not":
+        child, index = _parse_unary(tokens, index + 1)
+        return Not(child), index
+    if kind == "lpar":
+        inner, index = _parse_or(tokens, index + 1)
+        _take(tokens, index, "rpar")
+        return inner, index + 1
+    name = _take(tokens, index, "id")
+    return TRUE if name == "TRUE" else FALSE if name == "FALSE" else Var(name), index + 1
 
 
 def parse_equations(text: str, rule_id: str = "adhoc") -> RuleEquations:
@@ -613,6 +615,9 @@ class Bdd:
     def settle(self, fs: tuple[int, ...], facts: dict[str, bool | None]) -> list[bool | None]:
         """Each of ``fs`` as TRUE or FALSE when it is that constant on every
         completion of ``facts``, else None; a memoised walk that adds no node."""
+        # ``walk`` calls itself, so it holds itself through a closure cell: the
+        # finally deletes it, so that the call frees ``seen`` when it returns
+        # instead of leaving a reference cycle for the cyclic collector.
         seen: dict[int, bool | None] = {self.FALSE: False, self.TRUE: True}
 
         def walk(f: int) -> bool | None:
@@ -626,7 +631,10 @@ class Bdd:
                     seen[f] = walk(hi if value else lo)
             return seen[f]
 
-        return [walk(f) for f in fs]
+        try:
+            return [walk(f) for f in fs]
+        finally:
+            del walk
 
     def witness(self, f: int, names: tuple[str, ...], first: bool) -> dict[str, bool] | None:
         """The first assignment to ``names`` (which cover ``f``'s variables)
@@ -644,17 +652,17 @@ class Bdd:
 
     def models(self, f: int) -> Iterator[tuple[bool, ...]]:
         """Every assignment to ``names`` that satisfies ``f``, as a tuple of
-        values by level, in lexicographic order with FALSE before TRUE."""
-
-        def walk(g: int, level: int) -> Iterator[tuple[bool, ...]]:
+        values by level, in lexicographic order with FALSE before TRUE; a
+        generator that walks the diagram depth first, FALSE branch first."""
+        stack = [(f, ())]
+        while stack:
+            g, values = stack.pop()
             if g == self.FALSE:
-                return
+                continue
+            level = len(values)
             if level == len(self.names):
-                yield ()
-                return
+                yield values
+                continue
             hi, lo = self.cofactors(g, level)
-            for value, branch in ((False, lo), (True, hi)):
-                for rest in walk(branch, level + 1):
-                    yield (value, *rest)
-
-        return walk(f, 0)
+            stack.append((hi, (*values, True)))
+            stack.append((lo, (*values, False)))

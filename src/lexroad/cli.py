@@ -337,6 +337,7 @@ def main(argv: list[str] | None = None) -> int:
         error = error.args[0]  # str() of a KeyError would quote its message
     # a syntax error already reads "file:line:col: error: ..."
     message = str(error) if isinstance(error, rule_dsl.RuleSyntaxError) else f"error: {error}"
+    del error  # its traceback holds this frame: a cycle that would keep every frame it holds
     print(message.translate(_ONE_LINE), file=sys.stderr)
     return code
 

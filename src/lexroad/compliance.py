@@ -25,9 +25,9 @@ from .rulepack import (
     CapabilityRequirement,
     RagRating,
     Rulepack,
-    json_value,
     load_json_object,
 )
+from .strict_json import json_value
 
 
 class UnknownScenarioVariableError(Exception):

@@ -22,7 +22,6 @@ diffs, both written directly; the JSON is byte for byte what ``json``'s
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -30,6 +29,7 @@ from functools import cached_property
 from json.encoder import encode_basestring as _json_quote
 
 from . import strict_json
+from .strict_json import json_value
 from .boolean_core import Bdd, RuleEquations
 from .rule_dsl import RuleAst
 
@@ -135,17 +135,13 @@ class LawmapGraph:
     def outcome_paths(self) -> list[list[str]]:
         """Every START→OUTCOME path, depth first, yes before no."""
         paths: list[list[str]] = []
-
-        def walk(node_id: str, trail: list[str]) -> None:
-            trail = trail + [node_id]
-            edges = self.out_edges(node_id)
+        stack = [[self.nodes[0].id]]
+        while stack:
+            trail = stack.pop()
+            edges = self.out_edges(trail[-1])
             if not edges:
                 paths.append(trail)
-                return
-            for edge in edges:
-                walk(edge.dst, trail)
-
-        walk(self.nodes[0].id, [])
+            stack.extend(trail + [edge.dst] for edge in reversed(edges))
         return paths
 
 
@@ -177,11 +173,13 @@ def build_lawmap(
     branches: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
     ids: dict[tuple[int, ...], str] = {}
     outcome_ids: set[str] = set()
-    counter = itertools.count(1)
-
-    def realize(state: tuple[int, ...]) -> str:
+    # depth first from the root, yes branch before no, each state once:
+    # condition ids c1, c2, ... in preorder
+    stack = [root]
+    while stack:
+        state = stack.pop()
         if state in ids:
-            return ids[state]
+            continue
         if all(f in (Bdd.FALSE, Bdd.TRUE) for f in state):
             fired = tuple(d for d, f in zip(decisions, state) if f == Bdd.TRUE)
             if fired:
@@ -195,18 +193,16 @@ def build_lawmap(
                 label = "Out of scope"
             ids[state] = node_id
             nodes.append(LawmapNode(node_id, NodeKind.OUTCOME, label, None, fired))
-            return node_id
+            continue
         level = min(bdd.level(f) for f in state)
         var = bdd.names[level]
-        node_id = ids[state] = f"c{next(counter)}"
+        node_id = ids[state] = f"c{len(branches) + 1}"
         nodes.append(LawmapNode(node_id, NodeKind.CONDITION, eqs.table.describe(var), var))
         hi, lo = zip(*(bdd.cofactors(f, level) for f in state))
         branches.append((node_id, hi, lo))
-        realize(hi)
-        realize(lo)
-        return node_id
+        stack += (lo, hi)
 
-    edges = [LawmapEdge("start", realize(root), EdgeGuard.ALWAYS)]
+    edges = [LawmapEdge("start", ids[root], EdgeGuard.ALWAYS)]
     for node_id, hi, lo in branches:
         edges.append(LawmapEdge(node_id, ids[hi], EdgeGuard.TRUE_BRANCH))
         edges.append(LawmapEdge(node_id, ids[lo], EdgeGuard.FALSE_BRANCH))
@@ -346,25 +342,35 @@ def export_json(graph: LawmapGraph) -> str:
 
 
 def graph_from_json(text: str) -> LawmapGraph:
-    """The graph ``export_json`` wrote; ``ValueError`` for a JSON object
-    that gives a key twice, ``InconsistentInputsError`` for a graph
-    ``trace_path`` cannot walk."""
-    payload = strict_json.loads(text)
-    nodes = tuple(
-        LawmapNode(
-            n["id"], NodeKind(n["kind"]), n["label"], n.get("var"),
-            tuple(n.get("decisions", ())),
-        )
-        for n in payload["nodes"]
-    )
-    edges = tuple(
-        LawmapEdge(e["from"], e["to"], EdgeGuard(e["guard"])) for e in payload["edges"]
-    )
+    """The graph ``export_json`` wrote; ``ValueError`` for a field of the
+    wrong JSON type (naming it) or a JSON object that gives a key twice,
+    ``InconsistentInputsError`` for a graph ``trace_path`` cannot walk."""
+    payload = json_value(strict_json.loads(text), dict, "graph")
+    nodes = []
+    for n in json_value(payload.get("nodes"), list, "nodes"):
+        n = json_value(n, dict, "each node")
+        node_id = json_value(n.get("id"), str, "node id")
+        var = n.get("var")
+        nodes.append(LawmapNode(
+            node_id,
+            NodeKind(json_value(n.get("kind"), str, f"node {node_id}: kind")),
+            json_value(n.get("label"), str, f"node {node_id}: label"),
+            None if var is None else json_value(var, str, f"node {node_id}: var"),
+            tuple(json_value(d, str, f"node {node_id}: each decision")
+                  for d in json_value(n.get("decisions", []), list, f"node {node_id}: decisions")),
+        ))
+    edges = []
+    for e in json_value(payload.get("edges"), list, "edges"):
+        e = json_value(e, dict, "each edge")
+        edges.append(LawmapEdge(json_value(e.get("from"), str, "edge from"),
+                                json_value(e.get("to"), str, "edge to"),
+                                EdgeGuard(json_value(e.get("guard"), str, "edge guard"))))
+    meta = json_value(payload.get("meta", {}), dict, "meta")
     graph = LawmapGraph(
-        rule_id=payload["rule_id"],
-        nodes=nodes,
-        edges=edges,
-        meta=tuple(sorted(payload.get("meta", {}).items())),
+        rule_id=json_value(payload.get("rule_id"), str, "rule_id"),
+        nodes=tuple(nodes),
+        edges=tuple(edges),
+        meta=tuple(sorted((k, json_value(v, str, f"meta {k}")) for k, v in meta.items())),
     )
     _validate(graph)
     return graph

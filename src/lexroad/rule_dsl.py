@@ -429,22 +429,6 @@ _INDENT = "    "
 def pretty_print(ast: RuleAst) -> str:
     """Emit canonical DSL text; ``parse_rule`` of the result reproduces ``ast``."""
     out: list[str] = []
-
-    def emit(clause: Clause, depth: int, last: bool) -> None:
-        marker = ""
-        if clause.label is not None:
-            marker = f"[{clause.label}] " if clause.label.isupper() else f"{clause.label}. "
-        if clause.children:
-            term = ":"
-        elif last or clause.connective is None:
-            term = "."
-        else:
-            term = "; or," if clause.connective == Connective.OR else "; and,"
-        var = f" @var({clause.var})" if clause.var else ""
-        out.append(f"{_INDENT * depth}{marker}{clause.text}{term}{var}")
-        for i, child in enumerate(clause.children):
-            emit(child, depth + 1, i == len(clause.children) - 1)
-
     for name, clauses in (
         ("IF", ast.if_clauses),
         ("EXCEPT", ast.except_clauses),
@@ -455,8 +439,25 @@ def pretty_print(ast: RuleAst) -> str:
             continue
         out.append(f"{name}:")
         for i, clause in enumerate(clauses):
-            emit(clause, 1, i == len(clauses) - 1)
+            _emit(out, clause, 1, i == len(clauses) - 1)
     return "\n".join(out) + "\n"
+
+
+def _emit(out: list[str], clause: Clause, depth: int, last: bool) -> None:
+    """Append the lines of ``clause`` and its children to ``out``."""
+    marker = ""
+    if clause.label is not None:
+        marker = f"[{clause.label}] " if clause.label.isupper() else f"{clause.label}. "
+    if clause.children:
+        term = ":"
+    elif last or clause.connective is None:
+        term = "."
+    else:
+        term = "; or," if clause.connective == Connective.OR else "; and,"
+    var = f" @var({clause.var})" if clause.var else ""
+    out.append(f"{_INDENT * depth}{marker}{clause.text}{term}{var}")
+    for i, child in enumerate(clause.children):
+        _emit(out, child, depth + 1, i == len(clause.children) - 1)
 
 
 # --- variable assignment ----------------------------------------------------
@@ -483,40 +484,45 @@ def assign_variables(ast: RuleAst) -> VariableTable:
     single unit even if it has children.
     """
     table = VariableTable(rule_id=ast.rule_id)
-
-    def add(var_id: str, kind: VarKind, description: str, path: str) -> None:
-        existing = table.variables.get(var_id)
-        if existing is not None and existing.description != description:
-            raise NamingConflictError(
-                var_id, f"'{existing.description}' vs '{description}'"
-            )
-        if existing is None:
-            table.variables[var_id] = Variable(var_id, kind, description)
-        table.paths[path] = var_id
-
-    def assign_condition(clause: Clause, path: str, kind: VarKind) -> None:
-        if clause.var is not None or not clause.children:
-            add(clause.var or f"{ast.rule_id}.{path}", kind, clause.text, path)
-            return
-        for i, child in enumerate(clause.children):
-            assign_condition(child, f"{path}.{_child_key(child, i)}", kind)
-
     for i, clause in enumerate(ast.if_clauses):
-        assign_condition(clause, clause_path("IF", (_child_key(clause, i),)), VarKind.FACTUAL)
+        _assign_condition(table, clause, clause_path("IF", (_child_key(clause, i),)),
+                          VarKind.FACTUAL)
     for i, clause in enumerate(ast.except_clauses):
-        assign_condition(
-            clause, clause_path("EXCEPT", (_child_key(clause, i),)), VarKind.SITUATION
+        _assign_condition(
+            table, clause, clause_path("EXCEPT", (_child_key(clause, i),)), VarKind.SITUATION
         )
     for section, outcomes in (("THEN", ast.then_outcomes), ("ELSE", ast.else_outcomes)):
         for i, outcome in enumerate(outcomes):
             path = clause_path(section, (_child_key(outcome, i),))
             for j, child in enumerate(outcome.children):
                 if is_guard(child):
-                    assign_condition(
-                        child, f"{path}.{_child_key(child, j)}", VarKind.SITUATION
+                    _assign_condition(
+                        table, child, f"{path}.{_child_key(child, j)}", VarKind.SITUATION
                     )
     for section, outcomes in (("THEN", ast.then_outcomes), ("ELSE", ast.else_outcomes)):
         for i, outcome in enumerate(outcomes):
             path = clause_path(section, (_child_key(outcome, i),))
-            add(outcome.var or f"{ast.rule_id}.{path}", VarKind.DECISION, outcome.text, path)
+            _add_variable(table, outcome.var or f"{ast.rule_id}.{path}", VarKind.DECISION,
+                          outcome.text, path)
     return table
+
+
+def _assign_condition(table: VariableTable, clause: Clause, path: str, kind: VarKind) -> None:
+    """Name the condition units of ``clause`` at ``path``, depth first."""
+    if clause.var is not None or not clause.children:
+        _add_variable(table, clause.var or f"{table.rule_id}.{path}", kind, clause.text, path)
+        return
+    for i, child in enumerate(clause.children):
+        _assign_condition(table, child, f"{path}.{_child_key(child, i)}", kind)
+
+
+def _add_variable(table: VariableTable, var_id: str, kind: VarKind, description: str,
+                  path: str) -> None:
+    existing = table.variables.get(var_id)
+    if existing is not None and existing.description != description:
+        raise NamingConflictError(
+            var_id, f"'{existing.description}' vs '{description}'"
+        )
+    if existing is None:
+        table.variables[var_id] = Variable(var_id, kind, description)
+    table.paths[path] = var_id

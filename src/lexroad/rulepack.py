@@ -51,6 +51,7 @@ from .boolean_core import (
     parse_equations,
 )
 from .rule_dsl import RuleAst, RuleSource
+from .strict_json import json_value
 
 class Answer(Enum):
     MET = "MET"
@@ -241,17 +242,6 @@ def _checklist(text: str, path: str) -> tuple[str, tuple[CapabilityRequirement, 
     return group, tuple(requirements)
 
 
-_JSON_KINDS = {dict: "object", list: "array", str: "string", bool: "boolean"}
-
-
-def json_value(value, kind: type, what: str):
-    """``value`` if it is a ``kind`` (dict, list, str or bool); ValueError
-    naming ``what`` if not."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}")
-    return value
-
-
 def load_json_object(path: str | Path) -> dict:
     """The JSON object in the file at ``path``; ValueError naming the file and
     the key if any object in it gives a key twice."""
@@ -308,18 +298,17 @@ def _read_pack(path: Path) -> tuple[list[str], dict[str, bytes]]:
     OSError if ``path`` is missing or not a directory."""
     names: list[str] = []
     found: list[tuple[tuple[str, ...], str]] = []
-
-    def walk(directory: str, parts: tuple[str, ...]) -> None:
+    directories: list[tuple[str, tuple[str, ...]]] = [(str(path), ())]
+    while directories:
+        directory, parts = directories.pop()
         with os.scandir(directory) as entries:
             for entry in entries:
                 if not parts:
                     names.append(entry.name)
                 if entry.is_dir(follow_symlinks=False):
-                    walk(entry.path, (*parts, entry.name))
+                    directories.append((entry.path, (*parts, entry.name)))
                 elif entry.is_file():
                     found.append(((*parts, entry.name), entry.path))
-
-    walk(str(path), ())
     found.sort()
     return sorted(names), {"/".join(parts): rule_dsl.read_bytes(file) for parts, file in found}
 

@@ -1,7 +1,7 @@
-"""JSON in and out: ``loads`` refuses an object that gives a key twice, and
-``array`` lays out a list as ``json.dumps(..., indent=2)`` does, for the
-writers that build their text directly (``json`` has a C encoder only for
-output without ``indent``).
+"""JSON in and out: ``loads`` refuses an object that gives a key twice,
+``json_value`` a value of the wrong JSON type, and ``array`` lays out a list
+as ``json.dumps(..., indent=2)`` does, for the writers that build their text
+directly (``json`` has a C encoder only for output without ``indent``).
 
 ``json.loads`` keeps the last of two equal keys, so a second ``"rule_id"``
 in a file would silently win over the first.
@@ -26,6 +26,17 @@ def loads(text: str, where: str = "") -> object:
         return obj
 
     return json.loads(text, object_pairs_hook=unique_keys)
+
+
+_JSON_KINDS = {dict: "object", list: "array", str: "string", bool: "boolean"}
+
+
+def json_value(value, kind: type, what: str):
+    """``value`` if it is a ``kind`` (dict, list, str or bool); ValueError
+    naming ``what`` if not."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}")
+    return value
 
 
 def array(items: list[str], indent: str) -> str:

@@ -45,7 +45,7 @@ from reference import (
     validate_by_enumeration,
 )
 from test_boolean_core import exprs
-from test_lawmap import AWKWARD_TEXT, first_difference
+from test_lawmap import AWKWARD_TEXT, first_difference, set_field
 
 
 def joint_brute(net, evidence=None):
@@ -434,6 +434,35 @@ def test_net_from_json_rejects_nets_inference_cannot_use(rules_by_id, change, me
     change(payload["nodes"])
     with pytest.raises(ValueError, match=message):
         net_from_json(json.dumps(payload))
+
+
+# (id, change to the payload of UK-HC-99-100/1's net, message); each of these
+# once loaded (and then failed in net_to_json or infer) or raised TypeError
+WRONG_TYPES = [
+    ("net-array", lambda payload: [payload], "net must be a JSON object"),
+    ("nodes-object", set_field({}, "nodes"), "nodes must be a JSON array"),
+    ("node-number", set_field([5], "nodes"), "each node must be a JSON object"),
+    ("id-number", set_field(5, "nodes", 0, "id"), "node id must be a JSON string"),
+    ("kind-array", set_field(["fact_root"], "nodes", 0, "kind"), "node q: kind must be a JSON string"),
+    ("parents-text", set_field("", "nodes", 6, "parents"), "node D: parents must be a JSON array"),
+    ("parent-number", set_field(4, "nodes", 6, "parents", 0),
+     "node D: each parent must be a JSON string"),
+    ("cpt-object", set_field({}, "nodes", 0, "cpt"), "node q: cpt must be a JSON array"),
+    ("cpt-entry-array", set_field([1], "nodes", 4, "cpt", 0), "node A: CPT entries must be numbers$"),
+    ("cpt-entry-text", set_field("0.5", "nodes", 0, "cpt", 0), "node q: CPT entries must be numbers$"),
+    ("description-number", set_field(5, "nodes", 0, "description"),
+     "node q: description must be a JSON string"),
+    ("rule-id-number", set_field(7, "rule_id"), "rule_id must be a JSON string"),
+]
+
+
+@pytest.mark.parametrize(
+    "change, message", [row[1:] for row in WRONG_TYPES], ids=[row[0] for row in WRONG_TYPES]
+)
+def test_net_from_json_refuses_wrongly_typed_fields(rules_by_id, change, message):
+    payload = json.loads(net_to_json(build_bn(rules_by_id["UK-HC-99-100/1"].equations)))
+    with pytest.raises(ValueError, match=f"^{message}"):
+        net_from_json(json.dumps(change(payload)))
 
 
 def test_net_from_json_rejects_a_key_given_twice(rules_by_id):

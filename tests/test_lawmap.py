@@ -368,6 +368,53 @@ def test_graph_from_json_rejects_graphs_trace_path_cannot_walk(rules_by_id, chan
         graph_from_json(json.dumps(payload))
 
 
+def set_field(value, *path):
+    """A change to a JSON payload that sets the field at ``path`` to ``value``."""
+    def change(payload):
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return payload
+    return change
+
+
+# (id, change to the payload of UK-HC-103's Lawmap, message); each of these
+# once loaded (and then failed in export_json or trace_path) or raised TypeError
+WRONG_TYPES = [
+    ("graph-array", lambda payload: [payload], "graph must be a JSON object"),
+    ("nodes-object", set_field({}, "nodes"), "nodes must be a JSON array"),
+    ("node-number", set_field([5], "nodes"), "each node must be a JSON object"),
+    ("id-number", set_field(1, "nodes", 1, "id"), "node id must be a JSON string"),
+    ("kind-number", set_field(2, "nodes", 1, "kind"), "node c1: kind must be a JSON string"),
+    ("label-number", set_field(3, "nodes", 1, "label"), "node c1: label must be a JSON string"),
+    ("var-boolean", set_field(True, "nodes", 1, "var"), "node c1: var must be a JSON string"),
+    ("decisions-text", set_field("X", "nodes", 4, "decisions"),
+     "node outcome_X: decisions must be a JSON array"),
+    ("decision-number", set_field(0, "nodes", 4, "decisions", 0),
+     "node outcome_X: each decision must be a JSON string"),
+    ("edges-object", set_field({}, "edges"), "edges must be a JSON array"),
+    ("edge-text", set_field(["start"], "edges"), "each edge must be a JSON object"),
+    ("edge-from-number", set_field(0, "edges", 0, "from"), "edge from must be a JSON string"),
+    ("edge-to-array", set_field(["c1"], "edges", 0, "to"), "edge to must be a JSON string"),
+    ("edge-guard-boolean", set_field(True, "edges", 1, "guard"),
+     "edge guard must be a JSON string"),
+    ("meta-array", set_field([], "meta"), "meta must be a JSON object"),
+    ("meta-value-number", set_field({"k": 1}, "meta"), "meta k must be a JSON string"),
+    ("rule-id-number", set_field(5, "rule_id"), "rule_id must be a JSON string"),
+]
+
+
+@pytest.mark.parametrize(
+    "change, message", [row[1:] for row in WRONG_TYPES], ids=[row[0] for row in WRONG_TYPES]
+)
+def test_graph_from_json_refuses_wrongly_typed_fields(rules_by_id, change, message):
+    entry = rules_by_id["UK-HC-103"]
+    payload = json.loads(export_json(build_lawmap(entry.equations, entry.ast)))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        graph_from_json(json.dumps(change(payload)))
+
+
 def test_json_counts_condition_entries(rules_by_id):
     entry = rules_by_id["UK-HC-103"]
     payload = json.loads(export_json(build_lawmap(entry.equations, entry.ast)))
