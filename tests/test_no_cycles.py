@@ -183,14 +183,9 @@ def rule_file(tmp_path):
     return path
 
 
-def test_the_generated_rule_has_twelve_inputs_two_read_twice(rule_file):
-    ast = parse_rule(load_rule_file(rule_file))
-    eqs = compile_rule(ast, assign_variables(ast))
-    assert eqs.input_ids() == tuple("abcdefghijkl")
-    assert TWELVE_INPUTS.count("@var(a)") == TWELVE_INPUTS.count("@var(b)") == 2
-
-
 def test_no_library_call_leaves_a_cycle(rule_file):
+    ast = parse_rule(load_rule_file(rule_file))
+    assert compile_rule(ast, assign_variables(ast)).input_ids() == tuple("abcdefghijkl")
     results = []
     lexroad, others = cyclic_garbage(lambda: _library_calls(rule_file, results))
     assert lexroad == []
