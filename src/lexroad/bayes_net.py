@@ -23,10 +23,14 @@ is a Boolean function of the roots: one decision diagram over the roots
 agrees with its equation on all 2^roots assignments exactly when the two
 are the same diagram node, and the assignments where they differ are the
 divergences.  Inference is exact, by weighted model counting (Chavira &
-Darwiche 2008): P(n | e) = WMC(n ∧ e) / WMC(e).  Both take only such
-deterministic nets, so they refuse a non-root CPT entry other than 0 or 1,
-and inference raises :class:`ImpossibleEvidenceError` exactly when the
-evidence function is FALSE.  :func:`net_to_json` writes its JSON directly,
+Darwiche 2008): P(n | e) = WMC(n ∧ e) / WMC(e).  Evidence on a root is an
+observed fact about an independent variable, so it conditions the weights
+by restriction: the weighted walk takes the observed branch with weight 1,
+and no node is built for it.  Only evidence on other nodes is conjoined
+into the diagram's evidence function.  Both take only such deterministic
+nets, so they refuse a non-root CPT entry other than 0 or 1, and inference
+raises :class:`ImpossibleEvidenceError` exactly when the evidence has no
+satisfying assignment.  :func:`net_to_json` writes its JSON directly,
 byte for byte what ``json``'s ``dumps(payload, sort_keys=True,
 ensure_ascii=False, indent=2)`` writes.
 """
@@ -41,7 +45,7 @@ from json.encoder import encode_basestring as _json_quote
 from typing import NamedTuple
 
 from . import strict_json
-from .strict_json import json_value
+from .strict_json import json_enum, json_value
 from .boolean_core import (
     And,
     Bdd,
@@ -292,11 +296,15 @@ def _shannon(bdd: Bdd, parents: list[int], rows: tuple[float, ...], i: int) -> i
 def infer(net: BayesNet, evidence: dict[str, bool] | None = None) -> dict[str, float]:
     """Posterior P(true) for every node given the evidence, which may be on
     any node, decisions included: P(n | e) = WMC(n ∧ e) / WMC(e).
+    Evidence on a root conditions the weights by restriction; evidence on
+    any other node is conjoined into ``e``.
 
     The net must be deterministic (every non-root CPT entry 0 or 1, every
     root prior in (0, 1)); ``ValueError`` names the node otherwise.
-    Evidence the net makes impossible, exactly when the evidence function
-    is FALSE, raises :class:`ImpossibleEvidenceError`.
+    Evidence the net makes impossible, exactly when the root facts and the
+    conjoined evidence have no common model, raises
+    :class:`ImpossibleEvidenceError`, and so does evidence whose probability
+    underflows to 0.
     """
     evidence = dict(evidence or {})
     for key, value in evidence.items():
@@ -315,11 +323,18 @@ def _posteriors(
 ) -> dict[str, float]:
     """``infer`` for the ``targets`` nodes only, on the node functions and
     root priors that :func:`_node_functions` put in ``bdd``, for evidence on
-    known nodes."""
+    known nodes.  Evidence on a root is a fact, which the weighted walk
+    reads by taking that branch with weight 1 (restriction, adding no node);
+    only other evidence is conjoined into ``e``."""
+    fact: list[bool | None] = [None] * len(prior)  # observed roots, by level
     e = Bdd.TRUE
     for node_id, value in evidence.items():
-        e = bdd.ite(fn[node_id], e, Bdd.FALSE) if value else bdd.ite(fn[node_id], Bdd.FALSE, e)
-    if e == Bdd.FALSE:
+        f = fn[node_id]
+        if f > Bdd.TRUE and bdd.names[bdd.level(f)] == node_id:  # a root
+            fact[bdd.level(f)] = value
+        else:
+            e = bdd.ite(f, e, Bdd.FALSE) if value else bdd.ite(f, Bdd.FALSE, e)
+    if bdd.settle((e,), dict(zip(bdd.names, fact)))[0] is False:
         raise ImpossibleEvidenceError("evidence has zero probability")
     weight = {Bdd.FALSE: 0.0, Bdd.TRUE: 1.0}
 
@@ -327,12 +342,17 @@ def _posteriors(
         if f not in weight:
             level = bdd.level(f)
             hi, lo = bdd.cofactors(f, level)
-            weight[f] = prior[level] * wmc(hi) + (1.0 - prior[level]) * wmc(lo)
+            value = fact[level]
+            weight[f] = (prior[level] * wmc(hi) + (1.0 - prior[level]) * wmc(lo)
+                         if value is None else wmc(hi if value else lo))
         return weight[f]
 
     try:
-        z = wmc(e)
-        if z == 0.0:
+        z = p = wmc(e)
+        for level, value in enumerate(fact):  # P(evidence): the facts' priors times z
+            if value is not None:
+                p *= prior[level] if value else 1.0 - prior[level]
+        if p == 0.0:
             raise ImpossibleEvidenceError("evidence probability underflows to 0")
         return {node_id: wmc(bdd.ite(e, fn[node_id], Bdd.FALSE)) / z for node_id in targets}
     finally:
@@ -449,7 +469,7 @@ def net_from_json(text: str) -> BayesNet:
             raise ValueError(f"node {node_id}: CPT entries must be numbers")
         nodes.append(BnNode(
             node_id,
-            BnNodeKind(json_value(n.get("kind"), str, f"node {node_id}: kind")),
+            json_enum(n.get("kind"), BnNodeKind, f"node {node_id}: kind"),
             tuple(json_value(p, str, f"node {node_id}: each parent")
                   for p in json_value(n.get("parents"), list, f"node {node_id}: parents")),
             cpt,

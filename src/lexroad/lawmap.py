@@ -4,8 +4,11 @@ A graph starts at a single START node, tests the rule's condition
 variables in clause order (antecedent first, then exception, then outcome
 guards) and ends in OUTCOME leaves: one per reachable decision, plus an
 "out of scope" sink for assignments where no decision fires.  Equivalent
-subtrees are merged and redundant tests skipped, so every maximal path is
-a minimal route to a verdict.  The graph is read off the decisions' binary
+subtrees are merged and redundant tests skipped, so a path tests, in clause
+order, only conditions its verdict still depends on.  That makes it minimal
+for this fixed test order, not a smallest set of facts that forces the
+verdict: for ``Y = a ∨ b`` the path a=FALSE, b=TRUE reaches ``outcome_Y``,
+yet b=TRUE alone forces Y.  The graph is read off the decisions' binary
 decision diagrams (``boolean_core.Bdd``) in clause order, so its size, not
 the 2^n input assignments, sets the cost, and rules of any width build.
 
@@ -29,7 +32,7 @@ from functools import cached_property
 from json.encoder import encode_basestring as _json_quote
 
 from . import strict_json
-from .strict_json import json_value
+from .strict_json import json_enum, json_value
 from .boolean_core import Bdd, RuleEquations
 from .rule_dsl import RuleAst
 
@@ -353,7 +356,7 @@ def graph_from_json(text: str) -> LawmapGraph:
         var = n.get("var")
         nodes.append(LawmapNode(
             node_id,
-            NodeKind(json_value(n.get("kind"), str, f"node {node_id}: kind")),
+            json_enum(n.get("kind"), NodeKind, f"node {node_id}: kind"),
             json_value(n.get("label"), str, f"node {node_id}: label"),
             None if var is None else json_value(var, str, f"node {node_id}: var"),
             tuple(json_value(d, str, f"node {node_id}: each decision")
@@ -362,9 +365,11 @@ def graph_from_json(text: str) -> LawmapGraph:
     edges = []
     for e in json_value(payload.get("edges"), list, "edges"):
         e = json_value(e, dict, "each edge")
-        edges.append(LawmapEdge(json_value(e.get("from"), str, "edge from"),
-                                json_value(e.get("to"), str, "edge to"),
-                                EdgeGuard(json_value(e.get("guard"), str, "edge guard"))))
+        src = json_value(e.get("from"), str, "edge from")
+        dst = json_value(e.get("to"), str, "edge to")
+        guard = json_enum(json_value(e.get("guard"), str, "edge guard"), EdgeGuard,
+                          f"edge {src} -> {dst}: guard")
+        edges.append(LawmapEdge(src, dst, guard))
     meta = json_value(payload.get("meta", {}), dict, "meta")
     graph = LawmapGraph(
         rule_id=json_value(payload.get("rule_id"), str, "rule_id"),

@@ -257,7 +257,8 @@ def _json_object(text: str, where: str) -> dict:
 
 def load_profile(path: str | Path) -> CapabilityProfile:
     """The profile in the file at ``path``, carrying the sha256 of the bytes
-    it was parsed from."""
+    it was parsed from.  Its ``sae_level``, if given and not null, is an SAE
+    J3016 level: an integer from 0 to 5."""
     data = rule_dsl.read_bytes(rule_dsl.file_name(path))
     payload = _json_object(rule_dsl.decode_text(data), str(path))
     answers = json_value(payload.get("answers"), dict, f"{path}: answers")
@@ -266,12 +267,16 @@ def load_profile(path: str | Path) -> CapabilityProfile:
     for key, value in answers.items():
         if not isinstance(value, str) or value not in valid:
             raise ValueError(f"{path}: answer for {key} must be one of {', '.join(valid)}")
+    sae_level = payload.get("sae_level")
+    if sae_level is not None and (type(sae_level) is not int or not 0 <= sae_level <= 5):
+        raise ValueError(f"{path}: sae_level must be an integer from 0 to 5 or null, "
+                         f"got {sae_level!r}")
     return CapabilityProfile(
         vehicle_id=vehicle_id,
         display_name=json_value(payload.get("display_name", vehicle_id), str,
                                 f"{path}: display_name"),
         answers={key: valid[value] for key, value in sorted(answers.items())},
-        sae_level=payload.get("sae_level"),
+        sae_level=sae_level,
         sha256=hashlib.sha256(data).hexdigest(),
     )
 

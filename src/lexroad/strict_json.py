@@ -1,5 +1,6 @@
 """JSON in and out: ``loads`` refuses an object that gives a key twice,
-``json_value`` a value of the wrong JSON type, and ``array`` lays out a list
+``json_value`` a value of the wrong JSON type, ``json_enum`` a string that
+names no member of an enum, and ``array`` lays out a list
 as ``json.dumps(..., indent=2)`` does, for the writers that build their text
 directly (``json`` has a C encoder only for output without ``indent``).
 
@@ -10,6 +11,7 @@ in a file would silently win over the first.
 from __future__ import annotations
 
 import json
+from enum import Enum
 
 
 def loads(text: str, where: str = "") -> object:
@@ -37,6 +39,15 @@ def json_value(value, kind: type, what: str):
     if not isinstance(value, kind):
         raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}")
     return value
+
+
+def json_enum(value, enum: type[Enum], what: str):
+    """The member of ``enum`` whose value is the JSON string ``value``;
+    ValueError naming ``what`` and the allowed values if there is none."""
+    allowed = [member.value for member in enum]
+    if json_value(value, str, what) not in allowed:
+        raise ValueError(f"{what} must be one of {', '.join(allowed)}, got {value!r}")
+    return enum(value)
 
 
 def array(items: list[str], indent: str) -> str:

@@ -17,6 +17,8 @@ from lexroad.bayes_net import (
     BnNodeKind,
     ImpossibleEvidenceError,
     _cpt_for,
+    _node_functions,
+    _posteriors,
     build_bn,
     infer,
     net_from_json,
@@ -27,6 +29,7 @@ from lexroad.boolean_core import (
     FALSE,
     TRUE,
     And,
+    Bdd,
     Not,
     Or,
     Var,
@@ -152,6 +155,59 @@ def test_evidence_whose_probability_underflows_is_refused():
     for method in (infer_enumeration, infer):
         with pytest.raises(ImpossibleEvidenceError):
             method(net, {"a": True, "b": True})
+
+
+def _generated_rule(rng, n):
+    """Two decisions over the inputs v0 … v<n-1>, the second reading the first."""
+    literals = [("¬" if rng.random() < 0.3 else "") + f"v{i}" for i in range(n)]
+    rng.shuffle(literals)
+    pairs = [f"({a} {rng.choice('∧∨')} {b})" for a, b in zip(literals[::2], literals[1::2])]
+    half = len(pairs) // 2
+    return parse_equations(
+        f"Y = {' ∨ '.join(pairs[:half])}\nZ = ¬Y ∧ ({' ∨ '.join(pairs[half:])})\n"
+    )
+
+
+def test_root_evidence_is_restriction_and_other_evidence_is_conjoined(rules_by_id):
+    rng = random.Random(2121)
+    wide = _generated_rule(rng, 12)
+    nets = [build_bn(rules_by_id["UK-HC-103"].equations),
+            build_bn(wide, priors={v: rng.uniform(0.1, 0.9) for v in wide.input_ids()})]
+    for net in nets:
+        roots, others = net.ids(BnNodeKind.FACT_ROOT), net.ids(BnNodeKind.DECISION)
+        # evidence on roots only adds no variable and no node to the manager
+        bdd = Bdd()
+        fn, prior = _node_functions(net, bdd)
+        size = (len(bdd.names), len(bdd._nodes))
+        for _ in range(6):
+            observed = rng.sample(roots, rng.randint(2, len(roots)))
+            evidence = {root: rng.random() < 0.5 for root in observed}
+            targets = rng.sample(net.ids(), 3)
+            got = _posteriors(bdd, fn, prior, evidence, targets)
+            assert (len(bdd.names), len(bdd._nodes)) == size
+            want = infer_enumeration(net, evidence)
+            for node_id in targets:
+                assert got[node_id] == pytest.approx(want[node_id], abs=AGREEMENT_TOLERANCE)
+        # mixed evidence, roots and a decision, agrees with enumeration, and
+        # both refuse it exactly when it is impossible
+        mixed = [{"X": True, "A": False}] if net.rule_id == "UK-HC-103" else []
+        for _ in range(8):
+            observed = rng.sample(roots, rng.randint(1, len(roots) - 1))
+            mixed.append({root: rng.random() < 0.5 for root in observed}
+                         | {rng.choice(others): rng.random() < 0.5})
+        refused = 0
+        for evidence in mixed:
+            try:
+                want = infer_enumeration(net, evidence)
+            except ImpossibleEvidenceError:
+                with pytest.raises(ImpossibleEvidenceError, match="zero probability"):
+                    infer(net, evidence)
+                refused += 1
+                continue
+            got = infer(net, evidence)
+            for node_id in want:
+                assert got[node_id] == pytest.approx(want[node_id], abs=AGREEMENT_TOLERANCE)
+        assert 0 < refused < len(mixed)  # both kinds were checked
 
 
 def test_evidence_validation():
@@ -444,6 +500,8 @@ WRONG_TYPES = [
     ("node-number", set_field([5], "nodes"), "each node must be a JSON object"),
     ("id-number", set_field(5, "nodes", 0, "id"), "node id must be a JSON string"),
     ("kind-array", set_field(["fact_root"], "nodes", 0, "kind"), "node q: kind must be a JSON string"),
+    ("kind-unknown", set_field("bogus", "nodes", 0, "kind"),
+     "node q: kind must be one of fact_root, clause, decision, got 'bogus'$"),
     ("parents-text", set_field("", "nodes", 6, "parents"), "node D: parents must be a JSON array"),
     ("parent-number", set_field(4, "nodes", 6, "parents", 0),
      "node D: each parent must be a JSON string"),

@@ -588,6 +588,10 @@ EXIT_TABLE = [
     ("check-profile-answer-not-an-answer", lambda d: ["check", PACK, write_file(
         d, "v.json", {"vehicle_id": "v", "answers": {"x": "maybe"}})], 5,
      "error: <d>/v.json: answer for x must be one of MET, UNMET, NOT_APPLICABLE\n"),
+    ("check-profile-sae-level-text", lambda d: ["check", PACK, write_file(
+        d, "v.json", {"vehicle_id": "v", "answers": {}, "sae_level": "three"}), "--format",
+        "json"], 5, "error: <d>/v.json: sae_level must be an integer from 0 to 5 or null, "
+     "got 'three'\n"),
     ("eval-scenario-no-rule-id", lambda d: ["eval", PACK / "103.rule", write_file(
         d, "s.json", {"facts": {}})], 3, "error: <d>/s.json: rule_id must be a JSON string\n"),
     ("check-scenario-decision-fact", lambda d: ["check", PACK, BMW, "--scenario",

@@ -387,6 +387,8 @@ WRONG_TYPES = [
     ("node-number", set_field([5], "nodes"), "each node must be a JSON object"),
     ("id-number", set_field(1, "nodes", 1, "id"), "node id must be a JSON string"),
     ("kind-number", set_field(2, "nodes", 1, "kind"), "node c1: kind must be a JSON string"),
+    ("kind-unknown", set_field("begin", "nodes", 1, "kind"),
+     "node c1: kind must be one of start, condition, outcome, got 'begin'"),
     ("label-number", set_field(3, "nodes", 1, "label"), "node c1: label must be a JSON string"),
     ("var-boolean", set_field(True, "nodes", 1, "var"), "node c1: var must be a JSON string"),
     ("decisions-text", set_field("X", "nodes", 4, "decisions"),
@@ -399,6 +401,8 @@ WRONG_TYPES = [
     ("edge-to-array", set_field(["c1"], "edges", 0, "to"), "edge to must be a JSON string"),
     ("edge-guard-boolean", set_field(True, "edges", 1, "guard"),
      "edge guard must be a JSON string"),
+    ("edge-guard-unknown", set_field("maybe", "edges", 1, "guard"),
+     "edge c1 -> c2: guard must be one of always, yes, no, got 'maybe'"),
     ("meta-array", set_field([], "meta"), "meta must be a JSON object"),
     ("meta-value-number", set_field({"k": 1}, "meta"), "meta k must be a JSON string"),
     ("rule-id-number", set_field(5, "rule_id"), "rule_id must be a JSON string"),

@@ -134,6 +134,20 @@ def test_incomplete_profile_is_rejected(pack):
     assert "99-100.restraint-required" in err.value.missing
 
 
+def test_profile_sae_level_is_a_j3016_level_or_null(tmp_path):
+    path = tmp_path / "v.profile.json"
+
+    def load(**extra):
+        path.write_text(json.dumps({"vehicle_id": "v", "answers": {}, **extra}), encoding="utf-8")
+        return load_profile(path)
+
+    assert load().sae_level is None
+    assert [load(sae_level=level).sae_level for level in (None, 0, 3, 5)] == [None, 0, 3, 5]
+    for bad in ("three", "3", True, False, -1, 6, 2.0, [2]):
+        with pytest.raises(ValueError, match=f"^{path}: sae_level must be an integer from 0 to 5"):
+            load(sae_level=bad)
+
+
 def test_rating_is_insensitive_to_answer_order(pack):
     reqs = pack.checklists["99-100"]
     answers = [(r.id, Answer.UNMET if r.hardware_gap else Answer.MET) for r in reqs]
