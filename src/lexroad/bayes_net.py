@@ -30,9 +30,12 @@ and no node is built for it.  Only evidence on other nodes is conjoined
 into the diagram's evidence function.  Both take only such deterministic
 nets, so they refuse a non-root CPT entry other than 0 or 1, and inference
 raises :class:`ImpossibleEvidenceError` exactly when the evidence has no
-satisfying assignment.  :func:`net_to_json` writes its JSON directly,
-byte for byte what ``json``'s ``dumps(payload, sort_keys=True,
-ensure_ascii=False, indent=2)`` writes.
+satisfying assignment.  A net is checked once, on its first use
+(:func:`net_from_json` makes that use), and the result is cached on the
+immutable net, with each node's parents by position and the root priors
+by level; every call still builds its own diagram.  :func:`net_to_json`
+writes its JSON directly, byte for byte what ``json``'s
+``dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)`` writes.
 """
 
 from __future__ import annotations
@@ -90,6 +93,14 @@ class BnNode:
     description: str = ""
 
 
+class _Plan(NamedTuple):
+    """What inference reads of a checked net, by node position."""
+
+    index: dict[str, int]  # node id → position, in net order
+    parents: tuple[tuple[int, ...], ...]  # each node's parents, by position
+    prior: tuple[float, ...]  # the root priors, by level (roots in net order)
+
+
 @dataclass(frozen=True)  # not a tuple: cached_property needs a __dict__
 class BayesNet:
     """One rule's net: its nodes in topological order."""
@@ -102,6 +113,14 @@ class BayesNet:
         """Nodes by id, the first of a repeated id winning; built on first use."""
         return {node.id: node for node in reversed(self.nodes)}
 
+    @cached_property
+    def _plan(self) -> _Plan:
+        """The net checked by :func:`_check_nodes` and laid out for
+        inference; built on first use and kept, as the net is immutable.  A
+        net that fails the check raises the same ``ValueError`` on every use,
+        since a ``cached_property`` that raises stores nothing."""
+        return _check_nodes(self.nodes)
+
     def node(self, node_id: str) -> BnNode:
         return self._by_id[node_id]
 
@@ -109,17 +128,21 @@ class BayesNet:
         return tuple(n.id for n in self.nodes if kind is None or n.kind == kind)
 
 
-def _check_nodes(nodes: tuple[BnNode, ...]) -> None:
-    """Raise ``ValueError`` unless ``nodes`` form a net inference can use:
-    unique ids in topological order, 2^parents CPT entries, root priors in
-    (0, 1) and deterministic (0/1) CPTs everywhere else."""
-    defined: set[str] = set()
+def _check_nodes(nodes: tuple[BnNode, ...]) -> _Plan:
+    """The plan of ``nodes``; ``ValueError`` unless they form a net inference
+    can use: unique ids in topological order, 2^parents CPT entries, root
+    priors in (0, 1) and deterministic (0/1) CPTs everywhere else."""
+    index: dict[str, int] = {}
+    parents: list[tuple[int, ...]] = []
+    prior: list[float] = []
     for node in nodes:
-        if node.id in defined:
+        if node.id in index:
             raise ValueError(f"node {node.id} is defined twice")
-        for parent in node.parents:
-            if parent not in defined:
-                raise ValueError(f"node {node.id}: parent {parent} is not defined before it")
+        try:
+            parents.append(tuple(map(index.__getitem__, node.parents)))
+        except KeyError as missing:
+            raise ValueError(
+                f"node {node.id}: parent {missing.args[0]} is not defined before it") from None
         if len(node.cpt) != 2 ** len(node.parents):
             raise ValueError(
                 f"node {node.id}: {len(node.cpt)} CPT entries for {len(node.parents)} parents"
@@ -128,9 +151,11 @@ def _check_nodes(nodes: tuple[BnNode, ...]) -> None:
             p = node.cpt[0]
             if node.parents or not isinstance(p, (int, float)) or not 0.0 < p < 1.0:
                 raise ValueError(f"node {node.id}: a root needs no parents and a prior in (0, 1)")
+            prior.append(p)
         elif not set(node.cpt) <= {0.0, 1.0}:
             raise ValueError(f"node {node.id}: CPT entries must be 0 or 1")
-        defined.add(node.id)
+        index[node.id] = len(index)
+    return _Plan(index, tuple(parents), tuple(prior))
 
 
 def _cpt_for(expr: BoolExpr, parents: tuple[str, ...]) -> tuple[float, ...]:
@@ -266,21 +291,19 @@ def build_bn(
 
 # --- inference ---------------------------------------------------------------
 
-def _node_functions(net: BayesNet, bdd: Bdd) -> tuple[dict[str, int], list[float]]:
+def _node_functions(net: BayesNet, bdd: Bdd) -> list[int]:
     """Each node's Boolean function of the roots as a node of ``bdd``, a
-    fresh manager whose variables become the roots in net order, and the
-    root priors by level.  ``ValueError`` for a net that is not
-    deterministic (see :func:`_check_nodes`)."""
-    _check_nodes(net.nodes)
-    fn: dict[str, int] = {}
-    prior: list[float] = []
-    for node in net.nodes:
+    fresh manager whose variables become the roots in net order, listed by
+    node position.  The net is checked once, on first use, and the checked
+    plan is cached on the immutable net; ``ValueError`` for a net that is
+    not deterministic (see :func:`_check_nodes`)."""
+    fn: list[int] = []
+    for node, parents in zip(net.nodes, net._plan.parents):
         if node.kind == BnNodeKind.FACT_ROOT:
-            fn[node.id] = bdd.var(node.id)
-            prior.append(node.cpt[0])
-            continue
-        fn[node.id] = _shannon(bdd, [fn[p] for p in node.parents], node.cpt, 0)
-    return fn, prior
+            fn.append(bdd.var(node.id))
+        else:
+            fn.append(_shannon(bdd, [fn[p] for p in parents], node.cpt, 0))
+    return fn
 
 
 def _shannon(bdd: Bdd, parents: list[int], rows: tuple[float, ...], i: int) -> int:
@@ -300,7 +323,9 @@ def infer(net: BayesNet, evidence: dict[str, bool] | None = None) -> dict[str, f
     any other node is conjoined into ``e``.
 
     The net must be deterministic (every non-root CPT entry 0 or 1, every
-    root prior in (0, 1)); ``ValueError`` names the node otherwise.
+    root prior in (0, 1)); ``ValueError`` names the node otherwise.  That
+    check runs once per net, on its first use, and its result is cached on
+    the immutable net, so later queries pay only for their evidence.
     Evidence the net makes impossible, exactly when the root facts and the
     conjoined evidence have no common model, raises
     :class:`ImpossibleEvidenceError`, and so does evidence whose probability
@@ -313,50 +338,38 @@ def infer(net: BayesNet, evidence: dict[str, bool] | None = None) -> dict[str, f
         if not isinstance(value, bool):
             raise ValueError(f"evidence for {key} must be true or false")
     bdd = Bdd()
-    fn, prior = _node_functions(net, bdd)
-    return _posteriors(bdd, fn, prior, evidence, fn)
+    return _posteriors(net, bdd, _node_functions(net, bdd), evidence, net._plan.index)
 
 
 def _posteriors(
-    bdd: Bdd, fn: dict[str, int], prior: list[float], evidence: dict[str, bool],
-    targets: Iterable[str],
+    net: BayesNet, bdd: Bdd, fn: list[int], evidence: dict[str, bool], targets: Iterable[str],
 ) -> dict[str, float]:
-    """``infer`` for the ``targets`` nodes only, on the node functions and
-    root priors that :func:`_node_functions` put in ``bdd``, for evidence on
-    known nodes.  Evidence on a root is a fact, which the weighted walk
-    reads by taking that branch with weight 1 (restriction, adding no node);
-    only other evidence is conjoined into ``e``."""
+    """``infer`` for the ``targets`` nodes only, on the node functions that
+    :func:`_node_functions` put in ``bdd``, for evidence on known nodes.
+    Evidence on a root is a fact, which the weighted walk reads by taking
+    that branch with weight 1 (restriction, adding no node); only other
+    evidence is conjoined into ``e``."""
+    index, prior = net._plan.index, net._plan.prior
     fact: list[bool | None] = [None] * len(prior)  # observed roots, by level
     e = Bdd.TRUE
     for node_id, value in evidence.items():
-        f = fn[node_id]
+        f = fn[index[node_id]]
         if f > Bdd.TRUE and bdd.names[bdd.level(f)] == node_id:  # a root
             fact[bdd.level(f)] = value
         else:
             e = bdd.ite(f, e, Bdd.FALSE) if value else bdd.ite(f, Bdd.FALSE, e)
     if bdd.settle((e,), dict(zip(bdd.names, fact)))[0] is False:
         raise ImpossibleEvidenceError("evidence has zero probability")
-    weight = {Bdd.FALSE: 0.0, Bdd.TRUE: 1.0}
-
-    def wmc(f: int) -> float:
-        if f not in weight:
-            level = bdd.level(f)
-            hi, lo = bdd.cofactors(f, level)
-            value = fact[level]
-            weight[f] = (prior[level] * wmc(hi) + (1.0 - prior[level]) * wmc(lo)
-                         if value is None else wmc(hi if value else lo))
-        return weight[f]
-
-    try:
-        z = p = wmc(e)
-        for level, value in enumerate(fact):  # P(evidence): the facts' priors times z
-            if value is not None:
-                p *= prior[level] if value else 1.0 - prior[level]
-        if p == 0.0:
-            raise ImpossibleEvidenceError("evidence probability underflows to 0")
-        return {node_id: wmc(bdd.ite(e, fn[node_id], Bdd.FALSE)) / z for node_id in targets}
-    finally:
-        del wmc
+    targets = tuple(targets)
+    z, *counts = bdd.weights([e] + [bdd.ite(e, fn[index[t]], Bdd.FALSE) for t in targets],
+                             prior, fact)
+    p = z
+    for level, value in enumerate(fact):  # P(evidence): the facts' priors times z
+        if value is not None:
+            p *= prior[level] if value else 1.0 - prior[level]
+    if p == 0.0:
+        raise ImpossibleEvidenceError("evidence probability underflows to 0")
+    return {t: count / z for t, count in zip(targets, counts)}
 
 
 # --- validation --------------------------------------------------------------
@@ -408,15 +421,13 @@ def validate_bn(net: BayesNet, eqs: RuleEquations) -> ValidationReport:
     the node's value there, exactly 0.0 or 1.0.
     """
     bdd = Bdd()
-    fn, prior = _node_functions(net, bdd)
+    fn = _node_functions(net, bdd)
     exprs = expand(eqs)
     decisions = eqs.decision_ids()
-    report = ValidationReport(
-        rule_id=net.rule_id, assignments_checked=2 ** len(net.ids(BnNodeKind.FACT_ROOT))
-    )
+    report = ValidationReport(rule_id=net.rule_id, assignments_checked=2 ** len(net._plan.prior))
     wrong = []
     for i, decision in enumerate(decisions):
-        want, got = bdd.of(exprs[decision]), fn[decision]
+        want, got = bdd.of(exprs[decision]), fn[net._plan.index[decision]]
         for expected, differ in ((True, bdd.ite(got, Bdd.FALSE, want)),
                                  (False, bdd.ite(want, Bdd.FALSE, got))):
             wrong.extend((values, i, expected) for values in bdd.models(differ))
@@ -429,7 +440,7 @@ def validate_bn(net: BayesNet, eqs: RuleEquations) -> ValidationReport:
         satisfying = bdd.witness(bdd.of(expr), free_vars(expr), first=True)
         if satisfying is None:
             continue  # unsatisfiable decision: nothing to instantiate
-        p = _posteriors(bdd, fn, prior, satisfying, (decision,))[decision]
+        p = _posteriors(net, bdd, fn, satisfying, (decision,))[decision]
         report.equation_checks.append(
             EquationCheck(decision, satisfying, p, abs(p - 1.0) <= AGREEMENT_TOLERANCE)
         )
@@ -475,6 +486,7 @@ def net_from_json(text: str) -> BayesNet:
             cpt,
             json_value(n.get("description", ""), str, f"node {node_id}: description"),
         ))
-    _check_nodes(tuple(nodes))
-    return BayesNet(rule_id=json_value(payload.get("rule_id"), str, "rule_id"),
-                    nodes=tuple(nodes))
+    net = BayesNet(rule_id=payload.get("rule_id"), nodes=tuple(nodes))
+    net._plan  # checks the nodes, once: inference reuses the checked plan
+    json_value(net.rule_id, str, "rule_id")
+    return net

@@ -589,7 +589,17 @@ class Bdd:
             g1 = g0 = g
         if hl != level:
             h1 = h0 = h
-        r = self._ite[key] = self._node(level, self.ite(f1, g1, h1), self.ite(f0, g0, h0))
+        hi = self.ite(f1, g1, h1)
+        lo = self.ite(f0, g0, h0)
+        if hi == lo:
+            r = hi
+        else:  # the node joining the branches, as _node makes it
+            node = (level, hi, lo)
+            r = self._unique.get(node)
+            if r is None:
+                r = self._unique[node] = len(nodes)
+                nodes.append(node)
+        self._ite[key] = r
         return r
 
     def of(self, expr: BoolExpr) -> int:
@@ -630,6 +640,30 @@ class Bdd:
                 else:
                     seen[f] = walk(hi if value else lo)
             return seen[f]
+
+        try:
+            return [walk(f) for f in fs]
+        finally:
+            del walk
+
+    def weights(self, fs: list[int], prior: tuple[float, ...], facts: list[bool | None]
+                ) -> list[float]:
+        """Each of ``fs``'s weighted model count: the probability that it is
+        TRUE when the variable at level i is TRUE with probability
+        ``prior[i]``, independently, or is ``facts[i]`` where that is not
+        None.  One memoised walk serves all of ``fs`` and adds no node."""
+        # ``walk`` holds itself through a closure cell: the finally deletes
+        # it, as in :meth:`settle`, so that no reference cycle is left
+        nodes = self._nodes
+        weight = {self.FALSE: 0.0, self.TRUE: 1.0}
+
+        def walk(f: int) -> float:
+            if f not in weight:
+                level, hi, lo = nodes[f]
+                value = facts[level]
+                weight[f] = (prior[level] * walk(hi) + (1.0 - prior[level]) * walk(lo)
+                             if value is None else walk(hi if value else lo))
+            return weight[f]
 
         try:
             return [walk(f) for f in fs]

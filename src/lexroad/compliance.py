@@ -9,14 +9,13 @@ output; timestamps are added only on request.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
 
-from . import __version__
+from . import __version__, strict_json
 from .boolean_core import RuleEquations, evaluate
 from .rulepack import (
     MARKS,
@@ -59,7 +58,7 @@ def load_scenario(path: str | Path) -> Scenario:
     return Scenario(
         rule_id=json_value(payload.get("rule_id"), str, f"{path}: rule_id"),
         facts=facts,
-        description=payload.get("description", ""),
+        description=json_value(payload.get("description", ""), str, f"{path}: description"),
     )
 
 
@@ -188,7 +187,7 @@ def report_to_json(report: ComplianceReport) -> str:
     }
     if report.generated_at is not None:
         payload["generated_at"] = report.generated_at
-    return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    return strict_json.encode(payload) + "\n"
 
 
 def _columns(widths: list[int], cells: list[str]) -> str:

@@ -375,8 +375,12 @@ def read_bytes(name: str) -> bytes:
 
 
 def decode_text(data: bytes) -> str:
-    """UTF-8 ``data`` as text mode reads it: ``\\r\\n`` and ``\\r`` become ``\\n``."""
+    """UTF-8 ``data`` as text mode reads it (``\\r\\n`` and ``\\r`` become
+    ``\\n``), less one leading byte-order mark (U+FEFF): RFC 8259 lets a
+    JSON reader ignore it, and in a rule it would hide the first header."""
     text = data.decode("utf-8")
+    if text.startswith("\ufeff"):
+        text = text[1:]
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 

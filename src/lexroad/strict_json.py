@@ -3,6 +3,7 @@
 names no member of an enum, and ``array`` lays out a list
 as ``json.dumps(..., indent=2)`` does, for the writers that build their text
 directly (``json`` has a C encoder only for output without ``indent``).
+``encode`` is such a writer for plain values.
 
 ``json.loads`` keeps the last of two equal keys, so a second ``"rule_id"``
 in a file would silently win over the first.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import json
 from enum import Enum
+from json.encoder import encode_basestring as _quote
 
 
 def loads(text: str, where: str = "") -> object:
@@ -55,3 +57,27 @@ def array(items: list[str], indent: str) -> str:
     indent=2)`` writes it when its opening line is indented by ``indent``."""
     inner = indent + "  "
     return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]" if items else "[]"
+
+
+def encode(value, indent: str = "") -> str:
+    """``value``, nested dicts with string keys, lists, strings, integers,
+    booleans and None, as ``json.dumps(value, sort_keys=True,
+    ensure_ascii=False, indent=2)`` writes it when its opening line is
+    indented by ``indent``.  A plain recursive function: the pure-Python
+    encoder that ``json`` runs for ``indent`` leaves a reference cycle of
+    closures on every call, and this leaves none."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, list):
+        return array([encode(item, inner) for item in value], indent)
+    if isinstance(value, dict):
+        items = [f"{_quote(key)}: {encode(item, inner)}" for key, item in sorted(value.items())]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}" if items else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

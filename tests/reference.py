@@ -28,10 +28,10 @@ for the condition variables and, at each step, the node's out-edges for
 the one its guard selects.  ``lawmap.trace_path`` walks a transition table
 and must give the same paths and the same ``missing`` tuples.
 
-``export_json_by_dumps`` and ``net_to_json_by_dumps`` build each export's
-payload and hand it to ``json.dumps(..., sort_keys=True,
-ensure_ascii=False, indent=2)``; lexroad writes the same text directly and
-must give the same bytes.
+``export_json_by_dumps``, ``net_to_json_by_dumps`` and
+``report_to_json_by_dumps`` build each export's payload and hand it to
+``json.dumps(..., sort_keys=True, ensure_ascii=False, indent=2)``; lexroad
+writes the same text directly and must give the same bytes.
 """
 
 import hashlib
@@ -64,6 +64,7 @@ from lexroad.boolean_core import (
     expand,
     free_vars,
 )
+from lexroad.compliance import ComplianceReport
 from lexroad.lawmap import (
     EdgeGuard,
     IncompleteAssignmentError,
@@ -576,4 +577,39 @@ def net_to_json_by_dumps(net: BayesNet) -> str:
             for n in net.nodes
         ],
     }
+    return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+
+
+def report_to_json_by_dumps(report: ComplianceReport) -> str:
+    """``compliance.report_to_json`` through ``json.dumps``."""
+    payload = {
+        "tool_version": report.tool_version,
+        "inputs": {
+            "rulepack": {"path": report.pack_path, "sha256": report.pack_sha256},
+            "profiles": report.profiles,
+        },
+        "requirements": [
+            {
+                "id": r.id,
+                "rule_group": r.rule_group,
+                "description": r.description,
+                "hardware_gap": r.hardware_gap,
+            }
+            for r in report.requirements
+        ],
+        "answers": {
+            vehicle: {rid: answer.value for rid, answer in by_req.items()}
+            for vehicle, by_req in report.answers.items()
+        },
+        "ratings": {
+            vehicle: {
+                group: {"rating": rating.rating.value, "rationale": rating.rationale}
+                for group, rating in by_group.items()
+            }
+            for vehicle, by_group in report.ratings.items()
+        },
+        "rule_outcomes": report.rule_outcomes,
+    }
+    if report.generated_at is not None:
+        payload["generated_at"] = report.generated_at
     return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexroad import bayes_net
 from lexroad.bayes_net import (
     AGREEMENT_TOLERANCE,
     MAX_NODE_PARENTS,
@@ -177,13 +178,13 @@ def test_root_evidence_is_restriction_and_other_evidence_is_conjoined(rules_by_i
         roots, others = net.ids(BnNodeKind.FACT_ROOT), net.ids(BnNodeKind.DECISION)
         # evidence on roots only adds no variable and no node to the manager
         bdd = Bdd()
-        fn, prior = _node_functions(net, bdd)
+        fn = _node_functions(net, bdd)
         size = (len(bdd.names), len(bdd._nodes))
         for _ in range(6):
             observed = rng.sample(roots, rng.randint(2, len(roots)))
             evidence = {root: rng.random() < 0.5 for root in observed}
             targets = rng.sample(net.ids(), 3)
-            got = _posteriors(bdd, fn, prior, evidence, targets)
+            got = _posteriors(net, bdd, fn, evidence, targets)
             assert (len(bdd.names), len(bdd._nodes)) == size
             want = infer_enumeration(net, evidence)
             for node_id in targets:
@@ -546,6 +547,44 @@ def test_wmc_refuses_a_non_deterministic_cpt(rules_by_id):
     with pytest.raises(ValueError, match="node E"):
         validate_bn(noisy, eqs)
     assert 0.0 < infer_enumeration(noisy)["E"] < 1.0
+
+
+def test_each_net_is_checked_once(rules_by_id, monkeypatch):
+    """The check of a net's nodes runs on its first use only: its result is
+    cached on the immutable net, for built and for loaded nets alike, while
+    a net that fails it fails the same way on every use."""
+    checks = []
+    check_nodes = bayes_net._check_nodes
+
+    def counted(nodes):
+        checks.append(len(nodes))
+        return check_nodes(nodes)
+
+    monkeypatch.setattr(bayes_net, "_check_nodes", counted)
+    rng = random.Random(2323)
+    for eqs in (rules_by_id["UK-HC-103"].equations, _generated_rule(rng, 12)):
+        net = build_bn(eqs)
+        roots = net.ids(BnNodeKind.FACT_ROOT)
+        checks.clear()
+        for k in (0, 1, len(roots)):
+            infer(net, {root: rng.random() < 0.5 for root in roots[:k]})
+        assert validate_bn(net, eqs).ok
+        assert checks == [len(net.nodes)]
+        checks.clear()
+        loaded = net_from_json(net_to_json(net))
+        infer(loaded)
+        infer(loaded, {roots[0]: True})
+        assert checks == [len(net.nodes)]
+    net = build_bn(rules_by_id["UK-HC-99-100/1"].equations)
+    noisy = BayesNet(net.rule_id, tuple(
+        replace(n, cpt=(0.5,) + n.cpt[1:]) if n.kind == BnNodeKind.CLAUSE else n
+        for n in net.nodes))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^node A: CPT entries must be 0 or 1$") as refused:
+            infer(noisy)
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
 
 
 def _subterms(expr):

@@ -605,6 +605,9 @@ EXIT_TABLE = [
         "--scenario", write_scenario(d, "UK-HC-103", {"A": False}, "s1.json"),
         "--scenario", write_scenario(d, "UK-HC-103", {"A": True, "B": True, "C": True}, "s2.json"),
     ], 3, "error: two scenarios for rule 'UK-HC-103'\n"),
+    ("eval-scenario-description-number", lambda d: ["eval", PACK / "103.rule", write_file(
+        d, "s.json", {"rule_id": "UK-HC-103", "facts": {}, "description": 5})], 3,
+     "error: <d>/s.json: description must be a JSON string\n"),
     ("eval-scenario-fact-twice", lambda d: ["eval", PACK / "103.rule", write_file(
         d, "s.json", '{"rule_id": "UK-HC-103", "facts": {"C": true, "C": false}}')], 3,
      "error: <d>/s.json: key 'C' appears twice\n"),
@@ -628,6 +631,32 @@ EXIT_TABLE = [
     ("usage-bn-export-and-infer", lambda d: ["bn", PACK / "103.rule", "--export", "--infer", ""], 1,
      "error: argument --infer: not allowed with argument --export\n"),
 ]
+
+
+def test_a_byte_order_mark_is_ignored(tmp_path, pack):
+    """A copy of the shipped pack, profiles and scenarios with a UTF-8
+    byte-order mark before every file's text reads as the plain copy does:
+    the same ``check`` text, ``compile`` and ``eval`` output and exit
+    codes."""
+    files = {f"pack/{path.relative_to(PACK)}": path.read_bytes()
+             for path in PACK.rglob("*") if path.is_file()}
+    profiles = [f"<d>/pack/{path.relative_to(PACK)}" for path in PROFILES.values()]
+    argvs = [["check", "<d>/pack", *profiles]]
+    for i, entry in enumerate(pack.rules()):
+        facts = {entry.equations.input_ids()[0]: True}
+        files[f"s{i}.json"] = json.dumps({"rule_id": entry.source.rule_id, "facts": facts}).encode()
+        rule = f"<d>/pack/{Path(entry.source.path).name}"
+        argvs += [["compile", rule], ["eval", rule, f"<d>/s{i}.json"],
+                  ["check", "<d>/pack", *profiles, "--scenario", f"<d>/s{i}.json"]]
+    outputs = {}
+    for name, mark in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        d = tmp_path / name
+        for file, data in files.items():
+            (d / file).parent.mkdir(parents=True, exist_ok=True)
+            (d / file).write_bytes(mark + data)
+        outputs[name] = [run_main([a.replace("<d>", str(d)) for a in argv]) for argv in argvs]
+    assert [code for code, _, _ in outputs["plain"]] == [0] * len(argvs)
+    assert outputs["bom"] == outputs["plain"]
 
 
 class DeadlinePassed(Exception):

@@ -4,6 +4,8 @@ import json
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexroad import compliance
 from lexroad.compliance import (
@@ -16,12 +18,15 @@ from lexroad.compliance import (
 )
 from lexroad.rulepack import (
     Answer,
+    CapabilityProfile,
     default_pack_dir,
     default_profile_paths,
     load_profile,
     load_rulepack,
 )
+from reference import report_to_json_by_dumps
 from test_boolean_core import REPEATED_VAR_RULE
+from test_lawmap import AWKWARD_TEXT, first_difference
 
 
 @pytest.fixture(scope="module")
@@ -122,3 +127,41 @@ def test_scenario_loader_rejects_non_boolean_facts(tmp_path):
     path.write_text(json.dumps({"rule_id": "UK-HC-103", "facts": {"A": "yes"}}))
     with pytest.raises(ValueError):
         compliance.load_scenario(path)
+
+
+@pytest.mark.parametrize("description", [5, None, ["a"], {"text": "a"}, True])
+def test_scenario_loader_rejects_a_description_that_is_not_text(tmp_path, description):
+    path = tmp_path / "s.json"
+    payload = {"rule_id": "UK-HC-103", "facts": {"A": True}}
+    path.write_text(json.dumps(payload))
+    assert compliance.load_scenario(path) == Scenario("UK-HC-103", {"A": True}, "")
+    path.write_text(json.dumps(payload | {"description": "Turning left"}))
+    assert compliance.load_scenario(path).description == "Turning left"
+    path.write_text(json.dumps(payload | {"description": description}))
+    with pytest.raises(ValueError, match=f"^{path}: description must be a JSON string$"):
+        compliance.load_scenario(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_report_json_is_the_json_dumps_text(pack, data):
+    """``report_to_json`` writes what ``json.dumps`` writes for the same
+    payload, byte for byte: 0-3 drawn profiles over the shipped pack, with
+    drawn vehicle ids, display names, digests and answers, an SAE level
+    that is None or an integer, drawn requirement descriptions and rating
+    rationales, with or without scenario outcomes and a timestamp."""
+    requirements = [r.id for reqs in pack.checklists.values() for r in reqs]
+    profiles = [
+        CapabilityProfile(vehicle, data.draw(AWKWARD_TEXT),
+                          {r: data.draw(st.sampled_from(Answer)) for r in requirements},
+                          data.draw(st.none() | st.integers()), data.draw(AWKWARD_TEXT))
+        for vehicle in data.draw(st.lists(AWKWARD_TEXT, max_size=3, unique=True))
+    ]
+    scenarios = [Scenario("UK-HC-103", {"A": True, "C": False})] * data.draw(st.integers(0, 1))
+    report = build_report(pack, profiles, scenarios, timestamps=data.draw(st.booleans()))
+    report.requirements = [r._replace(description=data.draw(AWKWARD_TEXT))
+                           for r in report.requirements]
+    report.ratings = {vehicle: {group: rating._replace(rationale=data.draw(AWKWARD_TEXT))
+                                for group, rating in by_group.items()}
+                      for vehicle, by_group in report.ratings.items()}
+    assert first_difference(report_to_json(report), report_to_json_by_dumps(report)) is None

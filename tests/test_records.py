@@ -59,7 +59,7 @@ def records(pack):
         rule.source, rule.ast.if_clauses[0], rule.ast, rule.equations.table["A"],
         requirements[0], profile, pack.rate(group, profile), rule, pack,
         compliance.Scenario("UK-HC-103", {"A": True}),
-        bayes_net.Divergence("X", {"A": True}, True, 0.0), check,
+        bayes_net.Divergence("X", {"A": True}, True, 0.0), check, net._plan,
         boolean_core.check_properties(rule.equations),
     )}
 
@@ -69,7 +69,7 @@ NAMEDTUPLES = [
     rulepack.CapabilityRequirement, rulepack.CapabilityProfile, rulepack.RagRating,
     rulepack.PackRule, rulepack.Rulepack,
     compliance.Scenario,
-    bayes_net.Divergence, bayes_net.EquationCheck,
+    bayes_net.Divergence, bayes_net.EquationCheck, bayes_net._Plan,
     boolean_core.PropertyReport,
 ]
 HASHABLE = [
