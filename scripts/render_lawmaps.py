@@ -18,7 +18,7 @@ def main() -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     pack = load_rulepack(default_pack_dir())
     for entry in pack.rules():
-        meta = {"title": entry.source.title}
+        meta = {"title": entry.source.title} if entry.source.title else {}  # as `lexroad lawmap`
         for i, cite in enumerate(entry.source.citations):
             meta[f"cites.{i}"] = cite
         graph = build_lawmap(entry.equations, entry.ast, meta=meta)

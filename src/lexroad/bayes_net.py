@@ -10,9 +10,11 @@ with the per-equation scenario check (observing one satisfying assignment
 of an equation forces its decision to probability 1).
 
 A CPT has 2^parents rows, so no node has more than ``MAX_NODE_PARENTS``
-(16) parents: a wider clause or decision is split into named ``CLAUSE``
-nodes ``<node>_1``, ``<node>_2``, ... that each compute a part of it
-(parent divorcing).  Rules of any width build and validate.  The rows are
+(16) parents: a wider clause or decision is narrowed by cutting named
+``CLAUSE`` nodes ``<node>_1``, ``<node>_2``, ... that each compute a part
+of it (parent divorcing, :func:`_narrow`).  :func:`build_bn` is one loop
+over the used folds and then the decisions, each added after the clause
+nodes cut from it.  Rules of any width build and validate.  The rows are
 read off the node's decision diagram over its parents (:class:`Bdd`), so
 building a table costs the diagram and the rows it emits, not a
 three-valued evaluation per row.
@@ -40,7 +42,7 @@ writes its JSON directly, byte for byte what ``json``'s
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -109,11 +111,6 @@ class BayesNet:
     nodes: tuple[BnNode, ...]  # topological order
 
     @cached_property
-    def _by_id(self) -> dict[str, BnNode]:
-        """Nodes by id, the first of a repeated id winning; built on first use."""
-        return {node.id: node for node in reversed(self.nodes)}
-
-    @cached_property
     def _plan(self) -> _Plan:
         """The net checked by :func:`_check_nodes` and laid out for
         inference; built on first use and kept, as the net is immutable.  A
@@ -122,7 +119,7 @@ class BayesNet:
         return _check_nodes(self.nodes)
 
     def node(self, node_id: str) -> BnNode:
-        return self._by_id[node_id]
+        return self.nodes[self._plan.index[node_id]]
 
     def ids(self, kind: BnNodeKind | None = None) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes if kind is None or n.kind == kind)
@@ -196,96 +193,79 @@ def _fresh_name(name: str, taken: set[str], suffix: str) -> str:
     return name
 
 
-def _split(owner: str, expr: BoolExpr, taken: set[str], add: Callable[..., Var]) -> BoolExpr:
+def _narrow(owner: str, expr: BoolExpr, taken: set[str], cut: list[tuple[str, BoolExpr]]
+            ) -> BoolExpr:
     """Parent divorcing (Olesen et al. 1989) for expressions too wide for
-    one CPT.
+    one CPT: ``expr`` with at most ``MAX_NODE_PARENTS`` free variables.
 
-    ``expr`` comes back unchanged when it has at most ``MAX_NODE_PARENTS``
-    free variables.  Otherwise every child over more than one variable
-    becomes its own CLAUSE node (split the same way), ``Not`` passes through
-    to its child, and runs of at most ``MAX_NODE_PARENTS`` children of an
-    ``And``/``Or`` become intermediate nodes of the same connective until
-    the rest fits; both connectives are associative, so the node's function
-    is unchanged.  New nodes are named ``<owner>_<k>``, avoiding every name
-    in ``taken``, and made by ``add(name, kind, expr)`` before the node they
-    feed.
-    """
-    count = 0
-    # clause and narrow call each other through closure cells: the finally
-    # deletes them, so that a call frees its scratch state when it returns
-    # instead of leaving a reference cycle for the cyclic collector (as
-    # build_bn does with add, and _posteriors with wmc).
-
-    def clause(part: BoolExpr) -> Var:
-        nonlocal count
-        part = narrow(part)
-        count += 1
-        return add(_fresh_name(f"{owner}_{count}", taken, "_split"), BnNodeKind.CLAUSE, part)
-
-    def narrow(e: BoolExpr) -> BoolExpr:
-        if len(free_vars(e)) <= MAX_NODE_PARENTS:
-            return e
-        if isinstance(e, Not):
-            return Not(narrow(e.child))
-        op = type(e)  # And or Or: nothing else has two free variables
-        children = [c if len(free_vars(c)) <= 1 else clause(c) for c in e.children]
-        while len(free_vars(op(tuple(children)))) > MAX_NODE_PARENTS:
-            # as few runs as fit, of near-equal length (8 to 16 children)
-            runs = -(-len(children) // MAX_NODE_PARENTS)
-            cuts = [len(children) * i // runs for i in range(runs + 1)]
-            children = [
-                clause(op(tuple(children[lo:hi]))) for lo, hi in zip(cuts, cuts[1:])
-            ]
-        return op(tuple(children))
-
-    try:
-        return narrow(expr)
-    finally:
-        del clause, narrow
+    A narrow ``expr`` comes back unchanged.  Otherwise every child over more
+    than one variable becomes its own CLAUSE node (narrowed the same way),
+    ``Not`` passes through to its child, and runs of at most
+    ``MAX_NODE_PARENTS`` children of an ``And``/``Or`` become nodes of the
+    same connective until the rest fits; both connectives are associative,
+    so the function is unchanged.  Each clause node goes on ``cut`` as
+    ``(name, expr)`` after the clauses it reads, the k-th named
+    ``<owner>_<k>`` unless ``taken`` holds that name."""
+    if len(free_vars(expr)) <= MAX_NODE_PARENTS:
+        return expr
+    if isinstance(expr, Not):
+        return Not(_narrow(owner, expr.child, taken, cut))
+    op = type(expr)  # And or Or: nothing else has two free variables
+    children = [c if len(free_vars(c)) <= 1 else _part(owner, c, taken, cut)
+                for c in expr.children]
+    while len(free_vars(op(tuple(children)))) > MAX_NODE_PARENTS:
+        # as few runs as fit, of near-equal length (8 to 16 children)
+        runs = -(-len(children) // MAX_NODE_PARENTS)
+        cuts = [len(children) * i // runs for i in range(runs + 1)]
+        children = [_part(owner, op(tuple(children[lo:hi])), taken, cut)
+                    for lo, hi in zip(cuts, cuts[1:])]
+    return op(tuple(children))
 
 
-def build_bn(
-    eqs: RuleEquations, priors: dict[str, float] | None = None
-) -> BayesNet:
+def _part(owner: str, expr: BoolExpr, taken: set[str], cut: list[tuple[str, BoolExpr]]) -> Var:
+    """The clause node computing ``expr``, narrowed, appended to ``cut``."""
+    expr = _narrow(owner, expr, taken, cut)
+    name = _fresh_name(f"{owner}_{len(cut) + 1}", taken, "_split")
+    cut.append((name, expr))
+    return Var(name)
+
+
+def _node(node_id: str, kind: BnNodeKind, expr: BoolExpr, description: str = "") -> BnNode:
+    parents = free_vars(expr)
+    return BnNode(node_id, kind, parents, _cpt_for(expr, parents), description)
+
+
+def build_bn(eqs: RuleEquations, priors: dict[str, float] | None = None) -> BayesNet:
     """Mechanically derive the network from the equations' structure: the
-    used folds, then the decisions, each after the nodes it reads."""
+    used folds, then the decisions, each checked to read only nodes already
+    defined, then narrowed to fit its table (:func:`_narrow`) and added
+    after the clause nodes that narrowing cut."""
     priors = dict(priors or {})
     for fact, p in priors.items():
         if not 0.0 < p < 1.0:
             raise ValueError(f"prior for {fact} must be in (0, 1), got {p}")
 
     table = eqs.table
-    nodes = [
-        BnNode(var_id, BnNodeKind.FACT_ROOT, (), (priors.get(var_id, 0.5),),
-               table.describe(var_id))
-        for var_id in eqs.input_ids()
-    ]
+    nodes = [BnNode(v, BnNodeKind.FACT_ROOT, (), (priors.get(v, 0.5),), table.describe(v))
+             for v in eqs.input_ids()]
     defined = set(eqs.input_ids())
     taken = defined | set(eqs.decision_ids())
-
-    def add(name: str, kind: BnNodeKind, expr: BoolExpr, description: str = "") -> Var:
-        """Append the node computing ``expr``, split to fit its table."""
-        if not defined.issuperset(free_vars(expr)):
-            raise CyclicDefinitionError(name)
-        expr = _split(name, expr, taken, add)
-        parents = free_vars(expr)
-        nodes.append(BnNode(name, kind, parents, _cpt_for(expr, parents), description))
-        defined.add(name)
-        return Var(name)
-
     fold_of: dict[BoolExpr, str] = {}  # the first label of equal folds names the node
     for label, expr in eqs.folds.items():
         fold_of.setdefault(expr, _fresh_name(label, taken, "_fold"))
     folds = {name: expr for expr, name in fold_of.items()}
     rewritten = {d: _replace_folds(e, fold_of) for d, e in eqs.equations.items()}
-    try:
-        for name in dict.fromkeys(v for e in rewritten.values() for v in free_vars(e)):
-            if name in folds:
-                add(name, BnNodeKind.CLAUSE, folds[name])
-        for decision, expr in rewritten.items():
-            add(decision, BnNodeKind.DECISION, expr, table.describe(decision))
-    finally:
-        del add  # it passes itself to _split
+    used = dict.fromkeys(v for e in rewritten.values() for v in free_vars(e))
+    steps = [(name, BnNodeKind.CLAUSE, folds[name], "") for name in used if name in folds]
+    steps += [(d, BnNodeKind.DECISION, e, table.describe(d)) for d, e in rewritten.items()]
+    for name, kind, expr, description in steps:
+        if not defined.issuperset(free_vars(expr)):
+            raise CyclicDefinitionError(name)
+        cut: list[tuple[str, BoolExpr]] = []
+        expr = _narrow(name, expr, taken, cut)
+        nodes += [_node(part_name, BnNodeKind.CLAUSE, part) for part_name, part in cut]
+        nodes.append(_node(name, kind, expr, description))
+        defined.update(node.id for node in nodes[-1 - len(cut):])  # the nodes just added
     return BayesNet(rule_id=eqs.rule_id, nodes=tuple(nodes))
 
 
@@ -333,7 +313,7 @@ def infer(net: BayesNet, evidence: dict[str, bool] | None = None) -> dict[str, f
     """
     evidence = dict(evidence or {})
     for key, value in evidence.items():
-        if key not in net._by_id:
+        if key not in net._plan.index:
             raise KeyError(f"evidence on unknown node '{key}'")
         if not isinstance(value, bool):
             raise ValueError(f"evidence for {key} must be true or false")

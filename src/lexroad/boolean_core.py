@@ -385,6 +385,7 @@ def equations_to_text(eqs: RuleEquations, ascii_ops: bool = False) -> str:
     ) + "\n"
 
 
+_MAX_NESTING = 100  # parentheses and negations, one inside another
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<lpar>\()|(?P<rpar>\))|(?P<not>¬|!|~|∼)|(?P<and>∧|&|×|·)"
     r"|(?P<or>∨|\||\+)|(?P<id>[A-Za-z_][A-Za-z0-9_.\-]*))"
@@ -392,7 +393,8 @@ _TOKEN_RE = re.compile(
 
 
 def parse_expr(text: str) -> BoolExpr:
-    """Parse one expression in either the unicode or the ASCII operator set."""
+    """Parse one expression in either the unicode or the ASCII operator set;
+    ``EquationSyntaxError`` if its parentheses and negations nest over 100 deep."""
     tokens: list[tuple[str, str]] = []
     pos = 0
     while pos < len(text):
@@ -406,13 +408,13 @@ def parse_expr(text: str) -> BoolExpr:
         tokens.append((kind, m.group(kind)))
         pos = m.end()
     tokens.append(("end", ""))
-    result, end = _parse_or(tokens, 0)
+    result, end = _parse_or(tokens, 0, 0)
     _take(tokens, end, "end")
     return result
 
 
-# The parser's functions take the tokens and the index of the next one; each
-# ``_parse_*`` returns what it parsed and the index after it.
+# The parser's functions take the tokens, the index of the next one and its
+# nesting depth; each ``_parse_*`` returns what it parsed and the index after it.
 
 def _take(tokens: list[tuple[str, str]], index: int, kind: str) -> str:
     got, value = tokens[index]
@@ -421,31 +423,33 @@ def _take(tokens: list[tuple[str, str]], index: int, kind: str) -> str:
     return value
 
 
-def _parse_or(tokens: list[tuple[str, str]], index: int) -> tuple[BoolExpr, int]:
-    part, index = _parse_and(tokens, index)
+def _parse_or(tokens: list[tuple[str, str]], index: int, depth: int) -> tuple[BoolExpr, int]:
+    part, index = _parse_and(tokens, index, depth)
     parts = [part]
     while tokens[index][0] == "or":
-        part, index = _parse_and(tokens, index + 1)
+        part, index = _parse_and(tokens, index + 1, depth)
         parts.append(part)
     return disj(parts), index
 
 
-def _parse_and(tokens: list[tuple[str, str]], index: int) -> tuple[BoolExpr, int]:
-    part, index = _parse_unary(tokens, index)
+def _parse_and(tokens: list[tuple[str, str]], index: int, depth: int) -> tuple[BoolExpr, int]:
+    part, index = _parse_unary(tokens, index, depth)
     parts = [part]
     while tokens[index][0] == "and":
-        part, index = _parse_unary(tokens, index + 1)
+        part, index = _parse_unary(tokens, index + 1, depth)
         parts.append(part)
     return conj(parts), index
 
 
-def _parse_unary(tokens: list[tuple[str, str]], index: int) -> tuple[BoolExpr, int]:
+def _parse_unary(tokens: list[tuple[str, str]], index: int, depth: int) -> tuple[BoolExpr, int]:
     kind = tokens[index][0]
+    if kind in ("not", "lpar") and depth == _MAX_NESTING:
+        raise EquationSyntaxError(f"parentheses and negations nest more than {_MAX_NESTING} deep")
     if kind == "not":
-        child, index = _parse_unary(tokens, index + 1)
+        child, index = _parse_unary(tokens, index + 1, depth + 1)
         return Not(child), index
     if kind == "lpar":
-        inner, index = _parse_or(tokens, index + 1)
+        inner, index = _parse_or(tokens, index + 1, depth + 1)
         _take(tokens, index, "rpar")
         return inner, index + 1
     name = _take(tokens, index, "id")

@@ -16,13 +16,13 @@ A rule body is a sequence of four sections::
         [Y] Seat belt MUST be worn.
 
 ``IF`` and ``ELSE`` are mandatory; ``EXCEPT`` and ``THEN`` are optional.
-Nesting is by indentation.  A clause line is an optional marker (``[A]`` at
-the top of a section, ``a.`` / ``i.`` below), free text, an optional
-``@var(name)`` annotation, and a terminator.  ``; or,`` and ``; and,``
-terminators state the connective to the next sibling; a bare ``;`` or ``.``
-inherits the nearest explicit connective in the same sibling list
-(preceding first, then following), defaulting to AND.  A trailing ``:``
-introduces children.
+Nesting is by indentation, at most 100 levels deep.  A clause line is an
+optional marker (``[A]`` at the top of a section, ``a.`` / ``i.`` below),
+free text, an optional ``@var(name)`` annotation, and a terminator.
+``; or,`` and ``; and,`` terminators state the connective to the next
+sibling; a bare ``;`` or ``.`` inherits the nearest explicit connective in
+the same sibling list (preceding first, then following), defaulting to
+AND.  A trailing ``:`` introduces children.
 
 A ``@var`` annotation names the variable a clause compiles to.  On a clause
 with children it also fixes the granularity of variabilisation: the clause
@@ -204,6 +204,7 @@ _CONNECTIVES = {
     "and,": Connective.AND,
 }
 _HEADER_KEYS = ("rule", "title", "cites", "group")
+_MAX_DEPTH = 100  # clause nesting levels; compiling and printing recurse per level
 
 
 def _parse_body(body: str, offset: int, file: str) -> dict[str, tuple[Clause, ...]]:
@@ -212,11 +213,12 @@ def _parse_body(body: str, offset: int, file: str) -> dict[str, tuple[Clause, ..
     A clause line is held as ``[indent, label, text, var, explicit
     connective, lineno, children]`` (its column is indent + 1) in the open
     sibling list of its indent; a list is resolved into clauses when a
-    shallower line or the end of the body closes it.  A scan error is raised
-    on the spot.  A line that breaks the nesting, or a label repeated among
-    siblings, is held until every line has scanned clean: then the earliest
-    section's tree error is raised, and in a section a line left of its
-    first line goes before any other.
+    shallower line or the end of the body closes it.  A scan error, or a
+    clause past ``_MAX_DEPTH`` levels, is raised on the spot.  A line that
+    breaks the nesting, or a label repeated among siblings, is held until
+    every line has scanned clean: then the earliest section's tree error is
+    raised, and in a section a line left of its first line goes before any
+    other.
     """
     sections: dict[str, list[list]] = {}  # each section's open sibling lists, innermost last
     held = None  # the tree error to raise: (error, its section, whether a line left of the first)
@@ -273,6 +275,9 @@ def _parse_body(body: str, offset: int, file: str) -> dict[str, tuple[Clause, ..
                 held = (RuleSyntaxError("unbalanced nesting", lineno, indent + 1, file), name, True)
         elif held is None:
             if indent > lists[-1][0][0]:  # the first child of the clause above
+                if len(lists) == _MAX_DEPTH:
+                    raise RuleSyntaxError(f"clauses nest more than {_MAX_DEPTH} levels deep",
+                                          lineno, indent + 1, file)
                 lists.append([line])
                 continue
             try:

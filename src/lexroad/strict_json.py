@@ -12,13 +12,15 @@ in a file would silently win over the first.
 from __future__ import annotations
 
 import json
+import sys
 from enum import Enum
 from json.encoder import encode_basestring as _quote
 
 
 def loads(text: str, where: str = "") -> object:
     """``json.loads(text)``; ValueError naming the key if any object in the
-    text gives a key twice, prefixed with ``where`` if given."""
+    text gives a key twice, or the recursion limit if the text nests too deep
+    for ``json``, prefixed with ``where`` if given."""
     prefix = f"{where}: " if where else ""
 
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -29,7 +31,11 @@ def loads(text: str, where: str = "") -> object:
             obj[key] = value
         return obj
 
-    return json.loads(text, object_pairs_hook=unique_keys)
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except RecursionError:
+        raise ValueError(f"{prefix}JSON nests too deep to read "
+                         f"(recursion limit {sys.getrecursionlimit()})") from None
 
 
 _JSON_KINDS = {dict: "object", list: "array", str: "string", bool: "boolean"}

@@ -364,6 +364,55 @@ def test_split_names_avoid_existing_ids():
     assert net_from_json(net_to_json(net)) == net
 
 
+def _vs(prefix, lo, hi):
+    return tuple(f"{prefix}{i}" for i in range(lo, hi))
+
+
+# equations, then every non-root node as (id, kind, parents) in net order:
+# clause nodes are numbered in post-order, each after the clauses it reads
+SPLIT_LAYOUTS = {
+    "compound-children-wider-than-16": (
+        f"Y = ({' ∧ '.join(_vs('a', 0, 20))}) ∨ ({' ∧ '.join(_vs('b', 0, 18))})"
+        f" ∨ {' ∨ '.join(_vs('c', 0, 16))}\n",
+        [("Y_1", "clause", _vs("a", 0, 10)),
+         ("Y_2", "clause", _vs("a", 10, 20)),
+         ("Y_3", "clause", ("Y_1", "Y_2")),
+         ("Y_4", "clause", _vs("b", 0, 9)),
+         ("Y_5", "clause", _vs("b", 9, 18)),
+         ("Y_6", "clause", ("Y_4", "Y_5")),
+         ("Y_7", "clause", ("Y_3", "Y_6", *_vs("c", 0, 7))),
+         ("Y_8", "clause", _vs("c", 7, 16)),
+         ("Y", "decision", ("Y_7", "Y_8"))]),
+    "not-over-a-wide-and": (
+        f"Z = w ∨ ¬({' ∧ '.join(_vs('a', 0, 20))})\nN = ¬({' ∧ '.join(_vs('b', 0, 18))})\n",
+        [("Z_1", "clause", _vs("a", 0, 10)),
+         ("Z_2", "clause", _vs("a", 10, 20)),
+         ("Z_3", "clause", ("Z_1", "Z_2")),
+         ("Z", "decision", ("w", "Z_3")),
+         ("N_1", "clause", _vs("b", 0, 9)),
+         ("N_2", "clause", _vs("b", 9, 18)),
+         ("N", "decision", ("N_1", "N_2"))]),
+    "split-name-taken": (
+        f"Y = Y_1 ∨ Y_3 ∨ {' ∨ '.join(_vs('a', 0, 20))}\nZ = ¬Y\n",
+        [("Y_1_split", "clause", ("Y_1", "Y_3", *_vs("a", 0, 9))),
+         ("Y_2", "clause", _vs("a", 9, 20)),
+         ("Y", "decision", ("Y_1_split", "Y_2")),
+         ("Z", "decision", ("Y",))]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_LAYOUTS))
+def test_split_layout(case):
+    """The exact nodes parent divorcing cuts, and their names."""
+    text, layout = SPLIT_LAYOUTS[case]
+    eqs = parse_equations(text)
+    net = build_bn(eqs)
+    assert net.ids(BnNodeKind.FACT_ROOT) == eqs.input_ids()
+    assert [(n.id, n.kind.value, n.parents) for n in net.nodes
+            if n.kind != BnNodeKind.FACT_ROOT] == layout
+    assert net_to_json(net) == net_to_json_by_dumps(net)
+
+
 def test_validation_passes_for_shipped_rules(pack):
     for entry in pack.rules():
         net = build_bn(entry.equations)
@@ -552,7 +601,8 @@ def test_wmc_refuses_a_non_deterministic_cpt(rules_by_id):
 def test_each_net_is_checked_once(rules_by_id, monkeypatch):
     """The check of a net's nodes runs on its first use only: its result is
     cached on the immutable net, for built and for loaded nets alike, while
-    a net that fails it fails the same way on every use."""
+    a net that fails it fails the same way on every use, a node lookup
+    included."""
     checks = []
     check_nodes = bayes_net._check_nodes
 
@@ -585,6 +635,12 @@ def test_each_net_is_checked_once(rules_by_id, monkeypatch):
             infer(noisy)
         messages.append(str(refused.value))
     assert messages[0] == messages[1]
+    # looking up a node, or evidence on an unknown one, reads the same plan
+    with pytest.raises(ValueError, match=messages[0]):
+        noisy.node("q")
+    with pytest.raises(ValueError, match=messages[0]):
+        infer(noisy, {"nope": True})
+    assert net.node("A") is net.nodes[4]
 
 
 def _subterms(expr):

@@ -392,6 +392,19 @@ def test_outputs_are_byte_identical_across_runs(tmp_path):
         assert first.returncode == second.returncode == 0
 
 
+# the total scripts/output_digest.py prints: a digest of every byte of 720 CLI
+# calls on the shipped pack and the seeded synthetic family; it moves only
+# when some command writes other bytes or exits with another code
+OUTPUT_DIGEST_TOTAL = "1dbebc3cd8b7dc2a3dfc2baead78120345ad0604abd7225d891cb1f1e28c67a5"
+
+
+def test_output_digest_total_is_unchanged():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
+    result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == f"{OUTPUT_DIGEST_TOTAL} total"
+
+
 def test_timestamps_flag_adds_generation_time():
     result = run("check", PACK, PROFILES["bmw-740li"], "--format", "json", "--timestamps")
     payload = json.loads(result.stdout)
@@ -441,6 +454,21 @@ def pack_with_entry(d, name, kind):
     return d / "pack"
 
 
+def nested_rule(levels):
+    """A rule whose IF nests one clause per level, ``levels`` levels deep,
+    over the facts p0, p1, ...: the k-th level's line is line 4 + 2k."""
+    lines = ["rule: DEEP", "", "IF:"]
+    for k in range(levels):
+        pad = "    " * (k + 1)
+        if k == levels - 1:
+            lines.append(f"{pad}a. p{k} holds. @var(p{k})")
+        else:
+            lines += [f"{pad}a. p{k} holds; or, @var(p{k})", f"{pad}b. Otherwise:"]
+    return "\n".join([*lines, "ELSE:", "    [Y] q. @var(Y)", ""])
+
+
+NESTED_JSON = "[" * 100_000 + "]" * 100_000
+TOO_DEEP_JSON = f"JSON nests too deep to read (recursion limit {sys.getrecursionlimit()})"
 LATIN1_RULE = "rule: L\n\nIF:\n    [A] Café open.\nELSE:\n    [Y] q.\n".encode("latin-1")
 DECISION_FACT = {"rule_id": "UK-HC-103", "facts": {"A": True, "B": True, "C": False, "X": True}}
 A_FALSE = {"rule_id": "UK-HC-103", "facts": {"A": False}}
@@ -620,6 +648,30 @@ EXIT_TABLE = [
     ("check-checklist-key-twice", lambda d: ["check", copy_pack(
         d, "113.checklist.json", '{"group": "113", "requirements": [], "group": "113"}'), BMW], 5,
      "error: <d>/pack/113.checklist.json: key 'group' appears twice\n"),
+    ("compile-clauses-nested-too-deep", lambda d: [
+        "compile", write_file(d, "deep.rule", nested_rule(101))], 1,
+     "<d>/deep.rule:204:405: error: clauses nest more than 100 levels deep\n"),
+    ("check-rule-clauses-nested-too-deep", lambda d: [
+        "check", copy_pack(d, "zz.rule", nested_rule(101)), BMW], 5,
+     "<d>/pack/zz.rule:204:405: error: clauses nest more than 100 levels deep\n"),
+    ("check-golden-parentheses-nested-too-deep", lambda d: ["check", copy_pack(
+        d, "103.golden.beq", "X = A ∧ B ∧ C\nY = " + "(" * 101 + "A ∧ B" + ")" * 101 + " ∧ ¬C\n"),
+        BMW], 5, "error: parentheses and negations nest more than 100 deep\n"),
+    ("check-golden-negations-nested-too-deep", lambda d: ["check", copy_pack(
+        d, "103.golden.beq", "X = " + "¬" * 102 + "A ∧ B ∧ C\nY = A ∧ B ∧ ¬C\n"), BMW], 5,
+     "error: parentheses and negations nest more than 100 deep\n"),
+    ("eval-scenario-nested-too-deep", lambda d: [
+        "eval", PACK / "103.rule", write_file(d, "s.json", NESTED_JSON)], 3,
+     f"error: <d>/s.json: {TOO_DEEP_JSON}\n"),
+    ("bn-priors-nested-too-deep", lambda d: [
+        "bn", PACK / "103.rule", "--priors", write_file(d, "p.json", NESTED_JSON)], 4,
+     f"error: <d>/p.json: {TOO_DEEP_JSON}\n"),
+    ("check-profile-nested-too-deep", lambda d: [
+        "check", PACK, write_file(d, "v.json", NESTED_JSON)], 5,
+     f"error: <d>/v.json: {TOO_DEEP_JSON}\n"),
+    ("check-checklist-nested-too-deep", lambda d: [
+        "check", copy_pack(d, "113.checklist.json", NESTED_JSON), BMW], 5,
+     f"error: <d>/pack/113.checklist.json: {TOO_DEEP_JSON}\n"),
     ("compile-out-unwritable", lambda d: ["compile", PACK / "103.rule", "--out", d / "no" / "x"], 1,
      "error: [Errno 2] No such file or directory: '<d>/no/x'\n"),
     ("check-out-unwritable", lambda d: ["check", PACK, BMW, "--out", d / "no" / "x.json"], 1,
@@ -685,6 +737,37 @@ def deadline(seconds):
 def test_exit_code_table(tmp_path, make_argv, code, stderr):
     with deadline(10.0):
         assert run_main(make_argv(tmp_path)) == (code, "", stderr.replace("<d>", str(tmp_path)))
+
+
+def test_nesting_at_the_bounds_is_read(tmp_path):
+    """A rule nested 100 levels deep, the most a rule may nest, and goldens
+    with 100 nested parentheses or negations, the most an equation may
+    nest, go through every subcommand in process, on top of pytest's own
+    stack; printing the rule and its equation reproduces both."""
+    text = nested_rule(100)
+    ast = rule_dsl.parse_rule(rule_dsl.rule_source(text, "deep.rule"))
+    eqs = boolean_core.compile_rule(ast, rule_dsl.assign_variables(ast))
+    assert rule_dsl.parse_rule_text(rule_dsl.pretty_print(ast), "DEEP") == ast
+    equation = boolean_core.to_text(eqs.equations["Y"])
+    assert equation.count("(") == 98
+    assert boolean_core.parse_expr("((" + equation + "))") == eqs.equations["Y"]
+
+    rule = write_file(tmp_path, "deep.rule", text)
+    pack = copy_pack(tmp_path, "deep.rule", text)
+    write_file(pack, "deep.golden.beq", f"Y = (({equation}))\n")
+    write_file(pack, "103.golden.beq",
+               "X = " + "¬" * 100 + "A ∧ B ∧ C\nY = " + "(" * 100 + "A ∧ B" + ")" * 100 + " ∧ ¬C\n")
+    full = write_scenario(tmp_path, "DEEP", {f"p{k}": k == 99 for k in range(100)})
+    partial = write_scenario(tmp_path, "DEEP", {"p0": False}, "partial.json")
+    priors = write_file(tmp_path, "priors.json", {"p99": 0.25})
+    for argv in (["compile", rule], ["compile", rule, "--ascii"], ["eval", rule, partial],
+                 ["lawmap", rule], ["lawmap", rule, "-f", "json"], ["lawmap", rule, "--trace", full],
+                 ["bn", rule], ["bn", rule, "--export"],
+                 ["bn", rule, "--infer", "p0=false", "--priors", priors],
+                 ["check", pack, BMW, "--scenario", partial],
+                 ["check", pack, BMW, "--format", "json"]):
+        code, _, err = run_main(argv)
+        assert (code, err) == (0, ""), argv
 
 
 # (id, $LEXROAD_RULEPACK in a scratch dir <d>, stderr of ``check`` on one profile)
