@@ -9,7 +9,7 @@ Pipe any .dot through graphviz to get the figures, e.g.:
 import sys
 from pathlib import Path
 
-from lexroad.lawmap import build_lawmap, export_dot, export_json
+from lexroad.lawmap import build_lawmap, export_dot, export_json, source_meta
 from lexroad.rulepack import default_pack_dir, load_rulepack
 
 
@@ -18,10 +18,7 @@ def main() -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     pack = load_rulepack(default_pack_dir())
     for entry in pack.rules():
-        meta = {"title": entry.source.title} if entry.source.title else {}  # as `lexroad lawmap`
-        for i, cite in enumerate(entry.source.citations):
-            meta[f"cites.{i}"] = cite
-        graph = build_lawmap(entry.equations, entry.ast, meta=meta)
+        graph = build_lawmap(entry.equations, entry.ast, meta=source_meta(entry.source))
         stem = entry.rule_id.replace("/", "-")
         (outdir / f"{stem}.dot").write_text(export_dot(graph), encoding="utf-8")
         (outdir / f"{stem}.lawmap.json").write_text(export_json(graph), encoding="utf-8")

@@ -33,9 +33,8 @@ from .rule_dsl import (
     VariableTable,
     VarKind,
     Variable,
-    clause_path,
     is_guard,
-    _child_key,
+    keyed,
 )
 
 
@@ -171,50 +170,40 @@ def compile_rule(ast: RuleAst, table: VariableTable) -> RuleEquations:
     """Compile a parsed rule against its variable table."""
     if not ast.else_outcomes:
         raise NoOutcomeError(f"rule {ast.rule_id} has no ELSE outcomes")
+    paths = table.paths
     folds: dict[str, BoolExpr] = {}
-
-    def fold_section(section: str, clauses: tuple[Clause, ...]) -> BoolExpr:
+    section_folds: list[BoolExpr] = []  # the IF fold, then the EXCEPT fold if there is one
+    for section, clauses in (("IF", ast.if_clauses), ("EXCEPT", ast.except_clauses)):
+        if section_folds and not clauses:
+            break
         parts = []
-        for i, clause in enumerate(clauses):
-            part = _fold(clause, clause_path(section, (_child_key(clause, i),)), table.paths)
+        for clause, path in keyed(section, clauses):
+            part = _fold(clause, path, paths)
             if clause.label and clause.label.isupper() and not isinstance(part, (Var, Const)):
                 folds[clause.label] = part
             parts.append(part)
-        conns = [clause.connective for clause in clauses[:-1]]
-        return _fold_with(parts, conns)
-
-    antecedent = fold_section("IF", ast.if_clauses)
-    exception = (
-        fold_section("EXCEPT", ast.except_clauses) if ast.except_clauses else None
-    )
-
-    def outcome_eq(section: str, outcome: Clause, index: int, branch: bool) -> tuple[str, BoolExpr]:
-        path = clause_path(section, (_child_key(outcome, index),))
-        decision = table.paths.get(path)
-        if decision is None:
-            raise UnboundVariableError(path)
-        if branch:  # exception branch (THEN)
-            base: BoolExpr = And((antecedent, exception)) if exception is not None else FALSE
-        else:
-            base = And((antecedent, Not(exception))) if exception is not None else antecedent
-        guards = [
-            _fold(child, f"{path}.{_child_key(child, j)}", table.paths)
-            for j, child in enumerate(outcome.children)
-            if is_guard(child)
-        ]
-        for guard in guards:
-            if base == FALSE:
-                break
-            base = And((base, guard))
-        return decision, base
+        section_folds.append(_fold_with(parts, [clause.connective for clause in clauses[:-1]]))
+    antecedent = section_folds[0]
+    if len(section_folds) == 1:
+        bases = (FALSE, antecedent)
+    else:
+        exception = section_folds[1]
+        bases = (And((antecedent, exception)), And((antecedent, Not(exception))))
 
     equations: dict[str, BoolExpr] = {}
-    for i, outcome in enumerate(ast.then_outcomes):
-        decision, expr = outcome_eq("THEN", outcome, i, branch=True)
-        equations[decision] = expr
-    for i, outcome in enumerate(ast.else_outcomes):
-        decision, expr = outcome_eq("ELSE", outcome, i, branch=False)
-        equations[decision] = expr
+    for section, outcomes, base in zip(("THEN", "ELSE"), (ast.then_outcomes, ast.else_outcomes),
+                                       bases):
+        for outcome, path in keyed(section, outcomes):
+            decision = paths.get(path)
+            if decision is None:
+                raise UnboundVariableError(path)
+            expr = base
+            for child, child_path in keyed(path, outcome.children):
+                if is_guard(child):
+                    guard = _fold(child, child_path, paths)  # folded even under a FALSE base
+                    if base != FALSE:
+                        expr = And((expr, guard))
+            equations[decision] = expr
 
     return RuleEquations(
         rule_id=ast.rule_id,
@@ -233,12 +222,8 @@ def _fold(clause: Clause, path: str, paths: dict[str, str]) -> BoolExpr:
         return Var(paths[path])
     if not clause.children:
         raise UnboundVariableError(path)
-    parts = [
-        _fold(child, f"{path}.{_child_key(child, i)}", paths)
-        for i, child in enumerate(clause.children)
-    ]
-    conns = [child.connective for child in clause.children[:-1]]
-    return _fold_with(parts, conns)
+    parts = [_fold(child, child_path, paths) for child, child_path in keyed(path, clause.children)]
+    return _fold_with(parts, [child.connective for child in clause.children[:-1]])
 
 
 def _fold_with(parts: list[BoolExpr], conns: list[Connective | None]) -> BoolExpr:
@@ -460,22 +445,26 @@ def parse_equations(text: str, rule_id: str = "adhoc") -> RuleEquations:
     """Parse ``decision = expr`` lines into a RuleEquations set.
 
     Right-hand ids matching an earlier left-hand side are decision
-    references; an id that is only defined later is a cycle.
+    references; an id that is only defined later is a cycle.  A syntax
+    error's message starts with its line number: ``line 2: ...``.
     """
     equations: dict[str, BoolExpr] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise EquationSyntaxError(f"expected 'decision = expression': {line!r}")
-        lhs, rhs = line.split("=", 1)
-        decision = lhs.strip()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_.\-]*", decision):
-            raise EquationSyntaxError(f"bad decision id {decision!r}")
-        if decision in equations:
-            raise EquationSyntaxError(f"decision {decision!r} defined twice")
-        equations[decision] = parse_expr(rhs)
+    try:
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise EquationSyntaxError(f"expected 'decision = expression': {line!r}")
+            lhs, rhs = line.split("=", 1)
+            decision = lhs.strip()
+            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_.\-]*", decision):
+                raise EquationSyntaxError(f"bad decision id {decision!r}")
+            if decision in equations:
+                raise EquationSyntaxError(f"decision {decision!r} defined twice")
+            equations[decision] = parse_expr(rhs)
+    except EquationSyntaxError as exc:
+        raise EquationSyntaxError(f"line {lineno}: {exc}") from None
 
     table = VariableTable(rule_id=rule_id)
     referenced_before_def: dict[str, None] = {}

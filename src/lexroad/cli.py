@@ -137,10 +137,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_lawmap(args: argparse.Namespace) -> int:
     source, ast, eqs = _load_compiled(args.rule)
-    meta = {"title": source.title} if source.title else {}
-    for i, cite in enumerate(source.citations):
-        meta[f"cites.{i}"] = cite
-    graph = lawmap.build_lawmap(eqs, ast, meta=meta)
+    graph = lawmap.build_lawmap(eqs, ast, meta=lawmap.source_meta(source))
     highlight = None
     if args.trace:
         highlight = lawmap.trace_path(graph, _load_facts(args.trace, eqs))

@@ -34,7 +34,7 @@ from json.encoder import encode_basestring as _json_quote
 from . import strict_json
 from .strict_json import json_enum, json_value
 from .boolean_core import Bdd, RuleEquations
-from .rule_dsl import RuleAst
+from .rule_dsl import RuleAst, RuleSource
 
 
 class NodeKind(Enum):
@@ -146,6 +146,15 @@ class LawmapGraph:
                 paths.append(trail)
             stack.extend(trail + [edge.dst] for edge in reversed(edges))
         return paths
+
+
+def source_meta(source: RuleSource) -> dict[str, str]:
+    """The export metadata of ``source``'s Lawmap: its title, if it has one,
+    then each citation as ``cites.<i>``."""
+    meta = {"title": source.title} if source.title else {}
+    for i, cite in enumerate(source.citations):
+        meta[f"cites.{i}"] = cite
+    return meta
 
 
 def build_lawmap(

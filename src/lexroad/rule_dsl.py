@@ -28,7 +28,11 @@ A ``@var`` annotation names the variable a clause compiles to.  On a clause
 with children it also fixes the granularity of variabilisation: the clause
 becomes a single variable and its children remain as descriptive detail
 only.  Without an annotation, a leaf clause is one variable and a parent is
-the connective-fold of its children.
+the connective-fold of its children.  Such a variable is named
+``<rule id>.<SECTION>.<key>…`` by its clause path, one key per level: the
+clause's label, or its 1-based position among all its siblings when it has
+none (``R.IF.A.2``; ``R.ELSE.1.1`` for an unlabelled ``Where`` guard of an
+unlabelled ELSE outcome).  :func:`keyed` alone builds clause paths.
 
 Labels are unique among siblings, and an outcome label may not be given in
 both THEN and ELSE; the error names the second clause that carries it.
@@ -141,9 +145,11 @@ class Variable(NamedTuple):
 class VariableTable:
     """Variables of one rule plus the clause paths they came from.
 
-    ``paths`` maps clause paths like ``IF.A.a`` or ``ELSE.Y`` to variable
-    ids; ``variables`` is insertion-ordered (conditions in document order,
-    then decisions).
+    ``paths`` maps clause paths like ``IF.A.a``, ``IF.A.2`` or ``ELSE.1.1``
+    (the section, then per level the clause's label or its 1-based position
+    among all its siblings) to variable ids, ``<rule_id>.<path>`` for a
+    clause without ``@var``; ``variables`` is insertion-ordered (conditions
+    in document order, then decisions).
     """
 
     rule_id: str
@@ -477,12 +483,16 @@ def is_guard(clause: Clause) -> bool:
     return head == "where" or head.startswith("where ")
 
 
-def clause_path(section: str, labels: tuple[str, ...]) -> str:
-    return ".".join((section,) + labels)
-
-
-def _child_key(clause: Clause, index: int) -> str:
-    return clause.label if clause.label is not None else str(index + 1)
+def keyed(path: str, clauses: tuple[Clause, ...]) -> list[tuple[Clause, str]]:
+    """Each of ``clauses`` with its clause path: ``path``, a dot, then the
+    clause's label, or its 1-based position among all its siblings when it
+    has no label (``IF.A.a``, ``ELSE.1.1``)."""
+    pairs = []
+    position = 0  # a loop with a counter: cheaper than a comprehension over enumerate
+    for clause in clauses:
+        position += 1
+        pairs.append((clause, f"{path}.{position if clause.label is None else clause.label}"))
+    return pairs
 
 
 def assign_variables(ast: RuleAst) -> VariableTable:
@@ -493,26 +503,18 @@ def assign_variables(ast: RuleAst) -> VariableTable:
     single unit even if it has children.
     """
     table = VariableTable(rule_id=ast.rule_id)
-    for i, clause in enumerate(ast.if_clauses):
-        _assign_condition(table, clause, clause_path("IF", (_child_key(clause, i),)),
-                          VarKind.FACTUAL)
-    for i, clause in enumerate(ast.except_clauses):
-        _assign_condition(
-            table, clause, clause_path("EXCEPT", (_child_key(clause, i),)), VarKind.SITUATION
-        )
-    for section, outcomes in (("THEN", ast.then_outcomes), ("ELSE", ast.else_outcomes)):
-        for i, outcome in enumerate(outcomes):
-            path = clause_path(section, (_child_key(outcome, i),))
-            for j, child in enumerate(outcome.children):
-                if is_guard(child):
-                    _assign_condition(
-                        table, child, f"{path}.{_child_key(child, j)}", VarKind.SITUATION
-                    )
-    for section, outcomes in (("THEN", ast.then_outcomes), ("ELSE", ast.else_outcomes)):
-        for i, outcome in enumerate(outcomes):
-            path = clause_path(section, (_child_key(outcome, i),))
-            _add_variable(table, outcome.var or f"{ast.rule_id}.{path}", VarKind.DECISION,
-                          outcome.text, path)
+    for clause, path in keyed("IF", ast.if_clauses):
+        _assign_condition(table, clause, path, VarKind.FACTUAL)
+    for clause, path in keyed("EXCEPT", ast.except_clauses):
+        _assign_condition(table, clause, path, VarKind.SITUATION)
+    outcomes = keyed("THEN", ast.then_outcomes) + keyed("ELSE", ast.else_outcomes)
+    for outcome, path in outcomes:
+        for child, child_path in keyed(path, outcome.children):
+            if is_guard(child):
+                _assign_condition(table, child, child_path, VarKind.SITUATION)
+    for outcome, path in outcomes:
+        _add_variable(table, outcome.var or f"{ast.rule_id}.{path}", VarKind.DECISION,
+                      outcome.text, path)
     return table
 
 
@@ -521,8 +523,8 @@ def _assign_condition(table: VariableTable, clause: Clause, path: str, kind: Var
     if clause.var is not None or not clause.children:
         _add_variable(table, clause.var or f"{table.rule_id}.{path}", kind, clause.text, path)
         return
-    for i, child in enumerate(clause.children):
-        _assign_condition(table, child, f"{path}.{_child_key(child, i)}", kind)
+    for child, child_path in keyed(path, clause.children):
+        _assign_condition(table, child, child_path, kind)
 
 
 def _add_variable(table: VariableTable, var_id: str, kind: VarKind, description: str,

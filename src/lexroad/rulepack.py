@@ -13,7 +13,8 @@ A rulepack directory holds, all UTF-8 with sorted JSON keys:
 A loaded :class:`Rulepack` holds the compiled rules by id, in file order,
 and the checklists by group, in natural order of the group names (numbers
 compared by value, so ``99-100`` comes before ``103-105``).  A rule whose
-group has no checklist, and two checklists for one group, are rejected.
+group has no checklist, and two checklists for one group, are rejected, as
+is a golden file that does not parse, with a ValueError naming the file.
 
 Loading walks the pack directory once and reads each file under it once.
 The pack's ``sha256`` (the ``pack_sha256`` of a compliance report) is the
@@ -45,6 +46,8 @@ from typing import NamedTuple
 
 from . import rule_dsl, strict_json
 from .boolean_core import (
+    CyclicDefinitionError,
+    EquationSyntaxError,
     RuleEquations,
     compile_rule,
     equations_equivalent,
@@ -196,7 +199,10 @@ def load_rulepack(path: str | Path) -> Rulepack:
         golden_text = None
         if golden_name in names:
             golden_text = text(golden_name)
-            golden = parse_equations(golden_text, rule_id=source.rule_id)
+            try:
+                golden = parse_equations(golden_text, rule_id=source.rule_id)
+            except (EquationSyntaxError, CyclicDefinitionError) as exc:
+                raise ValueError(f"{path / golden_name}: {exc}") from None
             ok, decision, witness = equations_equivalent(eqs, golden)
             if not ok:
                 raise GoldenMismatchError(source.rule_id, decision, witness)

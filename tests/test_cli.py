@@ -579,7 +579,11 @@ EXIT_TABLE = [
      "error: priors file for UK-HC-103 names decisions, not facts: X\n"),
     ("check-cyclic-golden", lambda d: [
         "check", copy_pack(d, "103.golden.beq", "X = Y ∧ A\nY = A\n"), BMW], 5,
-     "error: decision 'Y' is used before (or within) its own definition\n"),
+     "error: <d>/pack/103.golden.beq: decision 'Y' is used before (or within) its own "
+     "definition\n"),
+    ("check-golden-bad-token", lambda d: [
+        "check", copy_pack(d, "103.golden.beq", "X = A ∧ B ∧ C\nY = A ∧ ) B\n"), BMW], 5,
+     "error: <d>/pack/103.golden.beq: line 2: expected id, got rpar\n"),
     ("check-rule-group-without-checklist", lambda d: ["check", copy_pack(
         d, "zz.rule", "rule: ZZ\ngroup: 300\n\nIF:\n    [A] p. @var(a)\nELSE:\n    [Y] q. @var(Y)\n"
     ), BMW], 5, "error: <d>/pack/zz.rule: group '300' has no checklist\n"),
@@ -656,10 +660,12 @@ EXIT_TABLE = [
      "<d>/pack/zz.rule:204:405: error: clauses nest more than 100 levels deep\n"),
     ("check-golden-parentheses-nested-too-deep", lambda d: ["check", copy_pack(
         d, "103.golden.beq", "X = A ∧ B ∧ C\nY = " + "(" * 101 + "A ∧ B" + ")" * 101 + " ∧ ¬C\n"),
-        BMW], 5, "error: parentheses and negations nest more than 100 deep\n"),
+        BMW], 5, "error: <d>/pack/103.golden.beq: line 2: parentheses and negations nest more "
+                 "than 100 deep\n"),
     ("check-golden-negations-nested-too-deep", lambda d: ["check", copy_pack(
         d, "103.golden.beq", "X = " + "¬" * 102 + "A ∧ B ∧ C\nY = A ∧ B ∧ ¬C\n"), BMW], 5,
-     "error: parentheses and negations nest more than 100 deep\n"),
+     "error: <d>/pack/103.golden.beq: line 1: parentheses and negations nest more than 100 "
+     "deep\n"),
     ("eval-scenario-nested-too-deep", lambda d: [
         "eval", PACK / "103.rule", write_file(d, "s.json", NESTED_JSON)], 3,
      f"error: <d>/s.json: {TOO_DEEP_JSON}\n"),

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from lexroad.boolean_core import compile_rule, equations_to_text
 from lexroad.rule_dsl import (
     Connective,
     DuplicateLabelError,
@@ -497,6 +498,39 @@ def test_assign_variables_auto_id():
     table = assign_variables(ast)
     assert table.ids(VarKind.FACTUAL) == ("tiny.IF.A",)
     assert table.ids(VarKind.DECISION) == ("tiny.ELSE.Y",)
+
+
+def test_generated_ids_follow_clause_paths():
+    # a key is the clause's label, or its 1-based position among all its
+    # siblings, labelled ones included
+    text = """\
+IF:
+    [A] Driver is on a road:
+        a. road is a motorway; or,
+        road is a dual carriageway.
+    Vehicle is moving; and,
+    [B] Lights are on: @var(lit)
+        headlights are on.
+EXCEPT:
+    Emergency.
+THEN:
+    [X] May stop:
+        Until told to move.
+ELSE:
+    Must not stop:
+        Where signs permit.
+"""
+    ast = parse_rule_text(text, "R")
+    table = assign_variables(ast)
+    assert list(table.paths.items()) == [
+        ("IF.A.a", "R.IF.A.a"), ("IF.A.2", "R.IF.A.2"), ("IF.2", "R.IF.2"), ("IF.B", "lit"),
+        ("EXCEPT.1", "R.EXCEPT.1"), ("ELSE.1.1", "R.ELSE.1.1"), ("THEN.X", "R.THEN.X"),
+        ("ELSE.1", "R.ELSE.1"),
+    ]
+    assert equations_to_text(compile_rule(ast, table)) == (
+        "R.THEN.X = ((R.IF.A.a ∨ R.IF.A.2) ∧ R.IF.2 ∧ lit) ∧ R.EXCEPT.1\n"
+        "R.ELSE.1 = (((R.IF.A.a ∨ R.IF.A.2) ∧ R.IF.2 ∧ lit) ∧ ¬R.EXCEPT.1) ∧ R.ELSE.1.1\n"
+    )
 
 
 def test_assign_variables_kinds_and_guard(rules_by_id):
