@@ -60,7 +60,8 @@ from .boolean_core import (
     Or,
     RuleEquations,
     Var,
-    expand,
+    decision_inputs,
+    decision_nodes,
     free_vars,
 )
 
@@ -394,30 +395,30 @@ def validate_bn(net: BayesNet, eqs: RuleEquations) -> ValidationReport:
     """Confirm that ``net``, which must be deterministic, reproduces the
     Boolean semantics on all 2^roots assignments of its roots.
 
-    Each decision's node function is compared with its equation on one
-    decision diagram over the roots.  Every assignment where they differ is
+    Each decision's node function is compared with its equation's node
+    (:func:`decision_nodes`) on one decision diagram over the roots, in net
+    order as inference reads them.  Every assignment where they differ is
     a divergence, listed in the order of the assignments (roots in net
     order, FALSE before TRUE) and then of the decisions; its posterior is
     the node's value there, exactly 0.0 or 1.0.
     """
     bdd = Bdd()
     fn = _node_functions(net, bdd)
-    exprs = expand(eqs)
+    want = decision_nodes(bdd, eqs)
     decisions = eqs.decision_ids()
     report = ValidationReport(rule_id=net.rule_id, assignments_checked=2 ** len(net._plan.prior))
     wrong = []
     for i, decision in enumerate(decisions):
-        want, got = bdd.of(exprs[decision]), fn[net._plan.index[decision]]
-        for expected, differ in ((True, bdd.ite(got, Bdd.FALSE, want)),
-                                 (False, bdd.ite(want, Bdd.FALSE, got))):
+        got = fn[net._plan.index[decision]]
+        for expected, differ in ((True, bdd.ite(got, Bdd.FALSE, want[decision])),
+                                 (False, bdd.ite(want[decision], Bdd.FALSE, got))):
             wrong.extend((values, i, expected) for values in bdd.models(differ))
     for values, i, expected in sorted(wrong):
         report.divergences.append(Divergence(
             decisions[i], dict(zip(bdd.names, values)), expected, 0.0 if expected else 1.0
         ))
-    for decision in decisions:
-        expr = exprs[decision]
-        satisfying = bdd.witness(bdd.of(expr), free_vars(expr), first=True)
+    for decision, inputs in decision_inputs(eqs).items():
+        satisfying = bdd.witness(want[decision], inputs, first=True)
         if satisfying is None:
             continue  # unsatisfiable decision: nothing to instantiate
         p = _posteriors(net, bdd, fn, satisfying, (decision,))[decision]

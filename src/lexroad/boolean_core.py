@@ -12,9 +12,10 @@ unsatisfiable and ELSE outcomes reduce to ``A*``.
 Scenario evaluation is exact: a decision is TRUE or FALSE when every
 completion of the known facts gives it that value, otherwise UNKNOWN
 (``None``); it is read off the rule's cached decision diagram (:class:`Bdd`).
-Equations may reference decisions defined earlier in the same set
-(expanded by substitution before analysis).  Equivalence and property
-checks work on decision diagrams too and have no variable bound.
+Equations may reference decisions defined earlier in the same set, which
+are bound to their nodes as each decision's own equation is built
+(:func:`decision_nodes`).  Equivalence and property checks work on decision
+diagrams too and have no variable bound.
 """
 
 from __future__ import annotations
@@ -49,9 +50,10 @@ class NoOutcomeError(Exception):
 
 
 class CyclicDefinitionError(Exception):
-    def __init__(self, var_id: str):
+    def __init__(self, var_id: str, line: int | None = None):
         self.var_id = var_id
-        super().__init__(f"decision '{var_id}' is used before (or within) its own definition")
+        at = "" if line is None else f"line {line}: "
+        super().__init__(f"{at}decision '{var_id}' is used before (or within) its own definition")
 
 
 class EquationSyntaxError(Exception):
@@ -163,7 +165,7 @@ class RuleEquations:
         """One decision diagram over the inputs, in clause order, and each
         decision's node in it; built on first use."""
         bdd = Bdd(self.input_ids())
-        return bdd, {d: bdd.of(e) for d, e in expand(self).items()}
+        return bdd, decision_nodes(bdd, self)
 
 
 def compile_rule(ast: RuleAst, table: VariableTable) -> RuleEquations:
@@ -245,30 +247,28 @@ def evaluate(eqs: RuleEquations, assignment: dict[str, bool | None]) -> dict[str
     return dict(zip(nodes, bdd.settle(tuple(nodes.values()), assignment)))
 
 
-def expand(eqs: RuleEquations) -> dict[str, BoolExpr]:
-    """Substitute references to earlier decisions, leaving pure input expressions."""
-    expanded: dict[str, BoolExpr] = {}
+def decision_nodes(bdd: Bdd, eqs: RuleEquations) -> dict[str, int]:
+    """Each decision's node in ``bdd``, built from its own equation with the
+    decisions defined before it bound to their nodes; a decision used before
+    (or within) its definition raises CyclicDefinitionError."""
+    nodes: dict[str, int] = {}
     for decision, expr in eqs.equations.items():
-        expanded[decision] = _subst(expr, expanded, eqs.equations)
-    return expanded
+        for name in free_vars(expr):
+            if name in eqs.equations and name not in nodes:
+                raise CyclicDefinitionError(name)
+        nodes[decision] = bdd.of(expr, nodes)
+    return nodes
 
 
-def _subst(e: BoolExpr, expanded: dict[str, BoolExpr], equations: dict[str, BoolExpr]) -> BoolExpr:
-    """``e`` with each decision in ``expanded`` replaced by its expression; a
-    decision of ``equations`` not expanded yet is a cycle."""
-    if isinstance(e, Var):
-        if e.id in expanded:
-            return expanded[e.id]
-        if e.id in equations:
-            raise CyclicDefinitionError(e.id)
-        return e
-    if isinstance(e, Not):
-        return Not(_subst(e.child, expanded, equations))
-    if isinstance(e, And):
-        return And(tuple(_subst(c, expanded, equations) for c in e.children))
-    if isinstance(e, Or):
-        return Or(tuple(_subst(c, expanded, equations) for c in e.children))
-    return e
+def decision_inputs(eqs: RuleEquations) -> dict[str, tuple[str, ...]]:
+    """Each decision's inputs in order of first appearance, once the
+    decisions it reads are replaced by their equations; for equations that
+    :func:`decision_nodes` accepts."""
+    inputs: dict[str, tuple[str, ...]] = {}
+    for decision, expr in eqs.equations.items():
+        inputs[decision] = tuple(dict.fromkeys(
+            name for var_id in free_vars(expr) for name in inputs.get(var_id, (var_id,))))
+    return inputs
 
 
 class PropertyReport(NamedTuple):
@@ -283,21 +283,24 @@ class PropertyReport(NamedTuple):
 
 def check_properties(eqs: RuleEquations) -> PropertyReport:
     """Check pairwise exclusion (``Dᵢ ∧ Dⱼ = FALSE``) and coverage of the
-    antecedent (``A* ∧ ¬(D₁ ∨ … ∨ Dₙ) = FALSE``); each failure gets the first
-    counterexample over the sorted inputs, FALSE before TRUE."""
+    antecedent (``A* ∧ ¬(D₁ ∨ … ∨ Dₙ) = FALSE``) on the decisions' nodes in a
+    fresh diagram; each failure gets the first counterexample over the
+    sorted inputs, FALSE before TRUE."""
     bdd = Bdd(eqs.input_ids())
     names = tuple(sorted(eqs.input_ids()))
-    exprs = expand(eqs)
+    nodes = decision_nodes(bdd, eqs)
     exclusive: dict[tuple[str, str], bool] = {}
     witnesses: dict[str, dict[str, bool]] = {}
-    for x, y in itertools.combinations(exprs, 2):
-        both = bdd.of(And((exprs[x], exprs[y])))
+    for x, y in itertools.combinations(nodes, 2):
+        both = bdd.ite(nodes[x], nodes[y], Bdd.FALSE)
         exclusive[(x, y)] = both == Bdd.FALSE
         if both != Bdd.FALSE:
             witnesses[f"not_exclusive:{x},{y}"] = bdd.witness(both, names, False)
     exhaustive: bool | None = None
     if eqs.antecedent is not None:
-        hole = bdd.of(And((eqs.antecedent, Not(disj(list(exprs.values()))))))
+        hole = bdd.of(eqs.antecedent)
+        for f in nodes.values():  # less each decision
+            hole = bdd.ite(f, Bdd.FALSE, hole)
         exhaustive = hole == Bdd.FALSE
         if not exhaustive:
             witnesses["not_exhaustive"] = bdd.witness(hole, names, False)
@@ -323,18 +326,6 @@ def normalize(expr: BoolExpr) -> BoolExpr:
         flat.sort(key=to_text)
         return op(tuple(flat))
     return expr
-
-
-def equivalent(a: BoolExpr, b: BoolExpr) -> tuple[bool, dict[str, bool] | None]:
-    """Equivalence by decision-diagram identity; when the expressions differ,
-    also the first distinguishing assignment over the sorted union of their
-    free variables, FALSE before TRUE."""
-    bdd = Bdd()
-    fa, fb = bdd.of(a), bdd.of(b)
-    if fa == fb:
-        return True, None
-    differ = bdd.ite(fa, bdd.ite(fb, Bdd.FALSE, Bdd.TRUE), fb)  # a XOR b
-    return False, bdd.witness(differ, tuple(sorted(bdd.names)), False)
 
 
 # --- text form ----------------------------------------------------------------
@@ -446,9 +437,11 @@ def parse_equations(text: str, rule_id: str = "adhoc") -> RuleEquations:
 
     Right-hand ids matching an earlier left-hand side are decision
     references; an id that is only defined later is a cycle.  A syntax
-    error's message starts with its line number: ``line 2: ...``.
+    error's message starts with its line number (``line 2: ...``), a cycle's
+    with the line where the decision is first used.
     """
     equations: dict[str, BoolExpr] = {}
+    first_use: dict[str, int] = {}  # each id read before its definition, if any: its line
     try:
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
@@ -462,21 +455,18 @@ def parse_equations(text: str, rule_id: str = "adhoc") -> RuleEquations:
                 raise EquationSyntaxError(f"bad decision id {decision!r}")
             if decision in equations:
                 raise EquationSyntaxError(f"decision {decision!r} defined twice")
-            equations[decision] = parse_expr(rhs)
+            expr = parse_expr(rhs)
+            for var_id in free_vars(expr):
+                if var_id not in equations:
+                    first_use.setdefault(var_id, lineno)
+            equations[decision] = expr
     except EquationSyntaxError as exc:
         raise EquationSyntaxError(f"line {lineno}: {exc}") from None
 
     table = VariableTable(rule_id=rule_id)
-    referenced_before_def: dict[str, None] = {}
-    defined: set[str] = set()
-    for decision, expr in equations.items():
-        for var_id in free_vars(expr):
-            if var_id not in defined:
-                referenced_before_def.setdefault(var_id, None)
-        defined.add(decision)
-    for var_id in referenced_before_def:
+    for var_id, line in first_use.items():
         if var_id in equations:
-            raise CyclicDefinitionError(var_id)
+            raise CyclicDefinitionError(var_id, line)
         table.variables[var_id] = Variable(var_id, VarKind.FACTUAL, var_id)
     for decision in equations:
         table.variables[decision] = Variable(decision, VarKind.DECISION, decision)
@@ -484,26 +474,28 @@ def parse_equations(text: str, rule_id: str = "adhoc") -> RuleEquations:
         rule_id=rule_id,
         table=table,
         equations=equations,
-        input_order=tuple(referenced_before_def),
+        input_order=tuple(first_use),
     )
 
 
 def equations_equivalent(
     a: RuleEquations, b: RuleEquations
 ) -> tuple[bool, str | None, dict[str, bool] | None]:
-    """Decision-by-decision equivalence of two equation sets.
-
-    Returns ``(ok, decision, witness)`` with the first diverging decision
-    and a distinguishing input assignment when the sets differ.
-    """
-    if set(a.decision_ids()) != set(b.decision_ids()):
-        missing = set(a.decision_ids()) ^ set(b.decision_ids())
-        return False, sorted(missing)[0], None
-    ea, eb = expand(a), expand(b)
+    """Decision-by-decision equivalence of two equation sets, by node identity
+    in ``a``'s cached diagram: ``(ok, decision, witness)`` with the first
+    diverging decision and the first assignment over the sorted inputs of
+    both its equations that tells them apart, FALSE before TRUE."""
+    missing = set(a.equations) ^ set(b.equations)
+    if missing:
+        return False, min(missing), None
+    bdd, nodes_a = a.diagram
+    nodes_b = decision_nodes(bdd, b)
     for decision in a.decision_ids():
-        ok, witness = equivalent(ea[decision], eb[decision])
-        if not ok:
-            return False, decision, witness
+        fa, fb = nodes_a[decision], nodes_b[decision]
+        if fa != fb:
+            differ = bdd.ite(fa, bdd.ite(fb, Bdd.FALSE, Bdd.TRUE), fb)  # a XOR b
+            names = {*decision_inputs(a)[decision], *decision_inputs(b)[decision]}
+            return False, decision, bdd.witness(differ, tuple(sorted(names)), False)
     return True, None, None
 
 
@@ -595,17 +587,17 @@ class Bdd:
         self._ite[key] = r
         return r
 
-    def of(self, expr: BoolExpr) -> int:
-        """``expr``'s node: every child of an And/Or is built, left to right,
-        before they are folded into one node from the left."""
+    def of(self, expr: BoolExpr, bound: dict[str, int] | None = None) -> int:
+        """``expr``'s node, with each variable in ``bound`` read as its node:
+        every child of an And/Or is built, left to right, before the left fold."""
         kind = type(expr)
         if kind is Var:
-            return self.var(expr.id)
+            return bound[expr.id] if bound and expr.id in bound else self.var(expr.id)
         if kind is Not:
-            return self.ite(self.of(expr.child), self.FALSE, self.TRUE)
+            return self.ite(self.of(expr.child, bound), self.FALSE, self.TRUE)
         if kind is Const:
             return self.TRUE if expr.value else self.FALSE
-        fs = [self.of(child) for child in expr.children]
+        fs = [self.of(child, bound) for child in expr.children]
         f = fs[0]
         if kind is And:
             for g in fs[1:]:

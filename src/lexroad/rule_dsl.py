@@ -385,11 +385,17 @@ def read_bytes(name: str) -> bytes:
         return f.read()
 
 
-def decode_text(data: bytes) -> str:
+def decode_text(data: bytes, name: str) -> str:
     """UTF-8 ``data`` as text mode reads it (``\\r\\n`` and ``\\r`` become
     ``\\n``), less one leading byte-order mark (U+FEFF): RFC 8259 lets a
-    JSON reader ignore it, and in a rule it would hide the first header."""
-    text = data.decode("utf-8")
+    JSON reader ignore it, and in a rule it would hide the first header.
+    Data that is not UTF-8 is a ValueError naming ``name`` and the line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start] + b".").splitlines())  # bytes break at \n, \r\n and \r
+        raise ValueError(f"{name}: line {line}: can't decode byte 0x{data[exc.start]:02x} "
+                         f"as UTF-8: {exc.reason}") from None
     if text.startswith("\ufeff"):
         text = text[1:]
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
@@ -398,7 +404,7 @@ def decode_text(data: bytes) -> str:
 def load_rule_file(path: str | Path) -> RuleSource:
     """Read a ``.rule`` file: header lines, blank line, DSL body."""
     path = file_name(path)
-    return rule_source(decode_text(read_bytes(path)), path)
+    return rule_source(decode_text(read_bytes(path), path), path)
 
 
 def rule_source(text: str, path: str) -> RuleSource:

@@ -40,7 +40,6 @@ import os
 import re
 import stat
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -184,7 +183,7 @@ def load_rulepack(path: str | Path) -> Rulepack:
         data = files.get(name)
         if data is None:
             raise _not_a_file(str(path / name))
-        return rule_dsl.decode_text(data)
+        return rule_dsl.decode_text(data, str(path / name))
 
     rules: dict[str, PackRule] = {}
     for name in names:
@@ -251,8 +250,8 @@ def _checklist(text: str, path: str) -> tuple[str, tuple[CapabilityRequirement, 
 def load_json_object(path: str | Path) -> dict:
     """The JSON object in the file at ``path``; ValueError naming the file and
     the key if any object in it gives a key twice."""
-    return _json_object(rule_dsl.decode_text(rule_dsl.read_bytes(rule_dsl.file_name(path))),
-                        str(path))
+    text = rule_dsl.decode_text(rule_dsl.read_bytes(rule_dsl.file_name(path)), str(path))
+    return _json_object(text, str(path))
 
 
 def _json_object(text: str, where: str) -> dict:
@@ -266,7 +265,7 @@ def load_profile(path: str | Path) -> CapabilityProfile:
     it was parsed from.  Its ``sae_level``, if given and not null, is an SAE
     J3016 level: an integer from 0 to 5."""
     data = rule_dsl.read_bytes(rule_dsl.file_name(path))
-    payload = _json_object(rule_dsl.decode_text(data), str(path))
+    payload = _json_object(rule_dsl.decode_text(data, str(path)), str(path))
     answers = json_value(payload.get("answers"), dict, f"{path}: answers")
     vehicle_id = json_value(payload.get("vehicle_id"), str, f"{path}: vehicle_id")
     valid = {answer.value: answer for answer in Answer}
@@ -288,7 +287,7 @@ def load_profile(path: str | Path) -> CapabilityProfile:
 
 
 def default_pack_dir() -> Path:
-    return Path(str(resources.files("lexroad").joinpath("data")))
+    return Path(__file__).parent / "data"
 
 
 def default_profile_paths() -> list[Path]:

@@ -11,6 +11,11 @@ three-valued evaluator these are written with, is what ``evaluate`` used
 before it read verdicts off the rule's diagram; it stays as a sound (but
 not complete) reference.
 
+``expand`` substitutes each decision's earlier decisions into its equation,
+leaving trees over the inputs alone, and ``equivalent`` compares two trees
+in a fresh diagram: the way lexroad checked goldens before it built each
+decision's node with the earlier decisions bound to theirs.
+
 ``PlainBdd`` is ``Bdd`` with the kernel written the plain way, through
 ``level`` and ``cofactors``; ``Bdd`` must build the same node table.
 
@@ -35,6 +40,7 @@ writes the same text directly and must give the same bytes.
 """
 
 import hashlib
+import io
 import itertools
 import json
 import re
@@ -58,10 +64,11 @@ from lexroad.boolean_core import (
     Bdd,
     BoolExpr,
     Const,
+    CyclicDefinitionError,
     Not,
+    Or,
     RuleEquations,
     Var,
-    expand,
     free_vars,
 )
 from lexroad.compliance import ComplianceReport
@@ -104,6 +111,44 @@ def kleene_eval(expr: BoolExpr, env: dict[str, bool | None]) -> bool | None:
     if any(v is True for v in values):
         return True
     return None if any(v is None for v in values) else False
+
+
+def expand(eqs: RuleEquations) -> dict[str, BoolExpr]:
+    """Substitute references to earlier decisions, leaving pure input expressions."""
+    expanded: dict[str, BoolExpr] = {}
+    for decision, expr in eqs.equations.items():
+        expanded[decision] = _subst(expr, expanded, eqs.equations)
+    return expanded
+
+
+def _subst(e: BoolExpr, expanded: dict[str, BoolExpr], equations: dict[str, BoolExpr]) -> BoolExpr:
+    """``e`` with each decision in ``expanded`` replaced by its expression; a
+    decision of ``equations`` not expanded yet is a cycle."""
+    if isinstance(e, Var):
+        if e.id in expanded:
+            return expanded[e.id]
+        if e.id in equations:
+            raise CyclicDefinitionError(e.id)
+        return e
+    if isinstance(e, Not):
+        return Not(_subst(e.child, expanded, equations))
+    if isinstance(e, And):
+        return And(tuple(_subst(c, expanded, equations) for c in e.children))
+    if isinstance(e, Or):
+        return Or(tuple(_subst(c, expanded, equations) for c in e.children))
+    return e
+
+
+def equivalent(a: BoolExpr, b: BoolExpr) -> tuple[bool, dict[str, bool] | None]:
+    """Equivalence by decision-diagram identity; when the expressions differ,
+    also the first distinguishing assignment over the sorted union of their
+    free variables, FALSE before TRUE."""
+    bdd = Bdd()
+    fa, fb = bdd.of(a), bdd.of(b)
+    if fa == fb:
+        return True, None
+    differ = bdd.ite(fa, bdd.ite(fb, Bdd.FALSE, Bdd.TRUE), fb)  # a XOR b
+    return False, bdd.witness(differ, tuple(sorted(bdd.names)), False)
 
 
 @dataclass(frozen=True)
@@ -457,7 +502,7 @@ def load_rule_file(path: str | Path) -> RuleSource:
     """Read a ``.rule`` file: header lines, blank line, DSL body.  A
     ``rule:``, ``title:`` or ``group:`` header given twice is refused."""
     path = Path(path)
-    raw = _prepare(path.read_text(encoding="utf-8"))
+    raw = _prepare(read_text(path))
     rule_id = ""
     title = ""
     citations: list[str] = []
@@ -515,7 +560,19 @@ def pack_digest(path: str | Path) -> str:
 
 def load_json_object(path: str | Path) -> object:
     """The JSON value in the file at ``path``, read in text mode."""
-    return strict_json.loads(Path(path).read_text(encoding="utf-8"), str(path))
+    return strict_json.loads(read_text(path), str(path))
+
+
+def read_text(path: str | Path) -> str:
+    """The file at ``path`` read in text mode; a file that is not UTF-8 is a
+    ValueError naming it and the line, as text mode counts lines, of its
+    first bad byte."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        before = io.StringIO(exc.object[:exc.start].decode("utf-8"), newline=None).read()
+        raise ValueError(f"{path}: line {before.count(chr(10)) + 1}: can't decode byte "
+                         f"0x{exc.object[exc.start]:02x} as UTF-8: {exc.reason}") from None
 
 
 def trace_path_by_edges(graph: LawmapGraph, assignment: dict[str, bool]) -> list[str]:

@@ -27,14 +27,13 @@ from lexroad.boolean_core import (
     check_properties,
     equations_equivalent,
     evaluate,
-    expand,
     normalize,
     parse_equations,
 )
 from lexroad.lawmap import build_lawmap, export_dot, export_json, trace_path
 from lexroad.rule_dsl import RuleSource, VariableTable, parse_rule, pretty_print
 from lexroad.rulepack import default_pack_dir, default_profile_paths
-from reference import infer_enumeration, kleene_eval, truth_table
+from reference import expand, infer_enumeration, kleene_eval, truth_table
 
 GOLDEN_MATRIX = Path(__file__).parent / "golden" / "capability_matrix.txt"
 

@@ -26,16 +26,14 @@ from lexroad.boolean_core import (
     check_properties,
     compile_rule,
     equations_to_text,
-    equivalent,
     evaluate,
-    expand,
     normalize,
     parse_equations,
     parse_expr,
     to_text,
 )
 from lexroad.rule_dsl import VariableTable, assign_variables, parse_rule_text
-from reference import kleene_eval, truth_table
+from reference import equivalent, expand, kleene_eval, truth_table
 
 
 def brute_eval(expr, env):
@@ -267,6 +265,30 @@ def test_evaluate_is_exact_on_repeated_variables(text, data):
 def test_forward_reference_is_a_cycle():
     with pytest.raises(CyclicDefinitionError):
         parse_equations("F = E ∧ x\nE = u ∨ v\n")
+
+
+def test_a_cycle_names_the_line_of_the_first_use():
+    with pytest.raises(CyclicDefinitionError) as err:
+        parse_equations("A = a\n\nB = a ∧ (C ∨ B)\nC = B ∨ C\n")
+    assert (err.value.var_id, str(err.value)) == (
+        "C", "line 3: decision 'C' is used before (or within) its own definition")
+
+
+@pytest.mark.parametrize("equations", [
+    {"F": Var("E"), "E": Var("u")},
+    {"X": And((Var("a"), Not(Var("X"))))},
+    {"A": Var("u"), "B": Or((Var("A"), And((Var("D"), Var("C"))))), "C": Var("u"), "D": Var("u")},
+])
+def test_a_hand_built_cycle_blames_what_substitution_blames(equations):
+    """Building each decision on the nodes of the ones before it blames the
+    same decision that substituting them into each other's trees does."""
+    eqs = RuleEquations(rule_id="bad", table=VariableTable(rule_id="bad"),
+                        equations=equations, input_order=("u", "a"))
+    with pytest.raises(CyclicDefinitionError) as want:
+        expand(eqs)
+    with pytest.raises(CyclicDefinitionError) as got:
+        evaluate(eqs, {})
+    assert got.value.var_id == want.value.var_id
 
 
 def test_compile_requires_covering_table():

@@ -433,9 +433,9 @@ def write_file(d, name, content):
 
 
 def copy_pack(d, name, text):
-    """The shipped pack with file ``name`` written as ``text``."""
+    """The shipped pack with file ``name`` written as ``text`` (or bytes)."""
     shutil.copytree(PACK, d / "pack")
-    (d / "pack" / name).write_text(text, encoding="utf-8")
+    write_file(d / "pack", name, text)
     return d / "pack"
 
 
@@ -470,13 +470,23 @@ def nested_rule(levels):
 NESTED_JSON = "[" * 100_000 + "]" * 100_000
 TOO_DEEP_JSON = f"JSON nests too deep to read (recursion limit {sys.getrecursionlimit()})"
 LATIN1_RULE = "rule: L\n\nIF:\n    [A] Café open.\nELSE:\n    [Y] q.\n".encode("latin-1")
+LATIN1_JSON = '{"rule_id": "UK-HC-103",\r\n "facts": {"Café": true}}'.encode("latin-1")
 DECISION_FACT = {"rule_id": "UK-HC-103", "facts": {"A": True, "B": True, "C": False, "X": True}}
 A_FALSE = {"rule_id": "UK-HC-103", "facts": {"A": False}}
 
 # (id, argv in a scratch dir <d>, exit code, stderr with <d> for that dir)
 EXIT_TABLE = [
     ("compile-non-utf8", lambda d: ["compile", write_file(d, "l.rule", LATIN1_RULE)], 1,
-     "error: 'utf-8' codec can't decode byte 0xe9 in position 24: invalid continuation byte\n"),
+     "error: <d>/l.rule: line 4: can't decode byte 0xe9 as UTF-8: invalid continuation byte\n"),
+    ("eval-scenario-non-utf8", lambda d: ["eval", PACK / "103.rule",
+                                          write_file(d, "s.json", LATIN1_JSON)], 3,
+     "error: <d>/s.json: line 2: can't decode byte 0xe9 as UTF-8: invalid continuation byte\n"),
+    ("check-profile-non-utf8", lambda d: ["check", PACK, write_file(d, "v.json", LATIN1_JSON)],
+     5, "error: <d>/v.json: line 2: can't decode byte 0xe9 as UTF-8: invalid continuation byte\n"),
+    ("check-golden-non-utf8", lambda d: ["check", copy_pack(
+        d, "103.golden.beq", b"X = A & B & C\r\nY = A & B & !C \xe9\n"), BMW], 5,
+     "error: <d>/pack/103.golden.beq: line 2: can't decode byte 0xe9 as UTF-8: invalid "
+     "continuation byte\n"),
     ("compile-naming-conflict", lambda d: ["compile", write_file(
         d, "c.rule", "rule: C\n\nIF:\n    [A] One; and, @var(p)\n    [B] Two. @var(p)\n"
         "ELSE:\n    [Y] q. @var(Y)\n")], 2,
@@ -579,8 +589,8 @@ EXIT_TABLE = [
      "error: priors file for UK-HC-103 names decisions, not facts: X\n"),
     ("check-cyclic-golden", lambda d: [
         "check", copy_pack(d, "103.golden.beq", "X = Y ∧ A\nY = A\n"), BMW], 5,
-     "error: <d>/pack/103.golden.beq: decision 'Y' is used before (or within) its own "
-     "definition\n"),
+     "error: <d>/pack/103.golden.beq: line 1: decision 'Y' is used before (or within) its "
+     "own definition\n"),
     ("check-golden-bad-token", lambda d: [
         "check", copy_pack(d, "103.golden.beq", "X = A ∧ B ∧ C\nY = A ∧ ) B\n"), BMW], 5,
      "error: <d>/pack/103.golden.beq: line 2: expected id, got rpar\n"),
@@ -715,6 +725,41 @@ def test_a_byte_order_mark_is_ignored(tmp_path, pack):
         outputs[name] = [run_main([a.replace("<d>", str(d)) for a in argv]) for argv in argvs]
     assert [code for code, _, _ in outputs["plain"]] == [0] * len(argvs)
     assert outputs["bom"] == outputs["plain"]
+
+
+def test_a_golden_may_read_a_variable_the_rule_lacks(tmp_path):
+    """A golden equation over an irrelevant variable the rule lacks passes
+    ``check``; it adds that variable to the compiled rule's cached diagram,
+    and what the rule prints does not change."""
+    extra = "X = A ∧ B ∧ C ∧ (Z ∨ ¬Z)\nY = (A ∧ B) ∧ ¬C\n"
+    scenario = write_scenario(tmp_path, "UK-HC-103", {"A": True, "C": False})
+    outputs, names = {}, {}
+    for name, golden in (("shipped", (PACK / "103.golden.beq").read_text(encoding="utf-8")),
+                         ("extra", extra)):
+        pack = copy_pack(tmp_path / name, "103.golden.beq", golden)
+        rule = pack / "103.rule"
+        outputs[name] = [run_main(argv) for argv in (
+            ["check", pack, BMW], ["check", pack, BMW, "--scenario", scenario],
+            ["eval", rule, scenario], ["lawmap", rule], ["lawmap", rule, "-f", "json"])]
+        entry = next(e for e in rulepack.load_rulepack(pack).rules() if e.rule_id == "UK-HC-103")
+        graph = lawmap.build_lawmap(entry.equations, entry.ast)
+        outputs[name] += [boolean_core.evaluate(entry.equations, {"A": True, "C": False}),
+                          lawmap.export_dot(graph), lawmap.export_json(graph)]
+        names[name] = tuple(entry.equations.diagram[0].names)
+    assert [code for code, _, _ in outputs["extra"][:5]] == [0] * 5
+    assert outputs["extra"] == outputs["shipped"]
+    assert names["extra"] == (*names["shipped"], "Z")
+
+
+def test_the_cli_imports_no_importlib_resources():
+    """The shipped pack is found next to the package's own file, so importing
+    the CLI without ``site`` leaves ``importlib.resources`` unimported."""
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, lexroad.cli; print('importlib.resources' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
 
 
 class DeadlinePassed(Exception):

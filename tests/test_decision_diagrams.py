@@ -17,14 +17,15 @@ from lexroad.boolean_core import (
     TRUE,
     And,
     Bdd,
+    Not,
     Or,
     PropertyReport,
     Var,
     check_properties,
     equations_equivalent,
-    equivalent,
-    expand,
+    evaluate,
     free_vars,
+    normalize,
     parse_equations,
     to_text,
 )
@@ -38,8 +39,16 @@ from lexroad.lawmap import (
     export_json,
 )
 from lexroad.rule_dsl import Variable, VarKind
-from reference import PlainBdd, kleene_eval, truth_table, witness_by_restriction
+from reference import (
+    PlainBdd,
+    equivalent,
+    expand,
+    kleene_eval,
+    truth_table,
+    witness_by_restriction,
+)
 from test_boolean_core import _NAMES, exprs
+from test_cli import deadline
 
 
 def reference_equivalent(a, b):
@@ -237,3 +246,68 @@ def test_forty_input_or_is_checked_without_enumeration():
     assert report.mutually_exclusive == {("X", "Y"): False}
     assert report.exhaustive_given_antecedent is True
     assert report.witnesses == {"not_exclusive:X,Y": {name: name == "v39" for name in sorted(names)}}
+
+
+def test_a_chain_of_decision_references_is_linear():
+    """``D_i = D_{i-1} ∧ (D_{i-1} ∨ a_i)`` reads the decision before it
+    twice; each decision is built on its predecessor's node, so thirty lines
+    cost what thirty independent ones do, not 2^30 walks of a tree."""
+    lines = ["D0 = a0"] + [f"D{i} = D{i - 1} ∧ (D{i - 1} ∨ a{i})" for i in range(1, 30)]
+    chain = parse_equations("\n".join(lines) + "\n")
+    changed = parse_equations("\n".join(lines[:-1] + ["D29 = D28 ∧ a29"]) + "\n")
+    with deadline(5):
+        assert evaluate(chain, {"a0": True}) == {f"D{i}": True for i in range(30)}
+        report = check_properties(replace(chain, antecedent=Var("a0")))
+        assert report.exhaustive_given_antecedent is True
+        assert not any(report.mutually_exclusive.values())
+        assert equations_equivalent(chain, chain) == (True, None, None)
+        assert equations_equivalent(chain, changed) == (
+            False, "D29", {f"a{i}": i == 0 for i in range(30)})
+
+
+def reference_equations_equivalent(a, b):
+    """``equations_equivalent`` by expanding both sets into input trees and
+    comparing each decision's two trees in a fresh diagram."""
+    if set(a.decision_ids()) != set(b.decision_ids()):
+        return False, sorted(set(a.decision_ids()) ^ set(b.decision_ids()))[0], None
+    ea, eb = expand(a), expand(b)
+    for decision in a.decision_ids():
+        ok, witness = equivalent(ea[decision], eb[decision])
+        if not ok:
+            return False, decision, witness
+    return True, None, None
+
+
+@st.composite
+def equation_pairs(draw):
+    """A rule's equation set over a-d and a golden for it: each decision may
+    read earlier ones, and each golden decision is the rule's own text, its
+    normal form, or a fresh equation that may read y and z, which the rule
+    lacks.  Now and then the golden leaves a decision out."""
+    rule, golden = [], []
+    for i in range(draw(st.integers(1, 4))):
+        earlier = [f"D{j}" for j in range(i)]
+        rule_leaves = st.sampled_from([*_NAMES[:4], *earlier]).map(Var)
+        golden_leaves = st.sampled_from([*_NAMES[:4], "y", "z", *earlier]).map(Var)
+        expr = draw(exprs(max_depth=3, leaves=rule_leaves))
+        kind = draw(st.sampled_from(("same", "normal", "negated", "fresh")))
+        other = {"same": expr, "normal": normalize(expr), "negated": Not(expr)}.get(kind)
+        rule.append(f"D{i} = {to_text(expr)}")
+        golden.append(f"D{i} = {to_text(other or draw(exprs(max_depth=3, leaves=golden_leaves)))}")
+    if len(golden) > 1 and draw(st.booleans()) and draw(st.booleans()):
+        golden.pop()
+    return (parse_equations("\n".join(rule) + "\n"), parse_equations("\n".join(golden) + "\n"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(equation_pairs())
+def test_equivalence_agrees_with_expanded_trees(pair):
+    """Building the golden's decisions in the rule's cached diagram gives the
+    verdict, the diverging decision and the witness that expanding both sets
+    and comparing them tree by tree gives, and leaves the rule's own nodes
+    as they were."""
+    rule, golden = pair
+    bdd, nodes = rule.diagram
+    before = dict(nodes)
+    assert equations_equivalent(rule, golden) == reference_equations_equivalent(rule, golden)
+    assert rule.diagram == (bdd, before)

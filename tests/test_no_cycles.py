@@ -22,10 +22,10 @@ from lexroad.boolean_core import (
     Bdd,
     check_properties,
     compile_rule,
+    decision_inputs,
     equations_equivalent,
     equations_to_text,
     evaluate,
-    expand,
     parse_equations,
     to_text,
 )
@@ -129,7 +129,8 @@ def _library_calls(rule_file, results):
         graph = build_lawmap(eqs, ast, meta={"title": source.title})
         net = build_bn(eqs)
         results += [
-            pretty_print(ast), [to_text(e) for e in expand(eqs).values()],
+            pretty_print(ast), [to_text(e) for e in eqs.equations.values()],
+            decision_inputs(eqs),
             equations_equivalent(eqs, golden), check_properties(eqs),
             evaluate(eqs, facts), evaluate(eqs, {inputs[0]: True}),
             [bdd.witness(f, inputs, False) for f in nodes.values()],

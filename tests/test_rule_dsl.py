@@ -723,7 +723,7 @@ def _outcome(read, *args):
     """What ``read(*args)`` returns, or the class and text of what it raises."""
     try:
         return read(*args)
-    except (RuleSyntaxError, UnicodeDecodeError) as exc:
+    except (RuleSyntaxError, ValueError) as exc:
         return type(exc), str(exc)
 
 
