@@ -43,7 +43,6 @@ writes its JSON directly, byte for byte what ``json``'s
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from json.encoder import encode_basestring as _json_quote
@@ -64,6 +63,7 @@ from .boolean_core import (
     decision_nodes,
     free_vars,
 )
+from .rule_dsl import Frozen, Record
 
 MAX_NODE_PARENTS = 16  # CPT rows are 2^parents; beyond this a table is unusable
 AGREEMENT_TOLERANCE = 1e-9
@@ -79,8 +79,7 @@ class BnNodeKind(Enum):
     DECISION = "decision"
 
 
-@dataclass(frozen=True)  # not a tuple: infer reads its fields in the hot loop
-class BnNode:
+class BnNode(NamedTuple):
     """One binary node: states are (true, false).
 
     ``cpt[i]`` is P(node=true | parents in combination i), combinations
@@ -104,8 +103,7 @@ class _Plan(NamedTuple):
     prior: tuple[float, ...]  # the root priors, by level (roots in net order)
 
 
-@dataclass(frozen=True)  # not a tuple: cached_property needs a __dict__
-class BayesNet:
+class BayesNet(Frozen):  # not a tuple: cached_property needs a __dict__
     """One rule's net: its nodes in topological order."""
 
     rule_id: str
@@ -150,7 +148,7 @@ def _check_nodes(nodes: tuple[BnNode, ...]) -> _Plan:
             if node.parents or not isinstance(p, (int, float)) or not 0.0 < p < 1.0:
                 raise ValueError(f"node {node.id}: a root needs no parents and a prior in (0, 1)")
             prior.append(p)
-        elif not set(node.cpt) <= {0.0, 1.0}:
+        elif node.cpt.count(0.0) + node.cpt.count(1.0) != len(node.cpt):
             raise ValueError(f"node {node.id}: CPT entries must be 0 or 1")
         index[node.id] = len(index)
     return _Plan(index, tuple(parents), tuple(prior))
@@ -369,14 +367,13 @@ class EquationCheck(NamedTuple):
     passed: bool
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(Record):
     """What :func:`validate_bn` found for one net."""
 
     rule_id: str
     assignments_checked: int
-    divergences: list[Divergence] = field(default_factory=list)
-    equation_checks: list[EquationCheck] = field(default_factory=list)
+    divergences: list[Divergence] = []
+    equation_checks: list[EquationCheck] = []
 
     @property
     def ok(self) -> bool:

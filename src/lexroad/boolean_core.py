@@ -23,13 +23,13 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 from .rule_dsl import (
     Clause,
     Connective,
+    Frozen,
     RuleAst,
     VariableTable,
     VarKind,
@@ -61,50 +61,71 @@ class EquationSyntaxError(Exception):
 
 
 # --- expression nodes --------------------------------------------------------
-# Dataclasses, not tuples: equality and hashing include the class, so
-# And((a, b)) and Or((a, b)) are different values and different dict keys.
 
-@dataclass(frozen=True)
-class Var:
+class _Node:
+    """An immutable expression node.  Each kind has one field, kept in the
+    slot ``_value`` and read under the kind's own name (``Var.id`` is the
+    slot's descriptor), so one ``__eq__`` and ``__hash__`` serve every kind;
+    equality includes the class, so And((a, b)) and Or((a, b)) differ."""
+
+    __slots__ = ("_value",)
+    __setattr__ = __delattr__ = Frozen.__setattr__
+
+    def __init__(self, value):
+        object.__setattr__(self, "_value", value)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._value == self._value
+
+    def __hash__(self):
+        return hash(self._value)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._value!r})"
+
+    def __reduce__(self):  # copy and pickle call the class, as __setattr__ refuses
+        return type(self), (self._value,)
+
+
+class Var(_Node):
     """A variable, by id."""
 
-    id: str
+    __slots__ = ()
+    id = _Node._value
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(_Node):
     """Negation of ``child``."""
 
-    child: "BoolExpr"
+    __slots__ = ()
+    child = _Node._value
 
 
-@dataclass(frozen=True)
-class And:
+class And(_Node):
     """Conjunction of two or more children."""
 
-    children: tuple["BoolExpr", ...]
+    __slots__ = ()
+    children = _Node._value
 
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise ValueError("And needs at least two children")
+    def __init__(self, children: tuple[BoolExpr, ...]):
+        if len(children) < 2:
+            raise ValueError(f"{type(self).__name__} needs at least two children")
+        object.__setattr__(self, "_value", children)
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(_Node):
     """Disjunction of two or more children."""
 
-    children: tuple["BoolExpr", ...]
-
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise ValueError("Or needs at least two children")
+    __slots__ = ()
+    children = _Node._value
+    __init__ = And.__init__
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(_Node):
     """The constant TRUE or FALSE."""
 
-    value: bool
+    __slots__ = ()
+    value = _Node._value
 
 
 TRUE = Const(True)
@@ -138,8 +159,7 @@ def free_vars(expr: BoolExpr) -> tuple[str, ...]:
 
 # --- rule equations ----------------------------------------------------------
 
-@dataclass(frozen=True)  # not a tuple: cached_property needs a __dict__
-class RuleEquations:
+class RuleEquations(Frozen):  # not a tuple: cached_property needs a __dict__
     """Ordered decision → expression map for one rule.
 
     ``antecedent`` is the fold of the IF section, ``folds`` the bracket-
@@ -151,7 +171,7 @@ class RuleEquations:
     table: VariableTable
     equations: dict[str, BoolExpr]
     antecedent: BoolExpr | None = None
-    folds: dict[str, BoolExpr] = field(default_factory=dict)
+    folds: dict[str, BoolExpr] = {}
     input_order: tuple[str, ...] = ()
 
     def decision_ids(self) -> tuple[str, ...]:
@@ -207,14 +227,8 @@ def compile_rule(ast: RuleAst, table: VariableTable) -> RuleEquations:
                         expr = And((expr, guard))
             equations[decision] = expr
 
-    return RuleEquations(
-        rule_id=ast.rule_id,
-        table=table,
-        equations=equations,
-        antecedent=antecedent,
-        folds=folds,
-        input_order=table.condition_ids(),
-    )
+    return RuleEquations(ast.rule_id, table, equations, antecedent=antecedent, folds=folds,
+                         input_order=table.condition_ids())
 
 
 def _fold(clause: Clause, path: str, paths: dict[str, str]) -> BoolExpr:
@@ -470,12 +484,7 @@ def parse_equations(text: str, rule_id: str = "adhoc") -> RuleEquations:
         table.variables[var_id] = Variable(var_id, VarKind.FACTUAL, var_id)
     for decision in equations:
         table.variables[decision] = Variable(decision, VarKind.DECISION, decision)
-    return RuleEquations(
-        rule_id=rule_id,
-        table=table,
-        equations=equations,
-        input_order=tuple(first_use),
-    )
+    return RuleEquations(rule_id, table, equations, input_order=tuple(first_use))
 
 
 def equations_equivalent(

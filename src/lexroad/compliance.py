@@ -10,13 +10,13 @@ output; timestamps are added only on request.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__, strict_json
 from .boolean_core import RuleEquations, evaluate
+from .rule_dsl import Record
 from .rulepack import (
     MARKS,
     Answer,
@@ -78,8 +78,7 @@ def verdict_name(value: bool | None) -> str:
     return {True: "TRUE", False: "FALSE", None: "UNKNOWN"}[value]
 
 
-@dataclass
-class ComplianceReport:
+class ComplianceReport(Record):
     """The capability matrix, ratings and scenario outcomes of one ``check``."""
 
     tool_version: str
@@ -89,9 +88,9 @@ class ComplianceReport:
     requirements: list[CapabilityRequirement]
     answers: dict[str, dict[str, Answer]]  # vehicle_id → requirement → answer
     ratings: dict[str, dict[str, RagRating]]  # vehicle_id → group → rating
-    rule_outcomes: dict[str, dict[str, str]] = field(default_factory=dict)
+    rule_outcomes: dict[str, dict[str, str]] = {}
     generated_at: str | None = None
-    rule_groups: dict[str, str | None] = field(default_factory=dict)  # rule id → group
+    rule_groups: dict[str, str | None] = {}  # rule id → group
 
 
 def build_report(

@@ -26,15 +26,15 @@ diffs, both written directly; the JSON is byte for byte what ``json``'s
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from json.encoder import encode_basestring as _json_quote
+from typing import NamedTuple
 
 from . import strict_json
 from .strict_json import json_enum, json_value
 from .boolean_core import Bdd, RuleEquations
-from .rule_dsl import RuleAst, RuleSource
+from .rule_dsl import Frozen, RuleAst, RuleSource
 
 
 class NodeKind(Enum):
@@ -59,13 +59,7 @@ class IncompleteAssignmentError(Exception):
         super().__init__(f"assignment missing condition variables: {', '.join(missing)}")
 
 
-# LawmapNode and LawmapEdge are dataclasses, not NamedTuples, by a measure
-# taken when trace_path read their fields on every step (as NamedTuples,
-# synth-query trace_ms rose 5-11%).  trace_path now reads the graph's
-# _transitions table instead, so the choice is open to measuring again.
-
-@dataclass(frozen=True)
-class LawmapNode:
+class LawmapNode(NamedTuple):
     """A START, CONDITION (testing ``var``) or OUTCOME node."""
 
     id: str
@@ -75,8 +69,7 @@ class LawmapNode:
     decisions: tuple[str, ...] = ()  # OUTCOME only; empty = out-of-scope sink
 
 
-@dataclass(frozen=True)
-class LawmapEdge:
+class LawmapEdge(NamedTuple):
     """An edge from ``src`` to ``dst``, taken when ``guard`` holds."""
 
     src: str
@@ -84,8 +77,7 @@ class LawmapEdge:
     guard: EdgeGuard
 
 
-@dataclass(frozen=True)  # not a tuple: cached_property needs a __dict__
-class LawmapGraph:
+class LawmapGraph(Frozen):  # not a tuple: cached_property needs a __dict__
     """One rule's Lawmap: nodes (START first), edges and export metadata."""
 
     rule_id: str
@@ -219,12 +211,8 @@ def build_lawmap(
         edges.append(LawmapEdge(node_id, ids[hi], EdgeGuard.TRUE_BRANCH))
         edges.append(LawmapEdge(node_id, ids[lo], EdgeGuard.FALSE_BRANCH))
     # valid by construction (unique ids, levels rise along edges): no _validate
-    return LawmapGraph(
-        rule_id=eqs.rule_id,
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        meta=tuple(sorted((meta or {}).items())),
-    )
+    return LawmapGraph(eqs.rule_id, tuple(nodes), tuple(edges),
+                       meta=tuple(sorted((meta or {}).items())))
 
 
 def _validate(graph: LawmapGraph) -> None:

@@ -54,7 +54,6 @@ from __future__ import annotations
 import os
 import re
 import unicodedata
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
@@ -141,8 +140,52 @@ class Variable(NamedTuple):
     description: str
 
 
-@dataclass
-class VariableTable:
+class Record:
+    """A value that a NamedTuple cannot be: one filled in after it is made, or
+    one keeping a ``cached_property``; unlike a dataclass, it generates no code.
+    Its fields are the names annotated in the class body, given by position or
+    keyword; a class attribute of a field's name is its default, a list or dict
+    copied for each instance.  Equality compares the class and the fields."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(vars(cls).get("__annotations__", ()))
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        values = self.__dict__
+        values.update(zip(self._fields, args), **kwargs)
+        given_once = len(values) == len(args) + len(kwargs)  # no field twice, no extra argument
+        for name, default in self._defaults.items():
+            if name not in values:
+                values[name] = default.copy() if type(default) in (list, dict) else default
+        if not given_once or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(self._fields)}, "
+                            "each once; a field without a default must be given")
+
+    def _values(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._fields))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._values() == self._values()
+
+    def __repr__(self):
+        fields = (f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class Frozen(Record):
+    """A :class:`Record` whose fields cannot be assigned; it hashes by them."""
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class VariableTable(Record):
     """Variables of one rule plus the clause paths they came from.
 
     ``paths`` maps clause paths like ``IF.A.a``, ``IF.A.2`` or ``ELSE.1.1``
@@ -153,8 +196,8 @@ class VariableTable:
     """
 
     rule_id: str
-    variables: dict[str, Variable] = field(default_factory=dict)
-    paths: dict[str, str] = field(default_factory=dict)
+    variables: dict[str, Variable] = {}
+    paths: dict[str, str] = {}
 
     def __getitem__(self, var_id: str) -> Variable:
         return self.variables[var_id]

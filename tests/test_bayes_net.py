@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +32,7 @@ from lexroad.boolean_core import (
     Bdd,
     Not,
     Or,
+    RuleEquations,
     Var,
     compile_rule,
     evaluate,
@@ -436,7 +436,7 @@ def test_corrupted_cpt_is_reported(rules_by_id):
     eqs = rules_by_id["UK-HC-99-100/2"].equations
     net = build_bn(eqs)
     broken_nodes = tuple(
-        replace(n, cpt=(1.0 - n.cpt[0],) + n.cpt[1:]) if n.id == "E" else n
+        n._replace(cpt=(1.0 - n.cpt[0],) + n.cpt[1:]) if n.id == "E" else n
         for n in net.nodes
     )
     report = validate_bn(BayesNet(net.rule_id, broken_nodes), eqs)
@@ -589,7 +589,7 @@ def test_wmc_refuses_a_non_deterministic_cpt(rules_by_id):
     eqs = rules_by_id["UK-HC-99-100/2"].equations
     net = build_bn(eqs)
     noisy = BayesNet(net.rule_id, tuple(
-        replace(n, cpt=(0.9,) + n.cpt[1:]) if n.id == "E" else n for n in net.nodes
+        n._replace(cpt=(0.9,) + n.cpt[1:]) if n.id == "E" else n for n in net.nodes
     ))
     with pytest.raises(ValueError, match="node E"):
         infer(noisy)
@@ -627,7 +627,7 @@ def test_each_net_is_checked_once(rules_by_id, monkeypatch):
         assert checks == [len(net.nodes)]
     net = build_bn(rules_by_id["UK-HC-99-100/1"].equations)
     noisy = BayesNet(net.rule_id, tuple(
-        replace(n, cpt=(0.5,) + n.cpt[1:]) if n.kind == BnNodeKind.CLAUSE else n
+        n._replace(cpt=(0.5,) + n.cpt[1:]) if n.kind == BnNodeKind.CLAUSE else n
         for n in net.nodes))
     messages = []
     for _ in range(2):
@@ -641,6 +641,17 @@ def test_each_net_is_checked_once(rules_by_id, monkeypatch):
     with pytest.raises(ValueError, match=messages[0]):
         infer(noisy, {"nope": True})
     assert net.node("A") is net.nodes[4]
+
+
+@pytest.mark.parametrize("entry", [float("nan"), [1.0]], ids=["nan", "unhashable"])
+def test_a_cpt_entry_neither_0_nor_1_is_refused_by_name(rules_by_id, entry):
+    """NaN equals neither 0 nor 1, and an unhashable entry in a hand-built
+    net gets the same ValueError as any other, not a TypeError."""
+    net = build_bn(rules_by_id["UK-HC-99-100/1"].equations)
+    broken = BayesNet(net.rule_id, tuple(
+        n._replace(cpt=(entry,) + n.cpt[1:]) if n.id == "A" else n for n in net.nodes))
+    with pytest.raises(ValueError, match="^node A: CPT entries must be 0 or 1$"):
+        infer(broken)
 
 
 def _subterms(expr):
@@ -662,7 +673,8 @@ def _small_equations(draw):
     subterms = [t for d in drawn for t in _subterms(d)]
     if subterms:
         folds = draw(st.lists(st.sampled_from(subterms), max_size=2, unique=True))
-        eqs = replace(eqs, folds={f"F{i}": t for i, t in enumerate(folds)})
+        eqs = RuleEquations(eqs.rule_id, eqs.table, eqs.equations, eqs.antecedent,
+                            {f"F{i}": t for i, t in enumerate(folds)}, eqs.input_order)
     return eqs
 
 
@@ -750,7 +762,7 @@ def test_validation_agrees_with_the_enumeration_oracle(eqs, data):
         node = net.nodes[i]
         row = data.draw(st.integers(0, len(node.cpt) - 1))
         cpt = node.cpt[:row] + (1.0 - node.cpt[row],) + node.cpt[row + 1:]
-        net = BayesNet(net.rule_id, net.nodes[:i] + (replace(node, cpt=cpt),) + net.nodes[i + 1:])
+        net = BayesNet(net.rule_id, net.nodes[:i] + (node._replace(cpt=cpt),) + net.nodes[i + 1:])
     assert len(net.ids(BnNodeKind.FACT_ROOT)) <= 10
     got, want = validate_bn(net, eqs), validate_by_enumeration(net, eqs)
     assert got.divergences == want.divergences
@@ -776,5 +788,5 @@ def test_net_json_is_the_json_dumps_text(pack, eqs, data):
     net = build_bn(eqs, priors={v: data.draw(_PRIORS) for v in eqs.input_ids()})
     if data.draw(st.booleans()):
         net = BayesNet(data.draw(AWKWARD_TEXT), tuple(
-            replace(n, description=data.draw(AWKWARD_TEXT)) for n in net.nodes))
+            n._replace(description=data.draw(AWKWARD_TEXT)) for n in net.nodes))
     assert first_difference(net_to_json(net), net_to_json_by_dumps(net)) is None

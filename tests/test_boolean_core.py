@@ -4,7 +4,6 @@ Expected values for the derived cases are computed by independent
 brute-force evaluators written here, not by the code under test.
 """
 
-import dataclasses
 import itertools
 import random
 from string import ascii_lowercase
@@ -181,7 +180,7 @@ def test_evaluate_rejects_a_hand_built_forward_reference():
 def test_equations_are_frozen(rules_by_id):
     eqs = rules_by_id["UK-HC-103"].equations
     for name, value in (("equations", {}), ("input_order", ()), ("rule_id", "other")):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(eqs, name, value)
 
 

@@ -752,14 +752,20 @@ def test_a_golden_may_read_a_variable_the_rule_lacks(tmp_path):
 
 
 def test_the_cli_imports_no_importlib_resources():
-    """The shipped pack is found next to the package's own file, so importing
-    the CLI without ``site`` leaves ``importlib.resources`` unimported."""
+    """The shipped pack is found next to the package's own file, and no
+    lexroad class is a dataclass, so importing the CLI without ``site`` and
+    compiling a shipped rule leaves ``importlib.resources``, ``dataclasses``
+    and ``inspect`` unimported."""
     src = Path(cli.__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys, lexroad.cli; print('importlib.resources' in sys.modules)"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
+    script = ("import sys, lexroad.cli\n"
+              f"code = lexroad.cli.main(['compile', {str(PACK / '103.rule')!r}])\n"
+              "loaded = [m for m in ('importlib.resources', 'dataclasses', 'inspect')"
+              " if m in sys.modules]\n"
+              "print(code, loaded, file=sys.stderr)\n")
+    result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert (result.returncode, result.stderr) == (0, "0 []\n")
+    assert result.stdout == run_main(["compile", PACK / "103.rule"])[1]
 
 
 class DeadlinePassed(Exception):

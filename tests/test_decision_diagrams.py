@@ -7,7 +7,6 @@ byte.
 """
 
 import itertools
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +19,7 @@ from lexroad.boolean_core import (
     Not,
     Or,
     PropertyReport,
+    RuleEquations,
     Var,
     check_properties,
     equations_equivalent,
@@ -145,7 +145,7 @@ def equation_sets(draw):
     for name in inputs:
         eqs.table.variables.setdefault(name, Variable(name, VarKind.FACTUAL, name))
     order = tuple(draw(st.permutations(list(inputs))))
-    return replace(eqs, antecedent=antecedent, input_order=order)
+    return RuleEquations(eqs.rule_id, eqs.table, eqs.equations, antecedent, eqs.folds, order)
 
 
 @settings(max_examples=150, deadline=None)
@@ -242,7 +242,8 @@ def test_forty_input_or_is_checked_without_enumeration():
     assert witness == {name: name == "v0" for name in sorted(names)}
 
     two = parse_equations("X = " + " ∨ ".join(names) + "\nY = ¬v0 ∧ v39\n")
-    report = check_properties(replace(two, antecedent=two.equations["X"]))
+    report = check_properties(RuleEquations(two.rule_id, two.table, two.equations,
+                                            two.equations["X"], input_order=two.input_order))
     assert report.mutually_exclusive == {("X", "Y"): False}
     assert report.exhaustive_given_antecedent is True
     assert report.witnesses == {"not_exclusive:X,Y": {name: name == "v39" for name in sorted(names)}}
@@ -257,7 +258,8 @@ def test_a_chain_of_decision_references_is_linear():
     changed = parse_equations("\n".join(lines[:-1] + ["D29 = D28 ∧ a29"]) + "\n")
     with deadline(5):
         assert evaluate(chain, {"a0": True}) == {f"D{i}": True for i in range(30)}
-        report = check_properties(replace(chain, antecedent=Var("a0")))
+        report = check_properties(RuleEquations(chain.rule_id, chain.table, chain.equations,
+                                                Var("a0"), input_order=chain.input_order))
         assert report.exhaustive_given_antecedent is True
         assert not any(report.mutually_exclusive.values())
         assert equations_equivalent(chain, chain) == (True, None, None)

@@ -5,7 +5,6 @@ import json
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +16,7 @@ from lexroad.lawmap import (
     EdgeGuard,
     IncompleteAssignmentError,
     InconsistentInputsError,
+    LawmapGraph,
     NodeKind,
     _validate,
     build_lawmap,
@@ -306,8 +306,9 @@ def test_json_export_is_the_json_dumps_text(pack, eqs, data):
     graph = build_lawmap(eqs, meta=data.draw(st.dictionaries(AWKWARD_TEXT, AWKWARD_TEXT,
                                                              max_size=3)))
     if data.draw(st.booleans()):
-        graph = replace(graph, rule_id=data.draw(AWKWARD_TEXT), nodes=tuple(
-            replace(n, label=data.draw(AWKWARD_TEXT)) for n in graph.nodes))
+        rule_id = data.draw(AWKWARD_TEXT)
+        nodes = tuple(n._replace(label=data.draw(AWKWARD_TEXT)) for n in graph.nodes)
+        graph = LawmapGraph(rule_id, nodes, graph.edges, graph.meta)
     assert first_difference(export_json(graph), export_json_by_dumps(graph)) is None
 
 

@@ -12,7 +12,6 @@ ran from the standard library may appear.
 import gc
 import json
 import types
-from dataclasses import replace
 
 import pytest
 
@@ -108,7 +107,7 @@ def cyclic_garbage(calls):
 def _flipped(net: BayesNet) -> BayesNet:
     """``net`` with the first row of its last decision's CPT flipped."""
     last = net.nodes[-1]
-    flipped = replace(last, cpt=(1.0 - last.cpt[0], *last.cpt[1:]))
+    flipped = last._replace(cpt=(1.0 - last.cpt[0], *last.cpt[1:]))
     return BayesNet(net.rule_id, (*net.nodes[:-1], flipped))
 
 
