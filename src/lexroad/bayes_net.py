@@ -49,12 +49,12 @@ from json.encoder import encode_basestring as _json_quote
 from typing import NamedTuple
 
 from . import strict_json
+from .errors import CyclicDefinitionError, ImpossibleEvidenceError
 from .strict_json import json_enum, json_value
 from .boolean_core import (
     And,
     Bdd,
     BoolExpr,
-    CyclicDefinitionError,
     Not,
     Or,
     RuleEquations,
@@ -67,10 +67,6 @@ from .rule_dsl import Frozen, Record
 
 MAX_NODE_PARENTS = 16  # CPT rows are 2^parents; beyond this a table is unusable
 AGREEMENT_TOLERANCE = 1e-9
-
-
-class ImpossibleEvidenceError(Exception):
-    pass
 
 
 class BnNodeKind(Enum):

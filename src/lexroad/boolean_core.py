@@ -12,6 +12,8 @@ unsatisfiable and ELSE outcomes reduce to ``A*``.
 Scenario evaluation is exact: a decision is TRUE or FALSE when every
 completion of the known facts gives it that value, otherwise UNKNOWN
 (``None``); it is read off the rule's cached decision diagram (:class:`Bdd`).
+Scenario files are read here too (:func:`load_scenario`), next to the
+evaluation they feed, and :func:`check_facts` refuses facts a rule lacks.
 Equations may reference decisions defined earlier in the same set, which
 are bound to their nodes as each decision's own equation is built
 (:func:`decision_nodes`).  Equivalence and property checks work on decision
@@ -21,11 +23,14 @@ diagrams too and have no variable bound.
 from __future__ import annotations
 
 import itertools
+import os
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from typing import NamedTuple
 
+from .errors import (CyclicDefinitionError, EquationSyntaxError, NoOutcomeError,
+                     UnboundVariableError, UnknownScenarioVariableError)
 from .rule_dsl import (
     Clause,
     Connective,
@@ -37,27 +42,6 @@ from .rule_dsl import (
     is_guard,
     keyed,
 )
-
-
-class UnboundVariableError(Exception):
-    def __init__(self, var_id: str):
-        self.var_id = var_id
-        super().__init__(f"no variable assigned for '{var_id}'")
-
-
-class NoOutcomeError(Exception):
-    pass
-
-
-class CyclicDefinitionError(Exception):
-    def __init__(self, var_id: str, line: int | None = None):
-        self.var_id = var_id
-        at = "" if line is None else f"line {line}: "
-        super().__init__(f"{at}decision '{var_id}' is used before (or within) its own definition")
-
-
-class EquationSyntaxError(Exception):
-    pass
 
 
 # --- expression nodes --------------------------------------------------------
@@ -259,6 +243,45 @@ def evaluate(eqs: RuleEquations, assignment: dict[str, bool | None]) -> dict[str
     decision used before its definition raises CyclicDefinitionError."""
     bdd, nodes = eqs.diagram
     return dict(zip(nodes, bdd.settle(tuple(nodes.values()), assignment)))
+
+
+class Scenario(NamedTuple):
+    rule_id: str
+    facts: dict[str, bool]
+    description: str = ""
+
+
+def load_scenario(path: str | os.PathLike) -> Scenario:
+    """The scenario in the JSON file at ``path``; ValueError naming the file
+    and the field if it is not one."""
+    from .strict_json import json_value, load
+
+    payload = load(path)
+    facts = json_value(payload.get("facts", {}), dict, f"{path}: facts")
+    for key, value in facts.items():
+        if not isinstance(value, bool):
+            raise ValueError(f"scenario fact {key!r} must be true or false")
+    return Scenario(
+        rule_id=json_value(payload.get("rule_id"), str, f"{path}: rule_id"),
+        facts=facts,
+        description=json_value(payload.get("description", ""), str, f"{path}: description"),
+    )
+
+
+def check_facts(eqs: RuleEquations, names: Iterable[str], source: str = "scenario") -> None:
+    """Refuse facts (or priors) the rule cannot take: names it does not
+    have, and its decisions, which ``evaluate`` derives and would silently
+    overwrite.  ``source`` names what gave them in the message."""
+    unknown = tuple(v for v in names if v not in eqs.table.variables)
+    if unknown:
+        raise UnknownScenarioVariableError(eqs.rule_id, unknown, source=source)
+    decisions = tuple(v for v in names if v in eqs.equations)
+    if decisions:
+        raise UnknownScenarioVariableError(eqs.rule_id, decisions, "decisions, not facts", source)
+
+
+def verdict_name(value: bool | None) -> str:
+    return {True: "TRUE", False: "FALSE", None: "UNKNOWN"}[value]
 
 
 def decision_nodes(bdd: Bdd, eqs: RuleEquations) -> dict[str, int]:
@@ -598,7 +621,9 @@ class Bdd:
 
     def of(self, expr: BoolExpr, bound: dict[str, int] | None = None) -> int:
         """``expr``'s node, with each variable in ``bound`` read as its node:
-        every child of an And/Or is built, left to right, before the left fold."""
+        every child of an And/Or is built, left to right, before the fold from
+        the right, which joins each child above the finished rest, so a wide
+        And/Or of variables in clause order costs one ``ite`` per child."""
         kind = type(expr)
         if kind is Var:
             return bound[expr.id] if bound and expr.id in bound else self.var(expr.id)
@@ -606,14 +631,13 @@ class Bdd:
             return self.ite(self.of(expr.child, bound), self.FALSE, self.TRUE)
         if kind is Const:
             return self.TRUE if expr.value else self.FALSE
-        fs = [self.of(child, bound) for child in expr.children]
-        f = fs[0]
+        *fs, f = [self.of(child, bound) for child in expr.children]
         if kind is And:
-            for g in fs[1:]:
-                f = self.ite(f, g, self.FALSE)
+            for g in reversed(fs):
+                f = self.ite(g, f, self.FALSE)
         else:
-            for g in fs[1:]:
-                f = self.ite(f, self.TRUE, g)
+            for g in reversed(fs):
+                f = self.ite(g, self.TRUE, f)
         return f
 
     def settle(self, fs: tuple[int, ...], facts: dict[str, bool | None]) -> list[bool | None]:

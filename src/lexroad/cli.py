@@ -14,8 +14,12 @@ wrong in the rulepack or a profile, a pack path that is missing or not a
 directory, a key given twice in one of its JSON files or a second profile
 with one ``vehicle_id`` included.
 ``lawmap`` and ``bn`` work on decision diagrams and have no input bound.
-``EXIT_CODES`` gives each lexroad error its code, and ``_exits`` gives
-errors raised while reading one input the code of that input.
+``errors.EXIT_CODES`` gives each lexroad error its code, and ``_exits``
+gives errors raised while reading one input the code of that input.
+The module imports only what every subcommand runs (``errors``,
+``rule_dsl`` and ``boolean_core``, which reads rules and scenarios); each
+``cmd_*`` imports the other stages it runs: ``lawmap``, ``bayes_net``, or
+``rulepack`` and ``compliance`` for ``check``.
 ``main`` alone reports a failure, as one stderr line: ``error: ...``, or
 ``file:line:col: error: ...`` for a rule syntax error. ``main`` may be
 called any number of times in one process; the parser is built once.
@@ -32,33 +36,13 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import __version__, bayes_net, boolean_core, compliance, lawmap, rule_dsl, rulepack
-from .boolean_core import RuleEquations, compile_rule, equations_to_text, evaluate
+from . import __version__
+from .boolean_core import (RuleEquations, check_facts, compile_rule, equations_to_text, evaluate,
+                           load_scenario, verdict_name)
+from .errors import (EXIT_CODES, EXIT_INFERENCE, EXIT_OK, EXIT_PARSE, EXIT_RULEPACK,
+                     EXIT_SCENARIO, RuleSyntaxError, UnknownScenarioVariableError)
 from .rule_dsl import assign_variables, load_rule_file, parse_rule
 
-EXIT_OK = 0
-EXIT_PARSE = 1
-EXIT_COMPILE = 2
-EXIT_SCENARIO = 3
-EXIT_INFERENCE = 4
-EXIT_RULEPACK = 5
-
-EXIT_CODES: dict[type[Exception], int] = {
-    rule_dsl.RuleSyntaxError: EXIT_PARSE,
-    rule_dsl.DuplicateLabelError: EXIT_PARSE,
-    boolean_core.EquationSyntaxError: EXIT_PARSE,
-    rule_dsl.NamingConflictError: EXIT_COMPILE,
-    boolean_core.UnboundVariableError: EXIT_COMPILE,
-    boolean_core.NoOutcomeError: EXIT_COMPILE,
-    lawmap.InconsistentInputsError: EXIT_COMPILE,
-    compliance.UnknownScenarioVariableError: EXIT_SCENARIO,
-    lawmap.IncompleteAssignmentError: EXIT_SCENARIO,
-    boolean_core.CyclicDefinitionError: EXIT_INFERENCE,
-    bayes_net.ImpossibleEvidenceError: EXIT_INFERENCE,
-    rulepack.GoldenMismatchError: EXIT_RULEPACK,
-    rulepack.IncompleteProfileError: EXIT_RULEPACK,
-    compliance.DuplicateProfileError: EXIT_RULEPACK,
-}
 # what reading a file, or a value in it that is not what it should be, raises
 _INPUT_ERRORS = (OSError, ValueError, KeyError)
 # a name read from an input may hold a line break; the report escapes every
@@ -105,12 +89,12 @@ def _write(text: str, out: str | None) -> None:
 
 def _load_facts(path: str, eqs: RuleEquations) -> dict[str, bool]:
     with _exits(EXIT_SCENARIO):
-        scenario = compliance.load_scenario(path)
+        scenario = load_scenario(path)
         if scenario.rule_id != eqs.rule_id:
             raise ValueError(
                 f"scenario targets rule {scenario.rule_id!r}, not {eqs.rule_id!r}"
             )
-    compliance.check_facts(eqs, scenario.facts)
+    check_facts(eqs, scenario.facts)
     return scenario.facts
 
 
@@ -128,7 +112,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
               file=sys.stderr)
     results = evaluate(eqs, dict(facts))
     lines = [
-        f"{decision}: {compliance.verdict_name(value)} ({eqs.table.describe(decision)})"
+        f"{decision}: {verdict_name(value)} ({eqs.table.describe(decision)})"
         for decision, value in results.items()
     ]
     _write("\n".join(lines) + "\n", args.out)
@@ -136,6 +120,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_lawmap(args: argparse.Namespace) -> int:
+    from . import lawmap
+
     source, ast, eqs = _load_compiled(args.rule)
     graph = lawmap.build_lawmap(eqs, ast, meta=lawmap.source_meta(source))
     highlight = None
@@ -168,7 +154,9 @@ def _parse_evidence(text: str) -> dict[str, bool]:
 
 
 def _load_priors(path: str) -> dict[str, float]:
-    priors = rulepack.load_json_object(path)
+    from . import strict_json
+
+    priors = strict_json.load(path)
     for name, value in priors.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"prior for {name} must be a number")
@@ -176,6 +164,8 @@ def _load_priors(path: str) -> dict[str, float]:
 
 
 def cmd_bn(args: argparse.Namespace) -> int:
+    from . import bayes_net
+
     priors: dict[str, float] = {}
     if args.priors:
         with _exits(EXIT_INFERENCE):
@@ -185,11 +175,11 @@ def cmd_bn(args: argparse.Namespace) -> int:
     # unknown to the first rule, and a decision is blamed on its rule
     facts = {v for eqs in rules for v in eqs.input_ids()}
     known = {v for eqs in rules for v in eqs.table.variables}
-    with _exits(EXIT_INFERENCE, (compliance.UnknownScenarioVariableError,)):
-        compliance.check_facts(rules[0], [k for k in priors if k not in known], "priors file")
+    with _exits(EXIT_INFERENCE, (UnknownScenarioVariableError,)):
+        check_facts(rules[0], [k for k in priors if k not in known], "priors file")
         for eqs in rules:
             decisions = [k for k in priors if k in eqs.equations and k not in facts]
-            compliance.check_facts(eqs, decisions, "priors file")
+            check_facts(eqs, decisions, "priors file")
     lines: list[str] = []
     total = passed = 0
     for eqs in rules:
@@ -227,6 +217,8 @@ def cmd_bn(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from . import compliance, rulepack
+
     pack_arg = args.rulepack
     profile_args = list(args.profiles)
     if pack_arg is not None and not Path(pack_arg).is_dir():
@@ -240,7 +232,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         pack = rulepack.load_rulepack(pack_dir)
         profiles = [rulepack.load_profile(Path(p)) for p in profile_args]
     with _exits(EXIT_SCENARIO):
-        scenarios = [compliance.load_scenario(path) for path in args.scenario or []]
+        scenarios = [load_scenario(path) for path in args.scenario or []]
     # KeyError: a scenario for a rule the pack does not have; ValueError: a
     # second scenario for one rule
     with _exits(EXIT_SCENARIO, (KeyError, ValueError)):
@@ -333,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     if isinstance(error, KeyError) and len(error.args) == 1:
         error = error.args[0]  # str() of a KeyError would quote its message
     # a syntax error already reads "file:line:col: error: ..."
-    message = str(error) if isinstance(error, rule_dsl.RuleSyntaxError) else f"error: {error}"
+    message = str(error) if isinstance(error, RuleSyntaxError) else f"error: {error}"
     del error  # its traceback holds this frame: a cycle that would keep every frame it holds
     print(message.translate(_ONE_LINE), file=sys.stderr)
     return code

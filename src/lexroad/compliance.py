@@ -9,73 +9,14 @@ output; timestamps are added only on request.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from datetime import datetime, timezone
-from pathlib import Path
-from typing import NamedTuple
 
 from . import __version__, strict_json
-from .boolean_core import RuleEquations, evaluate
+# scenario reading lives next to evaluate; its names stay bound here too
+from .boolean_core import Scenario, check_facts, evaluate, load_scenario, verdict_name  # noqa: F401
+from .errors import DuplicateProfileError, UnknownScenarioVariableError  # noqa: F401
 from .rule_dsl import Record
-from .rulepack import (
-    MARKS,
-    Answer,
-    CapabilityProfile,
-    CapabilityRequirement,
-    RagRating,
-    Rulepack,
-    load_json_object,
-)
-from .strict_json import json_value
-
-
-class UnknownScenarioVariableError(Exception):
-    def __init__(self, rule_id: str, unknown: tuple[str, ...], kind: str = "unknown variables",
-                 source: str = "scenario"):
-        self.rule_id = rule_id
-        self.unknown = unknown
-        super().__init__(f"{source} for {rule_id} names {kind}: {', '.join(unknown)}")
-
-
-class DuplicateProfileError(Exception):
-    def __init__(self, vehicle_id: str):
-        self.vehicle_id = vehicle_id
-        super().__init__(f"two profiles for vehicle '{vehicle_id}'")
-
-
-class Scenario(NamedTuple):
-    rule_id: str
-    facts: dict[str, bool]
-    description: str = ""
-
-
-def load_scenario(path: str | Path) -> Scenario:
-    payload = load_json_object(path)
-    facts = json_value(payload.get("facts", {}), dict, f"{path}: facts")
-    for key, value in facts.items():
-        if not isinstance(value, bool):
-            raise ValueError(f"scenario fact {key!r} must be true or false")
-    return Scenario(
-        rule_id=json_value(payload.get("rule_id"), str, f"{path}: rule_id"),
-        facts=facts,
-        description=json_value(payload.get("description", ""), str, f"{path}: description"),
-    )
-
-
-def check_facts(eqs: RuleEquations, names: Iterable[str], source: str = "scenario") -> None:
-    """Refuse facts (or priors) the rule cannot take: names it does not
-    have, and its decisions, which ``evaluate`` derives and would silently
-    overwrite.  ``source`` names what gave them in the message."""
-    unknown = tuple(v for v in names if v not in eqs.table.variables)
-    if unknown:
-        raise UnknownScenarioVariableError(eqs.rule_id, unknown, source=source)
-    decisions = tuple(v for v in names if v in eqs.equations)
-    if decisions:
-        raise UnknownScenarioVariableError(eqs.rule_id, decisions, "decisions, not facts", source)
-
-
-def verdict_name(value: bool | None) -> str:
-    return {True: "TRUE", False: "FALSE", None: "UNKNOWN"}[value]
+from .rulepack import MARKS, Answer, CapabilityProfile, CapabilityRequirement, RagRating, Rulepack
 
 
 class ComplianceReport(Record):

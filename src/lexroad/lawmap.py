@@ -32,6 +32,7 @@ from json.encoder import encode_basestring as _json_quote
 from typing import NamedTuple
 
 from . import strict_json
+from .errors import IncompleteAssignmentError, InconsistentInputsError
 from .strict_json import json_enum, json_value
 from .boolean_core import Bdd, RuleEquations
 from .rule_dsl import Frozen, RuleAst, RuleSource
@@ -47,16 +48,6 @@ class EdgeGuard(Enum):
     ALWAYS = "always"
     TRUE_BRANCH = "yes"
     FALSE_BRANCH = "no"
-
-
-class InconsistentInputsError(Exception):
-    pass
-
-
-class IncompleteAssignmentError(Exception):
-    def __init__(self, missing: tuple[str, ...]):
-        self.missing = missing
-        super().__init__(f"assignment missing condition variables: {', '.join(missing)}")
 
 
 class LawmapNode(NamedTuple):

@@ -58,6 +58,8 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
+from .errors import DuplicateLabelError, NamingConflictError, RuleSyntaxError
+
 
 class Connective(Enum):
     AND = "and"
@@ -71,31 +73,6 @@ class VarKind(Enum):
 
 
 SECTIONS = ("IF", "EXCEPT", "THEN", "ELSE")
-
-
-class RuleSyntaxError(Exception):
-    """Malformed rule text, with the position the parse failed at."""
-
-    def __init__(self, message: str, line: int = 0, col: int = 0, file: str = "<rule>"):
-        self.message = message
-        self.line = line
-        self.col = col
-        self.file = file
-        super().__init__(f"{file}:{line}:{col}: error: {message}")
-
-
-class DuplicateLabelError(RuleSyntaxError):
-    def __init__(self, label: str, line: int = 0, col: int = 0, file: str = "<rule>"):
-        self.label = label
-        super().__init__(f"duplicate label '{label}'", line, col, file)
-
-
-class NamingConflictError(Exception):
-    """Two clauses with different text were mapped to the same variable id."""
-
-    def __init__(self, var_id: str, detail: str = ""):
-        self.var_id = var_id
-        super().__init__(f"naming conflict on '{var_id}'" + (f": {detail}" if detail else ""))
 
 
 class RuleSource(NamedTuple):

@@ -44,16 +44,12 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import rule_dsl, strict_json
-from .boolean_core import (
-    CyclicDefinitionError,
-    EquationSyntaxError,
-    RuleEquations,
-    compile_rule,
-    equations_equivalent,
-    parse_equations,
-)
+from .boolean_core import RuleEquations, compile_rule, equations_equivalent, parse_equations
+from .errors import (CyclicDefinitionError, EquationSyntaxError, GoldenMismatchError,
+                     IncompleteProfileError)
 from .rule_dsl import RuleAst, RuleSource
 from .strict_json import json_value
+
 
 class Answer(Enum):
     MET = "MET"
@@ -68,26 +64,6 @@ class Rag(Enum):
 
 
 MARKS = {Answer.MET: "✓", Answer.UNMET: "✗", Answer.NOT_APPLICABLE: "N/A"}
-
-
-class GoldenMismatchError(Exception):
-    def __init__(self, rule_id: str, decision: str | None, witness: dict[str, bool] | None):
-        self.rule_id = rule_id
-        self.decision = decision
-        self.witness = witness
-        detail = f" on {decision}" if decision else ""
-        if witness:
-            detail += f" at {witness}"
-        super().__init__(f"compiled equations for {rule_id} diverge from golden set{detail}")
-
-
-class IncompleteProfileError(Exception):
-    def __init__(self, vehicle_id: str, missing: tuple[str, ...]):
-        self.vehicle_id = vehicle_id
-        self.missing = missing
-        super().__init__(
-            f"profile {vehicle_id} lacks answers for: {', '.join(missing)}"
-        )
 
 
 class CapabilityRequirement(NamedTuple):
@@ -228,7 +204,7 @@ def load_rulepack(path: str | Path) -> Rulepack:
 def _checklist(text: str, path: str) -> tuple[str, tuple[CapabilityRequirement, ...]]:
     """The group the checklist ``text`` read from ``path`` names and its
     requirements, in file order."""
-    payload = _json_object(text, path)
+    payload = strict_json.load(path, text)
     group = json_value(payload.get("group"), str, f"{path}: group")
     requirements = []
     for item in json_value(payload.get("requirements"), list, f"{path}: requirements"):
@@ -247,25 +223,12 @@ def _checklist(text: str, path: str) -> tuple[str, tuple[CapabilityRequirement, 
     return group, tuple(requirements)
 
 
-def load_json_object(path: str | Path) -> dict:
-    """The JSON object in the file at ``path``; ValueError naming the file and
-    the key if any object in it gives a key twice."""
-    text = rule_dsl.decode_text(rule_dsl.read_bytes(rule_dsl.file_name(path)), str(path))
-    return _json_object(text, str(path))
-
-
-def _json_object(text: str, where: str) -> dict:
-    """The JSON object ``text`` read from ``where``; ValueError naming it and
-    the key if any object in it gives a key twice."""
-    return json_value(strict_json.loads(text, where), dict, where)
-
-
 def load_profile(path: str | Path) -> CapabilityProfile:
     """The profile in the file at ``path``, carrying the sha256 of the bytes
     it was parsed from.  Its ``sae_level``, if given and not null, is an SAE
     J3016 level: an integer from 0 to 5."""
     data = rule_dsl.read_bytes(rule_dsl.file_name(path))
-    payload = _json_object(rule_dsl.decode_text(data, str(path)), str(path))
+    payload = strict_json.load(path, rule_dsl.decode_text(data, str(path)))
     answers = json_value(payload.get("answers"), dict, f"{path}: answers")
     vehicle_id = json_value(payload.get("vehicle_id"), str, f"{path}: vehicle_id")
     valid = {answer.value: answer for answer in Answer}

@@ -1,6 +1,8 @@
 """JSON in and out: ``loads`` refuses an object that gives a key twice,
-``json_value`` a value of the wrong JSON type, ``json_enum`` a string that
-names no member of an enum, and ``array`` lays out a list
+``load`` reads the JSON object of an input file (every JSON file lexroad
+reads but a net or Lawmap), ``json_value`` refuses a value of the wrong JSON
+type, ``json_enum`` a string that names no member of an enum, and ``array``
+lays out a list
 as ``json.dumps(..., indent=2)`` does, for the writers that build their text
 directly (``json`` has a C encoder only for output without ``indent``).
 ``encode`` is such a writer for plain values.
@@ -12,15 +14,19 @@ in a file would silently win over the first.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from enum import Enum
 from json.encoder import encode_basestring as _quote
 
+from . import rule_dsl
+
 
 def loads(text: str, where: str = "") -> object:
     """``json.loads(text)``; ValueError naming the key if any object in the
-    text gives a key twice, or the recursion limit if the text nests too deep
-    for ``json``, prefixed with ``where`` if given."""
+    text gives a key twice, the recursion limit if the text nests too deep
+    for ``json``, or where ``json`` found it malformed, prefixed with
+    ``where`` if given."""
     prefix = f"{where}: " if where else ""
 
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -36,6 +42,18 @@ def loads(text: str, where: str = "") -> object:
     except RecursionError:
         raise ValueError(f"{prefix}JSON nests too deep to read "
                          f"(recursion limit {sys.getrecursionlimit()})") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{prefix}{exc}") from None
+
+
+def load(path: str | os.PathLike, text: str | None = None) -> dict:
+    """The JSON object in the file at ``path``, or in ``text`` if it was read
+    already; ValueError naming the file if it is not UTF-8, not JSON or not
+    an object, or gives a key twice."""
+    where = str(path)
+    if text is None:
+        text = rule_dsl.decode_text(rule_dsl.read_bytes(rule_dsl.file_name(path)), where)
+    return json_value(loads(text, where), dict, where)
 
 
 _JSON_KINDS = {dict: "object", list: "array", str: "string", bool: "boolean"}

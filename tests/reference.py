@@ -177,7 +177,7 @@ def truth_table(eqs: RuleEquations) -> list[TruthTableRow]:
 class PlainBdd(Bdd):
     """``Bdd`` with the plain kernel: ``ite`` through ``level`` and
     ``cofactors``, ``of`` by ``isinstance`` with every child of an And/Or
-    built before the fold."""
+    built before the fold from the right."""
 
     def ite(self, f: int, g: int, h: int) -> int:
         if f <= self.TRUE or g == h:
@@ -198,9 +198,9 @@ class PlainBdd(Bdd):
             return self.var(expr.id)
         if isinstance(expr, Not):
             return self.ite(self.of(expr.child), self.FALSE, self.TRUE)
-        f, *rest = (self.of(child) for child in expr.children)  # every child first
-        for g in rest:
-            f = self.ite(f, g, self.FALSE) if isinstance(expr, And) else self.ite(f, self.TRUE, g)
+        *rest, f = [self.of(child) for child in expr.children]  # every child first
+        for g in reversed(rest):  # then fold from the right
+            f = self.ite(g, f, self.FALSE) if isinstance(expr, And) else self.ite(g, self.TRUE, f)
         return f
 
 

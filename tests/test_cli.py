@@ -2,10 +2,12 @@
 
 import contextlib
 import hashlib
+import importlib
 import inspect
 import io
 import json
 import os
+import pkgutil
 import shutil
 import signal
 import subprocess
@@ -17,7 +19,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lexroad import bayes_net, boolean_core, cli, compliance, lawmap, rule_dsl, rulepack
+import lexroad
+from lexroad import boolean_core, cli, lawmap, rule_dsl, rulepack
 from lexroad.rulepack import default_pack_dir, default_profile_paths
 from test_boolean_core import REPEATED_VAR_RULE
 from test_rule_dsl import _rule_files
@@ -469,6 +472,8 @@ def nested_rule(levels):
 
 NESTED_JSON = "[" * 100_000 + "]" * 100_000
 TOO_DEEP_JSON = f"JSON nests too deep to read (recursion limit {sys.getrecursionlimit()})"
+MALFORMED_JSON = '{"group": "x",\n'
+BAD_JSON = "Expecting property name enclosed in double quotes: line 2 column 1 (char 15)"
 LATIN1_RULE = "rule: L\n\nIF:\n    [A] Café open.\nELSE:\n    [Y] q.\n".encode("latin-1")
 LATIN1_JSON = '{"rule_id": "UK-HC-103",\r\n "facts": {"Café": true}}'.encode("latin-1")
 DECISION_FACT = {"rule_id": "UK-HC-103", "facts": {"A": True, "B": True, "C": False, "X": True}}
@@ -688,6 +693,18 @@ EXIT_TABLE = [
     ("check-checklist-nested-too-deep", lambda d: [
         "check", copy_pack(d, "113.checklist.json", NESTED_JSON), BMW], 5,
      f"error: <d>/pack/113.checklist.json: {TOO_DEEP_JSON}\n"),
+    ("eval-scenario-malformed-json", lambda d: [
+        "eval", PACK / "103.rule", write_file(d, "s.json", MALFORMED_JSON)], 3,
+     f"error: <d>/s.json: {BAD_JSON}\n"),
+    ("bn-priors-malformed-json", lambda d: [
+        "bn", PACK / "103.rule", "--priors", write_file(d, "p.json", MALFORMED_JSON)], 4,
+     f"error: <d>/p.json: {BAD_JSON}\n"),
+    ("check-profile-malformed-json", lambda d: [
+        "check", PACK, write_file(d, "v.json", MALFORMED_JSON)], 5,
+     f"error: <d>/v.json: {BAD_JSON}\n"),
+    ("check-checklist-malformed-json", lambda d: [
+        "check", copy_pack(d, "113.checklist.json", MALFORMED_JSON), BMW], 5,
+     f"error: <d>/pack/113.checklist.json: {BAD_JSON}\n"),
     ("compile-out-unwritable", lambda d: ["compile", PACK / "103.rule", "--out", d / "no" / "x"], 1,
      "error: [Errno 2] No such file or directory: '<d>/no/x'\n"),
     ("check-out-unwritable", lambda d: ["check", PACK, BMW, "--out", d / "no" / "x.json"], 1,
@@ -751,21 +768,26 @@ def test_a_golden_may_read_a_variable_the_rule_lacks(tmp_path):
     assert names["extra"] == (*names["shipped"], "Z")
 
 
-def test_the_cli_imports_no_importlib_resources():
-    """The shipped pack is found next to the package's own file, and no
-    lexroad class is a dataclass, so importing the CLI without ``site`` and
-    compiling a shipped rule leaves ``importlib.resources``, ``dataclasses``
-    and ``inspect`` unimported."""
+def test_the_cli_imports_no_importlib_resources(tmp_path):
+    """The shipped pack is found next to the package's own file, no lexroad
+    class is a dataclass, and the CLI imports each stage only in the command
+    that runs it, so importing the CLI without ``site`` and compiling or
+    evaluating a shipped rule leaves ``importlib.resources``,
+    ``dataclasses``, ``inspect`` and the stages it does not run unimported."""
+    scenario = write_scenario(tmp_path, "UK-HC-103", {"A": True, "C": False})
     src = Path(cli.__file__).resolve().parents[1]
-    script = ("import sys, lexroad.cli\n"
-              f"code = lexroad.cli.main(['compile', {str(PACK / '103.rule')!r}])\n"
-              "loaded = [m for m in ('importlib.resources', 'dataclasses', 'inspect')"
-              " if m in sys.modules]\n"
-              "print(code, loaded, file=sys.stderr)\n")
-    result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": str(src)})
-    assert (result.returncode, result.stderr) == (0, "0 []\n")
-    assert result.stdout == run_main(["compile", PACK / "103.rule"])[1]
+    unused = ("lexroad.bayes_net", "lexroad.lawmap", "lexroad.rulepack", "lexroad.compliance",
+              "importlib.resources", "dataclasses", "inspect")
+    for argv in (["compile", str(PACK / "103.rule")],
+                 ["eval", str(PACK / "103.rule"), str(scenario)]):
+        script = ("import sys, lexroad.cli\n"
+                  f"code = lexroad.cli.main({argv!r})\n"
+                  f"loaded = [m for m in {unused!r} if m in sys.modules]\n"
+                  "print(code, loaded, file=sys.stderr)\n")
+        result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert (result.returncode, result.stderr) == (0, "0 []\n"), argv
+        assert result.stdout == run_main(argv)[1]
 
 
 class DeadlinePassed(Exception):
@@ -866,10 +888,14 @@ def test_main_is_repeatable_in_one_process(tmp_path):
 
 
 def test_every_lexroad_error_has_an_exit_code():
-    modules = (rule_dsl, boolean_core, lawmap, bayes_net, rulepack, compliance)
+    """Every public exception class any lexroad module defines, found module
+    by module as ``test_records`` finds the records."""
+    modules = [importlib.import_module(f"lexroad.{info.name}")
+               for info in pkgutil.iter_modules(lexroad.__path__) if info.name != "__main__"]
     errors = {
-        cls for module in modules for _, cls in inspect.getmembers(module, inspect.isclass)
+        cls for module in modules for name, cls in inspect.getmembers(module, inspect.isclass)
         if issubclass(cls, Exception) and cls.__module__ == module.__name__
+        and not name.startswith("_")
     }
     assert errors == set(cli.EXIT_CODES)
     assert set(cli.EXIT_CODES.values()) == {1, 2, 3, 4, 5}

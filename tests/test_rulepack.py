@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from lexroad import rulepack
+from lexroad import rulepack, strict_json
 from lexroad.compliance import build_report
 from lexroad.rulepack import (
     Answer,
@@ -273,4 +273,4 @@ def test_json_inputs_read_as_text_mode_reads_them(tmp_path, data):
         except ValueError as exc:
             return type(exc), str(exc)
 
-    assert outcome(rulepack.load_json_object) == outcome(reference.load_json_object)
+    assert outcome(strict_json.load) == outcome(reference.load_json_object)
