@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 from . import strict_json
 from .errors import CyclicDefinitionError, ImpossibleEvidenceError
-from .strict_json import json_enum, json_value
+from .strict_json import fields, json_value
 from .boolean_core import (
     And,
     Bdd,
@@ -440,27 +440,22 @@ def net_to_json(net: BayesNet) -> str:
 
 def net_from_json(text: str) -> BayesNet:
     """The net ``net_to_json`` wrote; ``ValueError`` for one inference
-    cannot use, for a field of the wrong JSON type (naming it), or for a JSON
-    object that gives a key twice."""
-    payload = json_value(strict_json.loads(text), dict, "net")
-    nodes = []
-    for n in json_value(payload.get("nodes"), list, "nodes"):
-        n = json_value(n, dict, "each node")
-        node_id = json_value(n.get("id"), str, "node id")
-        cpt = tuple(json_value(n.get("cpt"), list, f"node {node_id}: cpt"))
+    cannot use, for a field of the wrong JSON type or a key that is not a
+    field (naming it), or for a JSON object that gives a key twice."""
+    nodes, rule_id = fields(json_value(strict_json.loads(text), dict, "net"), "",
+                            nodes=list, rule_id=None)
+    for i, n in enumerate(nodes):
+        node_id = json_value(json_value(n, dict, "each node").get("id"), str, "node id")
+        where = f"node {node_id}: "
+        _, kind, parents, cpt, description = fields(n, where, id=None, kind=BnNodeKind,
+                                                    parents=list, cpt=list, description=(str, ""))
         if any(isinstance(p, bool) for p in cpt):  # True == 1.0 would pass _check_nodes
-            raise ValueError(f"node {node_id}: CPT entries must be numbers, not true or false")
+            raise ValueError(f"{where}CPT entries must be numbers, not true or false")
         if not all(isinstance(p, (int, float)) for p in cpt):
-            raise ValueError(f"node {node_id}: CPT entries must be numbers")
-        nodes.append(BnNode(
-            node_id,
-            json_enum(n.get("kind"), BnNodeKind, f"node {node_id}: kind"),
-            tuple(json_value(p, str, f"node {node_id}: each parent")
-                  for p in json_value(n.get("parents"), list, f"node {node_id}: parents")),
-            cpt,
-            json_value(n.get("description", ""), str, f"node {node_id}: description"),
-        ))
-    net = BayesNet(rule_id=payload.get("rule_id"), nodes=tuple(nodes))
+            raise ValueError(f"{where}CPT entries must be numbers")
+        nodes[i] = BnNode(node_id, kind, tuple(json_value(p, str, f"{where}each parent")
+                                               for p in parents), tuple(cpt), description)
+    net = BayesNet(rule_id=rule_id, nodes=tuple(nodes))
     net._plan  # checks the nodes, once: inference reuses the checked plan
     json_value(net.rule_id, str, "rule_id")
     return net

@@ -253,19 +253,15 @@ class Scenario(NamedTuple):
 
 def load_scenario(path: str | os.PathLike) -> Scenario:
     """The scenario in the JSON file at ``path``; ValueError naming the file
-    and the field if it is not one."""
-    from .strict_json import json_value, load
+    and the field or key if it is not one."""
+    from .strict_json import fields, load
 
-    payload = load(path)
-    facts = json_value(payload.get("facts", {}), dict, f"{path}: facts")
+    rule_id, facts, description = fields(load(path), f"{path}: ", rule_id=str,
+                                         facts=(dict, {}), description=(str, ""))
     for key, value in facts.items():
         if not isinstance(value, bool):
-            raise ValueError(f"scenario fact {key!r} must be true or false")
-    return Scenario(
-        rule_id=json_value(payload.get("rule_id"), str, f"{path}: rule_id"),
-        facts=facts,
-        description=json_value(payload.get("description", ""), str, f"{path}: description"),
-    )
+            raise ValueError(f"{path}: scenario fact {key!r} must be true or false")
+    return Scenario(rule_id, facts, description)
 
 
 def check_facts(eqs: RuleEquations, names: Iterable[str], source: str = "scenario") -> None:

@@ -4,15 +4,16 @@ Subcommands: ``compile``, ``eval``, ``lawmap``, ``bn``, ``check``.
 Exit codes: 0 success; 1 the command line is not valid, the rule cannot be
 read (missing, not UTF-8) or parsed, or an ``--out`` file cannot be
 written; 2 it does not compile; 3 the scenario is unreadable, not a JSON
-object, gives a key twice, is for another rule, names a variable the rule
-lacks or a decision, leaves out a fact ``lawmap --trace`` needs, or is a
-second one for its rule under ``check``; 4 priors or evidence are unusable
-(a prior that is not a JSON number, on a decision or on a name the rules
-lack, a priors key or an evidence name given twice included), evidence is
-impossible, a decision is cyclic or a validated net diverges; 5 anything
-wrong in the rulepack or a profile, a pack path that is missing or not a
-directory, a key given twice in one of its JSON files or a second profile
-with one ``vehicle_id`` included.
+object, gives a key twice or a key that is not a field, is for another
+rule, names a variable the rule lacks or a decision, leaves out a fact
+``lawmap --trace`` needs, or is a second one for its rule under ``check``;
+4 priors or evidence are unusable (a prior that is not a JSON number or
+not in (0, 1), on a decision or on a name the rules lack, a priors key or
+an evidence name given twice included), evidence is impossible, a decision
+is cyclic or a validated net diverges; 5 anything wrong in the rulepack or
+a profile, a pack path that is missing or not a directory, a key given
+twice or a key that is not a field in one of its JSON files or a second
+profile with one ``vehicle_id`` included.
 ``lawmap`` and ``bn`` work on decision diagrams and have no input bound.
 ``errors.EXIT_CODES`` gives each lexroad error its code, and ``_exits``
 gives errors raised while reading one input the code of that input.
@@ -160,7 +161,8 @@ def _load_priors(path: str) -> dict[str, float]:
     for name, value in priors.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"prior for {name} must be a number")
-    return {name: float(value) for name, value in priors.items()}
+    # float() of an integer too large for a float raises; float() of its digits is inf
+    return {name: float(str(value)) for name, value in priors.items()}
 
 
 def cmd_bn(args: argparse.Namespace) -> int:

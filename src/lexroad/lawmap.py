@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from . import strict_json
 from .errors import IncompleteAssignmentError, InconsistentInputsError
-from .strict_json import json_enum, json_value
+from .strict_json import fields, json_value
 from .boolean_core import Bdd, RuleEquations
 from .rule_dsl import Frozen, RuleAst, RuleSource
 
@@ -334,36 +334,23 @@ def export_json(graph: LawmapGraph) -> str:
 
 def graph_from_json(text: str) -> LawmapGraph:
     """The graph ``export_json`` wrote; ``ValueError`` for a field of the
-    wrong JSON type (naming it) or a JSON object that gives a key twice,
-    ``InconsistentInputsError`` for a graph ``trace_path`` cannot walk."""
-    payload = json_value(strict_json.loads(text), dict, "graph")
-    nodes = []
-    for n in json_value(payload.get("nodes"), list, "nodes"):
-        n = json_value(n, dict, "each node")
-        node_id = json_value(n.get("id"), str, "node id")
-        var = n.get("var")
-        nodes.append(LawmapNode(
-            node_id,
-            json_enum(n.get("kind"), NodeKind, f"node {node_id}: kind"),
-            json_value(n.get("label"), str, f"node {node_id}: label"),
-            None if var is None else json_value(var, str, f"node {node_id}: var"),
-            tuple(json_value(d, str, f"node {node_id}: each decision")
-                  for d in json_value(n.get("decisions", []), list, f"node {node_id}: decisions")),
-        ))
-    edges = []
-    for e in json_value(payload.get("edges"), list, "edges"):
-        e = json_value(e, dict, "each edge")
-        src = json_value(e.get("from"), str, "edge from")
-        dst = json_value(e.get("to"), str, "edge to")
-        guard = json_enum(json_value(e.get("guard"), str, "edge guard"), EdgeGuard,
-                          f"edge {src} -> {dst}: guard")
-        edges.append(LawmapEdge(src, dst, guard))
-    meta = json_value(payload.get("meta", {}), dict, "meta")
-    graph = LawmapGraph(
-        rule_id=json_value(payload.get("rule_id"), str, "rule_id"),
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        meta=tuple(sorted((k, json_value(v, str, f"meta {k}")) for k, v in meta.items())),
-    )
+    wrong JSON type or a key that is not a field (naming it) or a JSON object
+    that gives a key twice, ``InconsistentInputsError`` for a graph
+    ``trace_path`` cannot walk."""
+    nodes, edges, meta, rule_id = fields(json_value(strict_json.loads(text), dict, "graph"), "",
+                                         nodes=list, edges=list, meta=(dict, {}), rule_id=str)
+    for i, n in enumerate(nodes):
+        node_id = json_value(json_value(n, dict, "each node").get("id"), str, "node id")
+        where = f"node {node_id}: "
+        _, kind, label, var, decisions = fields(n, where, id=None, kind=NodeKind, label=str,
+                                                var=(str, None), decisions=(list, []))
+        nodes[i] = LawmapNode(node_id, kind, label, var, tuple(
+            json_value(d, str, f"{where}each decision") for d in decisions))
+    for i, e in enumerate(edges):
+        src, dst, guard = fields(json_value(e, dict, "each edge"), "edge ",
+                                 **{"from": str, "to": str, "guard": str})
+        edges[i] = LawmapEdge(src, dst, json_value(guard, EdgeGuard, f"edge {src} -> {dst}: guard"))
+    graph = LawmapGraph(rule_id, tuple(nodes), tuple(edges), tuple(sorted(
+        (k, json_value(v, str, f"meta {k}")) for k, v in meta.items())))
     _validate(graph)
     return graph

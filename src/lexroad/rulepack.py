@@ -48,7 +48,7 @@ from .boolean_core import RuleEquations, compile_rule, equations_equivalent, par
 from .errors import (CyclicDefinitionError, EquationSyntaxError, GoldenMismatchError,
                      IncompleteProfileError)
 from .rule_dsl import RuleAst, RuleSource
-from .strict_json import json_value
+from .strict_json import fields, json_value
 
 
 class Answer(Enum):
@@ -204,19 +204,13 @@ def load_rulepack(path: str | Path) -> Rulepack:
 def _checklist(text: str, path: str) -> tuple[str, tuple[CapabilityRequirement, ...]]:
     """The group the checklist ``text`` read from ``path`` names and its
     requirements, in file order."""
-    payload = strict_json.load(path, text)
-    group = json_value(payload.get("group"), str, f"{path}: group")
+    group, items = fields(strict_json.load(path, text), f"{path}: ", group=str, requirements=list)
     requirements = []
-    for item in json_value(payload.get("requirements"), list, f"{path}: requirements"):
-        item = json_value(item, dict, f"{path}: each requirement")
-        requirements.append(CapabilityRequirement(
-            id=json_value(item.get("id"), str, f"{path}: requirement id"),
-            description=json_value(item.get("description"), str,
-                                   f"{path}: requirement description"),
-            rule_group=group,
-            hardware_gap=json_value(item.get("hardware_gap", False), bool,
-                                    f"{path}: requirement hardware_gap"),
-        ))
+    for item in items:
+        id_, description, hardware_gap = fields(
+            json_value(item, dict, f"{path}: each requirement"), f"{path}: requirement ",
+            id=str, description=str, hardware_gap=(bool, False))
+        requirements.append(CapabilityRequirement(id_, description, group, hardware_gap))
     ids = [r.id for r in requirements]
     if len(ids) != len(set(ids)):
         raise ValueError(f"{os.path.basename(path)}: duplicate requirement ids")
@@ -225,28 +219,24 @@ def _checklist(text: str, path: str) -> tuple[str, tuple[CapabilityRequirement, 
 
 def load_profile(path: str | Path) -> CapabilityProfile:
     """The profile in the file at ``path``, carrying the sha256 of the bytes
-    it was parsed from.  Its ``sae_level``, if given and not null, is an SAE
-    J3016 level: an integer from 0 to 5."""
+    it was parsed from.  Its ``display_name`` defaults to its ``vehicle_id``;
+    its ``sae_level``, if given and not null, is an SAE J3016 level: an
+    integer from 0 to 5."""
     data = rule_dsl.read_bytes(rule_dsl.file_name(path))
     payload = strict_json.load(path, rule_dsl.decode_text(data, str(path)))
-    answers = json_value(payload.get("answers"), dict, f"{path}: answers")
-    vehicle_id = json_value(payload.get("vehicle_id"), str, f"{path}: vehicle_id")
+    vehicle_id, display_name, answers, sae_level = fields(
+        payload, f"{path}: ", vehicle_id=str, display_name=(str, payload.get("vehicle_id")),
+        answers=dict, sae_level=(None, None))
     valid = {answer.value: answer for answer in Answer}
     for key, value in answers.items():
         if not isinstance(value, str) or value not in valid:
             raise ValueError(f"{path}: answer for {key} must be one of {', '.join(valid)}")
-    sae_level = payload.get("sae_level")
     if sae_level is not None and (type(sae_level) is not int or not 0 <= sae_level <= 5):
         raise ValueError(f"{path}: sae_level must be an integer from 0 to 5 or null, "
                          f"got {sae_level!r}")
-    return CapabilityProfile(
-        vehicle_id=vehicle_id,
-        display_name=json_value(payload.get("display_name", vehicle_id), str,
-                                f"{path}: display_name"),
-        answers={key: valid[value] for key, value in sorted(answers.items())},
-        sae_level=sae_level,
-        sha256=hashlib.sha256(data).hexdigest(),
-    )
+    answers = {key: valid[value] for key, value in sorted(answers.items())}
+    return CapabilityProfile(vehicle_id, display_name, answers, sae_level,
+                             hashlib.sha256(data).hexdigest())
 
 
 def default_pack_dir() -> Path:

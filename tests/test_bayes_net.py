@@ -561,6 +561,10 @@ WRONG_TYPES = [
     ("description-number", set_field(5, "nodes", 0, "description"),
      "node q: description must be a JSON string"),
     ("rule-id-number", set_field(7, "rule_id"), "rule_id must be a JSON string"),
+    ("net-unknown-field", set_field("x", "title"),
+     r"title is not a field \(fields: nodes, rule_id\)$"),
+    ("node-unknown-field", set_field(0.5, "nodes", 0, "prior"),
+     r"node q: prior is not a field \(fields: id, kind, parents, cpt, description\)$"),
 ]
 
 

@@ -571,6 +571,9 @@ EXIT_TABLE = [
     ("bn-priors-name-with-line-break", lambda d: ["bn", PACK / "103.rule", "--priors",
                                                   write_file(d, "p.json", {"\r": None})], 4,
      "error: prior for \\r must be a number\n"),
+    ("bn-priors-integer-too-large-for-a-float", lambda d: [
+        "bn", PACK / "103.rule", "--priors", write_file(d, "p.json", '{"A": 1' + "0" * 400 + "}")],
+     4, "error: prior for A must be in (0, 1), got inf\n"),
     ("bn-unknown-evidence", lambda d: ["bn", PACK / "103.rule", "--infer", "zz=true"], 4,
      "error: evidence on unknown node 'zz'\n"),
     ("bn-evidence-name-twice", lambda d: ["bn", PACK / "103.rule", "--infer", "A=true, A=false"],
@@ -655,12 +658,33 @@ EXIT_TABLE = [
     ("eval-scenario-description-number", lambda d: ["eval", PACK / "103.rule", write_file(
         d, "s.json", {"rule_id": "UK-HC-103", "facts": {}, "description": 5})], 3,
      "error: <d>/s.json: description must be a JSON string\n"),
+    ("eval-scenario-fact-not-a-boolean", lambda d: ["eval", PACK / "103.rule", write_file(
+        d, "s.json", {"rule_id": "UK-HC-103", "facts": {"A": "yes"}})], 3,
+     "error: <d>/s.json: scenario fact 'A' must be true or false\n"),
+    ("eval-scenario-unknown-field", lambda d: ["eval", PACK / "103.rule", write_file(
+        d, "s.json", {"rule_id": "UK-HC-103", "facts": {}, "fact": {"A": True}})], 3,
+     "error: <d>/s.json: fact is not a field (fields: rule_id, facts, description)\n"),
     ("eval-scenario-fact-twice", lambda d: ["eval", PACK / "103.rule", write_file(
         d, "s.json", '{"rule_id": "UK-HC-103", "facts": {"C": true, "C": false}}')], 3,
      "error: <d>/s.json: key 'C' appears twice\n"),
     ("check-two-profiles-for-one-vehicle", lambda d: ["check", PACK, BMW, write_file(
         d, "b2.json", {**json.loads(BMW.read_text(encoding="utf-8")), "display_name": "Other"})],
      5, "error: two profiles for vehicle 'bmw-740li'\n"),
+    ("check-profile-unknown-field", lambda d: ["check", PACK, write_file(
+        d, "v.json", {"vehicle_id": "v", "answers": {}, "sae": 3})], 5,
+     "error: <d>/v.json: sae is not a field (fields: vehicle_id, display_name, answers, "
+     "sae_level)\n"),
+    ("check-checklist-unknown-field", lambda d: ["check", copy_pack(
+        d, "113.checklist.json", json.dumps({"group": "113", "requirement": []})), BMW], 5,
+     "error: <d>/pack/113.checklist.json: requirement is not a field (fields: group, "
+     "requirements)\n"),
+    # the misspelt key once read as hardware_gap's default, false: group
+    # 99-100 rated AMBER for all three vehicles instead of RED
+    ("check-requirement-misspelt-hardware-gap", lambda d: ["check", copy_pack(
+        d, "99-100.checklist.json", (PACK / "99-100.checklist.json").read_text(
+            encoding="utf-8").replace('"hardware_gap": true', '"hardware_gapp": true')), BMW], 5,
+     "error: <d>/pack/99-100.checklist.json: requirement hardware_gapp is not a field (fields: "
+     "id, description, hardware_gap)\n"),
     ("check-profile-key-twice", lambda d: ["check", PACK, write_file(
         d, "v.json", '{"vehicle_id": "v", "answers": {}, "vehicle_id": "w"}')], 5,
      "error: <d>/v.json: key 'vehicle_id' appears twice\n"),
@@ -916,12 +940,15 @@ _NAMES = st.sampled_from(
 
 
 def _corrupted(draw, valid: dict) -> object:
-    """``valid``, or a copy with its whole value or one key replaced."""
-    where = draw(st.sampled_from([None, "whole", *valid]))
+    """``valid``, or a copy with its whole value or one key replaced, or with
+    one key added that it lacks."""
+    where = draw(st.sampled_from([None, "whole", "added", *valid]))
     if where is None:
         return valid
     if where == "whole":
         return draw(_JSON)
+    if where == "added":
+        return {**valid, "unknown": draw(_JSON)}
     return {**valid, where: draw(_JSON)}
 
 

@@ -407,6 +407,12 @@ WRONG_TYPES = [
     ("meta-array", set_field([], "meta"), "meta must be a JSON object"),
     ("meta-value-number", set_field({"k": 1}, "meta"), "meta k must be a JSON string"),
     ("rule-id-number", set_field(5, "rule_id"), "rule_id must be a JSON string"),
+    ("graph-unknown-field", set_field("x", "title"),
+     r"title is not a field \(fields: nodes, edges, meta, rule_id\)"),
+    ("node-unknown-field", set_field("X", "nodes", 1, "decision"),
+     r"node c1: decision is not a field \(fields: id, kind, label, var, decisions\)"),
+    ("edge-unknown-field", set_field("yes", "edges", 1, "label"),
+     r"edge label is not a field \(fields: from, to, guard\)"),
 ]
 
 
