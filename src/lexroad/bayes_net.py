@@ -14,10 +14,12 @@ A CPT has 2^parents rows, so no node has more than ``MAX_NODE_PARENTS``
 ``CLAUSE`` nodes ``<node>_1``, ``<node>_2``, ... that each compute a part
 of it (parent divorcing, :func:`_narrow`).  :func:`build_bn` is one loop
 over the used folds and then the decisions, each added after the clause
-nodes cut from it.  Rules of any width build and validate.  The rows are
-read off the node's decision diagram over its parents (:class:`Bdd`), so
-building a table costs the diagram and the rows it emits, not a
-three-valued evaluation per row.
+nodes cut from it.  The diagram walks recurse once per input, so Python's
+recursion limit caps the width of a rule that builds and validates (a
+one-level OR of about 990 facts).  The rows are read off the node's
+decision diagram over its parents (:class:`Bdd`), so building a table
+costs the diagram and the rows it emits, not a three-valued evaluation
+per row.
 
 Because every non-root CPT is 0/1 and the roots are independent, each node
 is a Boolean function of the roots: one decision diagram over the roots

@@ -17,7 +17,8 @@ evaluation they feed, and :func:`check_facts` refuses facts a rule lacks.
 Equations may reference decisions defined earlier in the same set, which
 are bound to their nodes as each decision's own equation is built
 (:func:`decision_nodes`).  Equivalence and property checks work on decision
-diagrams too and have no variable bound.
+diagrams too.  The diagram walks recurse once per input, so Python's
+recursion limit caps a one-level OR at about 985 facts for ``eval``.
 """
 
 from __future__ import annotations
@@ -639,26 +640,20 @@ class Bdd:
     def settle(self, fs: tuple[int, ...], facts: dict[str, bool | None]) -> list[bool | None]:
         """Each of ``fs`` as TRUE or FALSE when it is that constant on every
         completion of ``facts``, else None; a memoised walk that adds no node."""
-        # ``walk`` calls itself, so it holds itself through a closure cell: the
-        # finally deletes it, so that the call frees ``seen`` when it returns
-        # instead of leaving a reference cycle for the cyclic collector.
         seen: dict[int, bool | None] = {self.FALSE: False, self.TRUE: True}
+        return [self._settle(f, facts, seen) for f in fs]
 
-        def walk(f: int) -> bool | None:
-            if f not in seen:
-                level, hi, lo = self._nodes[f]
-                value = facts.get(self.names[level])
-                if value is None:  # unknown: both branches must agree
-                    first = walk(hi)
-                    seen[f] = None if first is None or walk(lo) != first else first
-                else:
-                    seen[f] = walk(hi if value else lo)
-            return seen[f]
-
-        try:
-            return [walk(f) for f in fs]
-        finally:
-            del walk
+    def _settle(self, f: int, facts: dict[str, bool | None], seen: dict[int, bool | None]
+                ) -> bool | None:
+        if f not in seen:
+            level, hi, lo = self._nodes[f]
+            value = facts.get(self.names[level])
+            if value is None:  # unknown: both branches must agree
+                first = self._settle(hi, facts, seen)
+                seen[f] = None if first is None or self._settle(lo, facts, seen) != first else first
+            else:
+                seen[f] = self._settle(hi if value else lo, facts, seen)
+        return seen[f]
 
     def weights(self, fs: list[int], prior: tuple[float, ...], facts: list[bool | None]
                 ) -> list[float]:
@@ -666,23 +661,18 @@ class Bdd:
         TRUE when the variable at level i is TRUE with probability
         ``prior[i]``, independently, or is ``facts[i]`` where that is not
         None.  One memoised walk serves all of ``fs`` and adds no node."""
-        # ``walk`` holds itself through a closure cell: the finally deletes
-        # it, as in :meth:`settle`, so that no reference cycle is left
-        nodes = self._nodes
         weight = {self.FALSE: 0.0, self.TRUE: 1.0}
+        return [self._weight(f, prior, facts, weight) for f in fs]
 
-        def walk(f: int) -> float:
-            if f not in weight:
-                level, hi, lo = nodes[f]
-                value = facts[level]
-                weight[f] = (prior[level] * walk(hi) + (1.0 - prior[level]) * walk(lo)
-                             if value is None else walk(hi if value else lo))
-            return weight[f]
-
-        try:
-            return [walk(f) for f in fs]
-        finally:
-            del walk
+    def _weight(self, f: int, prior: tuple[float, ...], facts: list[bool | None],
+                weight: dict[int, float]) -> float:
+        if f not in weight:
+            level, hi, lo = self._nodes[f]
+            value = facts[level]
+            weight[f] = (self._weight(hi if value else lo, prior, facts, weight) if value is not None
+                         else prior[level] * self._weight(hi, prior, facts, weight)
+                         + (1.0 - prior[level]) * self._weight(lo, prior, facts, weight))
+        return weight[f]
 
     def witness(self, f: int, names: tuple[str, ...], first: bool) -> dict[str, bool] | None:
         """The first assignment to ``names`` (which cover ``f``'s variables)
@@ -694,7 +684,7 @@ class Bdd:
         assignment: dict[str, bool] = {}
         for name in names:
             assignment[name] = first
-            if self.settle((f,), assignment)[0] is False:
+            if self._settle(f, assignment, {self.FALSE: False, self.TRUE: True}) is False:
                 assignment[name] = not first
         return assignment
 

@@ -14,7 +14,8 @@ is cyclic or a validated net diverges; 5 anything wrong in the rulepack or
 a profile, a pack path that is missing or not a directory, a key given
 twice or a key that is not a field in one of its JSON files or a second
 profile with one ``vehicle_id`` included.
-``lawmap`` and ``bn`` work on decision diagrams and have no input bound.
+The decision-diagram walks recurse once per input, so Python's recursion
+limit caps a one-level OR at about 985 facts for ``eval``.
 ``errors.EXIT_CODES`` gives each lexroad error its code, and ``_exits``
 gives errors raised while reading one input the code of that input.
 The module imports only what every subcommand runs (``errors``,

@@ -10,7 +10,9 @@ for this fixed test order, not a smallest set of facts that forces the
 verdict: for ``Y = a ∨ b`` the path a=FALSE, b=TRUE reaches ``outcome_Y``,
 yet b=TRUE alone forces Y.  The graph is read off the decisions' binary
 decision diagrams (``boolean_core.Bdd``) in clause order, so its size, not
-the 2^n input assignments, sets the cost, and rules of any width build.
+the 2^n input assignments, sets the cost.  The diagram walks recurse once
+per input, so Python's recursion limit caps a rule's width: an EXCEPT that
+is one OR of about 985 facts does not build.
 
 ``trace_path`` walks a transition table cached on the graph (each node's
 condition variable and yes and no successors), so after a graph's first

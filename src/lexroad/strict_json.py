@@ -26,26 +26,33 @@ from . import rule_dsl
 
 def loads(text: str, where: str = "") -> object:
     """``json.loads(text)``; ValueError naming the key if any object in the
-    text gives a key twice, the recursion limit if the text nests too deep
-    for ``json``, or where ``json`` found it malformed, prefixed with
-    ``where`` if given."""
+    text gives a key twice, the digit limit if an integer is too long for
+    ``int``, the recursion limit if the text nests too deep for ``json``, or
+    where ``json`` found it malformed, prefixed with ``where`` if given."""
     prefix = f"{where}: " if where else ""
-
-    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
-        obj = {}
-        for key, value in pairs:
-            if key in obj:
-                raise ValueError(f"{prefix}key {key!r} appears twice")
-            obj[key] = value
-        return obj
-
     try:
-        return json.loads(text, object_pairs_hook=unique_keys)
+        return json.loads(text, object_pairs_hook=_unique_keys, parse_int=_integer)
     except RecursionError:
         raise ValueError(f"{prefix}JSON nests too deep to read "
                          f"(recursion limit {sys.getrecursionlimit()})") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError, or a refusal of the hooks below
         raise ValueError(f"{prefix}{exc}") from None
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} appears twice")
+        obj[key] = value
+    return obj
+
+
+def _integer(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # JSON's grammar leaves only the digit limit to refuse
+        raise ValueError(f"an integer has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def load(path: str | os.PathLike, text: str | None = None) -> dict:

@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import inspect
 import io
+import itertools
 import json
 import os
 import pkgutil
@@ -178,11 +179,13 @@ def test_bn_export_net():
 
 
 def write_wide_or_rule(tmp_path, k):
-    """A rule whose antecedent [A] is the OR of facts v0 .. v<k-1>."""
+    """A rule whose antecedent [A] is the OR of facts v0 .. v<k-1>, marked
+    a., b., ... when there are at most 26."""
     lines = [f"rule: WIDE-{k}", "", "IF:", "    [A] Any of:"]
-    for i, marker in enumerate("abcdefghijklmnopqrstuvwxyz"[:k]):
+    for i in range(k):
+        marker = f"{'abcdefghijklmnopqrstuvwxyz'[i]}. " if k <= 26 else ""
         term = "." if i == k - 1 else "; or,"
-        lines.append(f"        {marker}. Fact v{i} holds{term} @var(v{i})")
+        lines.append(f"        {marker}Fact v{i} holds{term} @var(v{i})")
     lines += ["ELSE:", "    [Y] Outcome Y applies. @var(Y)"]
     path = tmp_path / f"wide-{k}.rule"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -229,6 +232,31 @@ def test_bn_infer_leaves_22_of_25_inputs_open(tmp_path):
     argv = ["bn", write_wide_or_rule(tmp_path, 25), "--infer", "v0=false,v1=false,v2=false"]
     # P(Y) = 1 - 2^-22: Y is false only when all 22 open facts are
     assert run_main(argv) == (0, "P(Y=true) = 0.999999762\n", "")
+
+
+def test_a_one_level_or_of_950_facts_runs_at_the_default_recursion_limit(tmp_path):
+    """The decision-diagram walks recurse once per input, so a fresh process
+    reads a one-level OR of up to about 985 facts at the default recursion
+    limit; every command still answers at 950."""
+    k = 950
+    rule = write_wide_or_rule(tmp_path, k)
+    observed = {f"v{i}": False for i in range(k - 3)}
+    with deadline(30.0):
+        for facts in (observed, {**observed, f"v{k - 2}": True},
+                      {f"v{i}": False for i in range(k)}):
+            # Y = v0 ∨ ... ∨ v949 on every completion of the open facts
+            values = {any(facts.values()) or any(bits)
+                      for bits in itertools.product((False, True), repeat=k - len(facts))}
+            want = "UNKNOWN" if len(values) == 2 else str(*values).upper()
+            result = run("eval", rule, write_scenario(tmp_path, f"WIDE-{k}", facts))
+            assert (result.returncode, result.stdout, result.stderr) == (
+                0, f"Y: {want} (Outcome Y applies)\n", "")
+        assert run("lawmap", rule, "-f", "json").returncode == 0
+        # every observed fact false: Y is false only when all 10 open facts are
+        evidence = ",".join(f"v{i}=false" for i in range(k - 10))
+        result = run("bn", rule, "--infer", evidence)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            0, f"P(Y=true) = {1 - 0.5 ** 10:.9f}\n", "")
 
 
 def test_check_matrix_and_report(tmp_path):
@@ -474,6 +502,8 @@ NESTED_JSON = "[" * 100_000 + "]" * 100_000
 TOO_DEEP_JSON = f"JSON nests too deep to read (recursion limit {sys.getrecursionlimit()})"
 MALFORMED_JSON = '{"group": "x",\n'
 BAD_JSON = "Expecting property name enclosed in double quotes: line 2 column 1 (char 15)"
+HUGE_INT = "9" * (sys.get_int_max_str_digits() + 1)
+TOO_LONG_INT = f"an integer has more than {sys.get_int_max_str_digits()} digits"
 LATIN1_RULE = "rule: L\n\nIF:\n    [A] Café open.\nELSE:\n    [Y] q.\n".encode("latin-1")
 LATIN1_JSON = '{"rule_id": "UK-HC-103",\r\n "facts": {"Café": true}}'.encode("latin-1")
 DECISION_FACT = {"rule_id": "UK-HC-103", "facts": {"A": True, "B": True, "C": False, "X": True}}
@@ -729,6 +759,15 @@ EXIT_TABLE = [
     ("check-checklist-malformed-json", lambda d: [
         "check", copy_pack(d, "113.checklist.json", MALFORMED_JSON), BMW], 5,
      f"error: <d>/pack/113.checklist.json: {BAD_JSON}\n"),
+    ("eval-scenario-integer-too-long", lambda d: ["eval", PACK / "103.rule", write_file(
+        d, "s.json", f'{{"rule_id": "UK-HC-103", "facts": {{"A": {HUGE_INT}}}}}')], 3,
+     f"error: <d>/s.json: {TOO_LONG_INT}\n"),
+    ("bn-priors-integer-too-long", lambda d: ["bn", PACK / "103.rule", "--infer", "", "--priors",
+                                              write_file(d, "p.json", f'{{"A": -{HUGE_INT}}}')],
+     4, f"error: <d>/p.json: {TOO_LONG_INT}\n"),
+    ("check-profile-integer-too-long", lambda d: [
+        "check", PACK, write_file(d, "v.json", f'{{"vehicle_id": {HUGE_INT}}}')], 5,
+     f"error: <d>/v.json: {TOO_LONG_INT}\n"),
     ("compile-out-unwritable", lambda d: ["compile", PACK / "103.rule", "--out", d / "no" / "x"], 1,
      "error: [Errno 2] No such file or directory: '<d>/no/x'\n"),
     ("check-out-unwritable", lambda d: ["check", PACK, BMW, "--out", d / "no" / "x.json"], 1,

@@ -51,3 +51,28 @@ def test_every_function_a_traced_benchmark_run_wraps_is_bound_in_its_module():
                if not callable(getattr(importlib.import_module(f"lexroad.{layer}"), fn, None))]
     assert "load_scenario" in layers["compliance"]
     assert missing == []
+
+
+def _nested_defs(node, outer=None):
+    """``(outer.name, def)`` for every ``def`` under ``node`` inside a function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = child.name if outer is None else f"{outer}.{child.name}"
+            if outer is not None:
+                yield name, child
+            yield from _nested_defs(child, name)
+        else:
+            yield from _nested_defs(child, outer)
+
+
+def test_no_nested_function_calls_itself():
+    """A nested function that names itself holds itself through its closure
+    cell, a function-to-cell cycle that keeps what its call made alive until
+    the cyclic collector runs; recursive helpers are module-level functions
+    or methods that take their memo as an argument."""
+    nested = [(f"{source.name}: {name}", fn) for source in SOURCES
+              for name, fn in _nested_defs(ast.parse(source.read_text(encoding="utf-8")))]
+    recursive = [name for name, fn in nested
+                 if any(isinstance(node, ast.Name) and node.id == fn.name for node in ast.walk(fn))]
+    assert nested  # non-recursive nested helpers, such as load_rulepack's text, stay allowed
+    assert recursive == []
