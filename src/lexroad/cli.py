@@ -2,8 +2,8 @@
 
 Subcommands: ``compile``, ``eval``, ``lawmap``, ``bn``, ``check``.
 Exit codes: 0 success; 1 the command line is not valid, the rule cannot be
-read (missing, not UTF-8) or parsed, or an ``--out`` file cannot be
-written; 2 it does not compile; 3 the scenario is unreadable, not a JSON
+read (missing, not UTF-8) or parsed, or an ``--out`` file or stdout cannot
+be written; 2 it does not compile; 3 the scenario is unreadable, not a JSON
 object, gives a key twice or a key that is not a field, is for another
 rule, names a variable the rule lacks or a decision, leaves out a fact
 ``lawmap --trace`` needs, or is a second one for its rule under ``check``;
@@ -82,11 +82,18 @@ def _load_compiled(rule_path: str):
 
 
 def _write(text: str, out: str | None) -> None:
-    if out:
-        with _exits(EXIT_PARSE, (OSError,)):
+    """``text`` to the file ``out``, or to stdout and flushed; exit 1 naming
+    the target if it cannot be written."""
+    try:
+        if out:
             Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not out:  # shutdown would flush the stuck text again, and fail again
+            sys.stdout = open(os.devnull, "w")
+        raise _Failure(EXIT_PARSE, exc if exc.filename else f"{out or 'stdout'}: {exc}") from exc
 
 
 def _load_facts(path: str, eqs: RuleEquations) -> dict[str, bool]:
@@ -248,9 +255,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.out:
         _write(compliance.report_to_json(report), args.out)
     if args.format == "json":
-        sys.stdout.write(compliance.report_to_json(report))
+        _write(compliance.report_to_json(report), None)
     else:
-        sys.stdout.write(compliance.render_text(report))
+        _write(compliance.render_text(report), None)
     return EXIT_OK
 
 

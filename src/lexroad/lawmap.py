@@ -27,7 +27,6 @@ diffs, both written directly; the JSON is byte for byte what ``json``'s
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
 from functools import cached_property
 from json.encoder import encode_basestring as _json_quote
@@ -35,7 +34,6 @@ from typing import NamedTuple
 
 from . import strict_json
 from .errors import IncompleteAssignmentError, InconsistentInputsError
-from .strict_json import fields, json_value
 from .boolean_core import Bdd, RuleEquations
 from .rule_dsl import Frozen, RuleAst, RuleSource
 
@@ -90,17 +88,15 @@ class LawmapGraph(Frozen):  # not a tuple: cached_property needs a __dict__
 
     @cached_property
     def _transitions(self) -> tuple[str, dict[str, tuple[str, str, str] | None], tuple[str, ...]]:
-        """What ``trace_path`` reads, built on first use from a valid graph
-        (``build_lawmap``'s, or one ``_validate`` passed): START's successor;
-        for every other node id, its condition variable and yes and no
-        successors (``None`` for an OUTCOME); and the condition variables in
-        ``condition_vars`` order."""
+        """What ``trace_path`` reads, built on first use from a graph
+        ``build_lawmap`` built, which lists each condition's yes edge before
+        its no edge: START's successor; for every other node id, its
+        condition variable and yes and no successors (``None`` for an
+        OUTCOME); and the condition variables in ``condition_vars`` order."""
         steps: dict[str, tuple[str, str, str] | None] = {}
         for node in self.nodes[1:]:
             if node.kind == NodeKind.CONDITION:
                 yes, no = self.out_edges(node.id)
-                if yes.guard != EdgeGuard.TRUE_BRANCH:
-                    yes, no = no, yes
                 steps[node.id] = (node.var, yes.dst, no.dst)
             else:
                 steps[node.id] = None
@@ -203,52 +199,10 @@ def build_lawmap(
     for node_id, hi, lo in branches:
         edges.append(LawmapEdge(node_id, ids[hi], EdgeGuard.TRUE_BRANCH))
         edges.append(LawmapEdge(node_id, ids[lo], EdgeGuard.FALSE_BRANCH))
-    # valid by construction (unique ids, levels rise along edges): no _validate
+    # valid by construction: unique ids, levels rise along edges, and each
+    # yes edge comes before its no edge, which _transitions relies on
     return LawmapGraph(eqs.rule_id, tuple(nodes), tuple(edges),
                        meta=tuple(sorted((meta or {}).items())))
-
-
-def _validate(graph: LawmapGraph) -> None:
-    """Raise ``InconsistentInputsError`` naming the fault unless every path
-    from START is one ``trace_path`` can walk to an outcome."""
-    if tuple(n for n in graph.nodes if n.kind == NodeKind.START) != graph.nodes[:1]:
-        raise InconsistentInputsError("graph must have one START node, the first")
-    if not any(n.kind == NodeKind.OUTCOME for n in graph.nodes):
-        raise InconsistentInputsError("graph has no OUTCOME nodes")
-    twice = [node_id for node_id, count in Counter(n.id for n in graph.nodes).items() if count > 1]
-    if twice:
-        raise InconsistentInputsError(f"node {twice[0]} is defined twice")
-    ids = graph._index[0]
-    for edge in graph.edges:
-        for end in (edge.src, edge.dst):
-            if end not in ids:
-                raise InconsistentInputsError(f"edge {edge.src} -> {edge.dst}: no node {end}")
-    for node in graph.nodes:
-        out = graph.out_edges(node.id)
-        if node.kind == NodeKind.START:
-            if [e.guard for e in out] != [EdgeGuard.ALWAYS]:
-                raise InconsistentInputsError("START must have one out-edge, unconditional")
-        if node.kind == NodeKind.CONDITION:
-            if not node.var:
-                raise InconsistentInputsError(f"condition {node.id} names no variable")
-            guards = sorted(e.guard.value for e in out)
-            if guards != ["no", "yes"]:
-                raise InconsistentInputsError(
-                    f"condition {node.id} needs exactly one yes and one no edge"
-                )
-        if node.kind == NodeKind.OUTCOME and out:
-            raise InconsistentInputsError(f"outcome {node.id} must be terminal")
-    # take nodes in an order that puts every edge forwards: none is left
-    # exactly when no path revisits a node
-    waiting = Counter(edge.dst for edge in graph.edges)
-    ordered = [node_id for node_id in ids if not waiting[node_id]]
-    for node_id in ordered:
-        for edge in graph.out_edges(node_id):
-            waiting[edge.dst] -= 1
-            if not waiting[edge.dst]:
-                ordered.append(edge.dst)
-    if len(ordered) < len(ids):
-        raise InconsistentInputsError("graph has a cycle")
 
 
 def trace_path(graph: LawmapGraph, assignment: dict[str, bool]) -> list[str]:
@@ -333,26 +287,3 @@ def export_json(graph: LawmapGraph) -> str:
         f'\n  "nodes": {strict_json.array(nodes, "  ")},\n  "rule_id": {q(graph.rule_id)}\n}}\n'
     )
 
-
-def graph_from_json(text: str) -> LawmapGraph:
-    """The graph ``export_json`` wrote; ``ValueError`` for a field of the
-    wrong JSON type or a key that is not a field (naming it) or a JSON object
-    that gives a key twice, ``InconsistentInputsError`` for a graph
-    ``trace_path`` cannot walk."""
-    nodes, edges, meta, rule_id = fields(json_value(strict_json.loads(text), dict, "graph"), "",
-                                         nodes=list, edges=list, meta=(dict, {}), rule_id=str)
-    for i, n in enumerate(nodes):
-        node_id = json_value(json_value(n, dict, "each node").get("id"), str, "node id")
-        where = f"node {node_id}: "
-        _, kind, label, var, decisions = fields(n, where, id=None, kind=NodeKind, label=str,
-                                                var=(str, None), decisions=(list, []))
-        nodes[i] = LawmapNode(node_id, kind, label, var, tuple(
-            json_value(d, str, f"{where}each decision") for d in decisions))
-    for i, e in enumerate(edges):
-        src, dst, guard = fields(json_value(e, dict, "each edge"), "edge ",
-                                 **{"from": str, "to": str, "guard": str})
-        edges[i] = LawmapEdge(src, dst, json_value(guard, EdgeGuard, f"edge {src} -> {dst}: guard"))
-    graph = LawmapGraph(rule_id, tuple(nodes), tuple(edges), tuple(sorted(
-        (k, json_value(v, str, f"meta {k}")) for k, v in meta.items())))
-    _validate(graph)
-    return graph

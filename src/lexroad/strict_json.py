@@ -1,11 +1,11 @@
 """JSON in and out: ``loads`` refuses an object that gives a key twice,
 ``load`` reads the JSON object of an input file (every JSON file lexroad
-reads but a net or Lawmap), ``fields`` reads the fields of an object,
-``json_value`` refuses a value of the wrong JSON type or a string that
-names no member of an enum, and ``array`` lays out a list as
-``json.dumps(..., indent=2)`` does, for the writers that build their text
-directly (``json`` has a C encoder only for output without ``indent``).
-``encode`` is such a writer for plain values.
+reads: scenarios, priors, profiles and checklists), ``fields`` reads the
+fields of an object, ``json_value`` refuses a value of the wrong JSON
+type, and ``array`` lays out a list as ``json.dumps(..., indent=2)`` does,
+for the writers that build their text directly (``json`` has a C encoder
+only for output without ``indent``).  ``encode`` is such a writer for
+plain values.
 
 ``json.loads`` keeps the last of two equal keys, so a second ``"rule_id"``
 in a file would silently win over the first; and a reader that took only
@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from enum import Enum
 from json.encoder import encode_basestring as _quote
 
 from . import rule_dsl
@@ -69,14 +68,8 @@ _JSON_KINDS = {dict: "object", list: "array", str: "string", bool: "boolean"}
 
 
 def json_value(value, kind: type, what: str):
-    """``value`` if it is a ``kind`` (dict, list, str or bool), or the member
-    of the Enum ``kind`` whose value is the JSON string ``value``; ValueError
-    naming ``what`` (and the allowed values, for an Enum) if not."""
-    if issubclass(kind, Enum):
-        allowed = [member.value for member in kind]
-        if json_value(value, str, what) not in allowed:
-            raise ValueError(f"{what} must be one of {', '.join(allowed)}, got {value!r}")
-        return kind(value)
+    """``value`` if it is a ``kind`` (dict, list, str or bool); ValueError
+    naming ``what`` if not."""
     if not isinstance(value, kind):
         raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}")
     return value
@@ -86,9 +79,9 @@ def fields(obj: dict, where: str, /, **table) -> list:
     """The values in the JSON object ``obj`` of the fields ``table`` names,
     in table order.  Each entry is the field's kind, or a pair of its kind
     and the default of an absent field: a kind :func:`json_value` reads, or
-    None for a value the caller checks.  A null is read only where it is the
-    default.  ValueError, prefixed with ``where``, naming a field of the
-    wrong kind, or a key the table does not name and the fields it does."""
+    None for a value the caller checks, null included.  ValueError,
+    prefixed with ``where``, naming a field of the wrong kind, or a key the
+    table does not name and the fields it does."""
     for key in obj:
         if key not in table:
             raise ValueError(f"{where}{key} is not a field (fields: {', '.join(table)})")
@@ -96,7 +89,7 @@ def fields(obj: dict, where: str, /, **table) -> list:
     for name, kind in table.items():
         kind, *default = kind if isinstance(kind, tuple) else (kind,)
         value = obj.get(name, *default)
-        if kind is not None and (value is not None or default != [None]):
+        if kind is not None:
             value = json_value(value, kind, f"{where}{name}")
         values.append(value)
     return values

@@ -9,6 +9,7 @@ import itertools
 import json
 import os
 import pkgutil
+import resource
 import shutil
 import signal
 import subprocess
@@ -879,6 +880,57 @@ def deadline(seconds):
 def test_exit_code_table(tmp_path, make_argv, code, stderr):
     with deadline(10.0):
         assert run_main(make_argv(tmp_path)) == (code, "", stderr.replace("<d>", str(tmp_path)))
+
+
+def _file_size_limit():
+    """In the child only: a file it writes stops at 1,000 bytes, and the
+    write past that fails with EFBIG instead of killing it with SIGXFSZ."""
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (1000, 1000))
+
+
+# (id, argv, the child's stdout: /dev/full, a pipe whose read end is closed
+# or a pipe read here, whether its files stop at 1,000 bytes, its one stderr
+# line); ``check --out`` writes the report file, then the text to stdout
+WRITE_FAILURES = [
+    ("compile-stdout-full", lambda d: ["compile", PACK / "103.rule"], "full", False,
+     "error: stdout: [Errno 28] No space left on device\n"),
+    ("lawmap-stdout-closed-pipe", lambda d: ["lawmap", PACK / "103.rule", "-f", "json"],
+     "closed", False, "error: stdout: [Errno 32] Broken pipe\n"),
+    ("check-out-then-stdout-full", lambda d: ["check", BMW, "--out", d / "r.json"], "full", False,
+     "error: stdout: [Errno 28] No space left on device\n"),
+    ("lawmap-out-past-file-size-limit",
+     lambda d: ["lawmap", PACK / "103.rule", "-f", "json", "--out", d / "f.json"], "read", True,
+     "error: <d>/f.json: [Errno 27] File too large\n"),
+    ("check-out-past-file-size-limit", lambda d: ["check", BMW, "--out", d / "r.json"], "read",
+     True, "error: <d>/r.json: [Errno 27] File too large\n"),
+]
+
+
+@pytest.mark.parametrize("make_argv, stdout, limited, stderr", [row[1:] for row in WRITE_FAILURES],
+                         ids=[row[0] for row in WRITE_FAILURES])
+def test_an_output_that_cannot_be_written_is_one_line(tmp_path, make_argv, stdout, limited,
+                                                      stderr):
+    """In a fresh process, so that interpreter shutdown, which flushes
+    stdout once more, is part of what is checked: with stdout buffered, as
+    it is by default, and unbuffered (``PYTHONUNBUFFERED``)."""
+    for unbuffered in ("", "1"):
+        with contextlib.ExitStack() as stack:
+            if stdout == "full":
+                target = stack.enter_context(open("/dev/full", "wb"))
+            elif stdout == "closed":
+                read, target = os.pipe()
+                os.close(read)
+                stack.callback(os.close, target)
+            else:
+                target = subprocess.PIPE
+            result = subprocess.run(
+                [sys.executable, "-m", "lexroad", *map(str, make_argv(tmp_path))],
+                stdout=target, stderr=subprocess.PIPE, text=True, timeout=30,
+                env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+                preexec_fn=_file_size_limit if limited else None)
+        assert (result.returncode, result.stderr) == (1, stderr.replace("<d>", str(tmp_path)))
+        assert result.stdout in (None, "")
 
 
 def test_nesting_at_the_bounds_is_read(tmp_path):

@@ -1,12 +1,12 @@
 """The optional fields of lexroad's JSON inputs: an absent key reads as the
-field's default, and a null is refused for every field but a Lawmap node's
-``var`` and a profile's ``sae_level``, which read it as their default."""
+field's default, and a null is refused for every field but a profile's
+``sae_level``, which reads it as its default."""
 
 import json
 
 import pytest
 
-from lexroad import bayes_net, lawmap, rulepack
+from lexroad import rulepack
 from lexroad.boolean_core import load_scenario
 
 
@@ -22,24 +22,18 @@ READERS = {
     "profile": lambda d, payload: rulepack.load_profile(_write(d, "v.json", payload)),
     "checklist": lambda d, payload: rulepack.load_rulepack(
         _write(d, "g.checklist.json", payload).parent).checklists["g"],
-    "lawmap": lambda d, payload: lawmap.graph_from_json(json.dumps(payload)),
-    "net": lambda d, payload: bayes_net.net_from_json(json.dumps(payload)),
 }
 
 
 @pytest.fixture
-def payloads(rules_by_id):
-    """A valid payload of each input; the Lawmap and net are UK-HC-103's."""
-    entry = rules_by_id["UK-HC-103"]
-    graph = lawmap.build_lawmap(entry.equations, entry.ast, meta=lawmap.source_meta(entry.source))
+def payloads():
+    """A valid payload of each input."""
     return {
         "scenario": {"rule_id": "UK-HC-103", "facts": {"A": True}, "description": "d"},
         "profile": {"vehicle_id": "v", "display_name": "V", "sae_level": 2,
                     "answers": {"x": "MET"}},
         "checklist": {"group": "g", "requirements": [
             {"id": "x", "description": "d", "hardware_gap": True}]},
-        "lawmap": json.loads(lawmap.export_json(graph)),
-        "net": json.loads(bayes_net.net_to_json(bayes_net.build_bn(entry.equations))),
     }
 
 
@@ -50,17 +44,13 @@ def _target(payload, path):
     return payload
 
 
-# (input, path to an optional field, the field read back, its default); node 4
-# of UK-HC-103's Lawmap is the outcome of X, node 0 of its net the fact A
+# (input, path to an optional field, the field read back, its default)
 ABSENT = [
     ("scenario", ("description",), lambda s: s.description, ""),
     ("scenario", ("facts",), lambda s: s.facts, {}),
     ("checklist", ("requirements", 0, "hardware_gap"), lambda c: c[0].hardware_gap, False),
     ("profile", ("display_name",), lambda p: p.display_name, "v"),
     ("profile", ("sae_level",), lambda p: p.sae_level, None),
-    ("lawmap", ("meta",), lambda g: g.meta, ()),
-    ("lawmap", ("nodes", 4, "decisions"), lambda g: g.nodes[4].decisions, ()),
-    ("net", ("nodes", 0, "description"), lambda n: n.nodes[0].description, ""),
 ]
 
 
@@ -80,11 +70,6 @@ FIELDS = {
     "profile": [("vehicle_id",), ("display_name",), ("sae_level",), ("answers",)],
     "checklist": [("group",), ("requirements",),
                   *[("requirements", 0, key) for key in ("id", "description", "hardware_gap")]],
-    "lawmap": [("rule_id",), ("meta",), ("nodes",), ("edges",),
-               *[("nodes", 0, key) for key in ("id", "kind", "label", "var", "decisions")],
-               *[("edges", 0, key) for key in ("from", "to", "guard")]],
-    "net": [("rule_id",), ("nodes",),
-            *[("nodes", 0, key) for key in ("id", "kind", "parents", "cpt", "description")]],
 }
 NULLS = [(name, path) for name, paths in FIELDS.items() for path in paths]
 
@@ -94,7 +79,7 @@ NULLS = [(name, path) for name, paths in FIELDS.items() for path in paths]
 def test_null_is_refused_but_for_var_and_sae_level(tmp_path, payloads, name, path):
     payload = payloads[name]
     _target(payload, path)[path[-1]] = None
-    if path[-1] in ("var", "sae_level"):
+    if path[-1] == "sae_level":
         READERS[name](tmp_path, payload)
     else:
         with pytest.raises(ValueError, match=rf"\b{path[-1]} must be"):

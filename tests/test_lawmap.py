@@ -18,22 +18,13 @@ from lexroad.lawmap import (
     InconsistentInputsError,
     LawmapGraph,
     NodeKind,
-    _validate,
     build_lawmap,
     export_dot,
     export_json,
-    graph_from_json,
     trace_path,
 )
 from reference import export_json_by_dumps, trace_path_by_edges, truth_table
 from test_boolean_core import _compiled, _repeated_var_rules
-
-
-def graphs_for(pack):
-    return {
-        entry.rule_id: build_lawmap(entry.equations, entry.ast)
-        for entry in pack.rules()
-    }
 
 
 def test_signalling_graph_shape(rules_by_id):
@@ -124,14 +115,6 @@ def _assert_trace_matches_the_edge_walk(graph, names, data):
             == _trace_or_missing(trace_path_by_edges, graph, partial))
 
 
-def _round_trip(graph, data):
-    """``graph`` through ``export_json`` and ``graph_from_json``, its edges
-    listed in a drawn order (a yes edge may follow its no edge)."""
-    payload = json.loads(export_json(graph))
-    random.Random(data.draw(_SEEDS)).shuffle(payload["edges"])
-    return graph_from_json(json.dumps(payload))
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_trace_matches_the_edge_walk_on_the_shipped_pack(pack, data):
@@ -139,7 +122,6 @@ def test_trace_matches_the_edge_walk_on_the_shipped_pack(pack, data):
         graph = build_lawmap(entry.equations, entry.ast)
         names = entry.equations.input_ids()
         _assert_trace_matches_the_edge_walk(graph, names, data)
-        _assert_trace_matches_the_edge_walk(_round_trip(graph, data), names, data)
 
 
 @st.composite
@@ -163,33 +145,17 @@ def _wide_equations(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(_repeated_var_rules().map(_compiled), _wide_equations()), st.booleans(),
-       st.data())
-def test_trace_matches_the_edge_walk_on_generated_rules(eqs, round_trip, data):
-    graph = build_lawmap(eqs)
-    if round_trip:
-        graph = _round_trip(graph, data)
-    _assert_trace_matches_the_edge_walk(graph, eqs.input_ids(), data)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(st.none(), _repeated_var_rules().map(_compiled), _wide_equations()), st.data())
-def test_built_graphs_pass_validation(pack, eqs, data):
-    """``build_lawmap`` leaves ``_validate`` to ``graph_from_json``: every
-    graph it builds, of the shipped pack (``eqs`` None) or of generated
-    rules, is valid by construction."""
-    if eqs is None:
-        eqs = data.draw(st.sampled_from([entry.equations for entry in pack.rules()]))
-    _validate(build_lawmap(eqs))
+@given(st.one_of(_repeated_var_rules().map(_compiled), _wide_equations()), st.data())
+def test_trace_matches_the_edge_walk_on_generated_rules(eqs, data):
+    _assert_trace_matches_the_edge_walk(build_lawmap(eqs), eqs.input_ids(), data)
 
 
 def test_outcome_ids_stay_unique_when_decision_names_join_alike():
     """A and B firing together, and A_B alone, would both be outcome_A_B."""
     graph = build_lawmap(parse_equations("A = x ∧ e\nB = x ∧ e\nA_B = x ∧ ¬e\n"))
-    _validate(graph)
+    assert len({n.id for n in graph.nodes}) == len(graph.nodes)
     for e, fired in ((True, ("A", "B")), (False, ("A_B",))):
         assert graph.node(trace_path(graph, {"x": True, "e": e})[-1]).decisions == fired
-    assert graph_from_json(export_json(graph)) == graph
 
 
 def test_path_evaluate_agreement_everywhere(pack):
@@ -220,33 +186,45 @@ def test_every_equation_has_a_path(pack):
             assert decision in graph.node(path[-1]).decisions
 
 
-def test_structural_invariants(pack):
-    for graph in graphs_for(pack).values():
-        starts = [n for n in graph.nodes if n.kind == NodeKind.START]
-        assert len(starts) == 1
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.none(), _repeated_var_rules().map(_compiled), _wide_equations()))
+def test_structural_invariants(pack, eqs):
+    """Every graph ``build_lawmap`` builds, of each shipped rule (``eqs``
+    None) or of a generated rule: one START, first, with one unconditional
+    out-edge; unique node ids; each condition's yes edge, then its no edge;
+    no edge out of an outcome or into START; every node reachable from
+    START; and no cycle, without enumerating the paths (a wide graph has up
+    to 2^16): the condition variable's place in ``eqs.input_ids()`` rises
+    along every edge between conditions."""
+    for eqs in [entry.equations for entry in pack.rules()] if eqs is None else [eqs]:
+        graph = build_lawmap(eqs)
+        kinds = [n.kind for n in graph.nodes]
+        assert kinds.index(NodeKind.START) == 0 and kinds.count(NodeKind.START) == 1
+        ids = {n.id for n in graph.nodes}
+        assert len(ids) == len(graph.nodes)
+        assert all(e.src in ids and e.dst in ids for e in graph.edges)
+        place = {name: i for i, name in enumerate(eqs.input_ids())}
         for node in graph.nodes:
             out = graph.out_edges(node.id)
+            assert all(graph.node(e.dst).kind != NodeKind.START for e in out)
+            if node.kind == NodeKind.START:
+                assert [e.guard for e in out] == [EdgeGuard.ALWAYS]
             if node.kind == NodeKind.CONDITION:
-                assert sorted((e.guard for e in out), key=lambda g: g.value) == [
-                    EdgeGuard.FALSE_BRANCH,
-                    EdgeGuard.TRUE_BRANCH,
-                ]
+                assert [e.guard for e in out] == [EdgeGuard.TRUE_BRANCH, EdgeGuard.FALSE_BRANCH]
+                for edge in out:
+                    dst = graph.node(edge.dst)
+                    if dst.kind == NodeKind.CONDITION:
+                        assert place[dst.var] > place[node.var]
             if node.kind == NodeKind.OUTCOME:
                 assert out == ()
-        # fully reachable from START, and edges never revisit a node on any
-        # walk (DAG): every maximal path must terminate at an OUTCOME
         seen = set()
         frontier = ["start"]
         while frontier:
             node_id = frontier.pop()
-            if node_id in seen:
-                continue
-            seen.add(node_id)
-            frontier.extend(e.dst for e in graph.out_edges(node_id))
-        assert seen == {n.id for n in graph.nodes}
-        for path in graph.outcome_paths():
-            assert len(set(path)) == len(path)
-            assert graph.node(path[-1]).kind == NodeKind.OUTCOME
+            if node_id not in seen:
+                seen.add(node_id)
+                frontier.extend(e.dst for e in graph.out_edges(node_id))
+        assert seen == ids
 
 
 def test_dot_export_shapes_and_labels(rules_by_id):
@@ -267,12 +245,6 @@ def test_crossing_outcome_text_in_dot(rules_by_id):
     entry = rules_by_id["UK-HC-191-199"]
     dot = export_dot(build_lawmap(entry.equations, entry.ast))
     assert "proceed through the pedestrian crossing with caution" in dot
-
-
-def test_json_round_trip(pack):
-    for entry in pack.rules():
-        graph = build_lawmap(entry.equations, entry.ast, meta={"title": "x"})
-        assert graph_from_json(export_json(graph)) == graph
 
 
 # text a JSON writer must escape or pass through: quotes, backslashes,
@@ -310,120 +282,6 @@ def test_json_export_is_the_json_dumps_text(pack, eqs, data):
         nodes = tuple(n._replace(label=data.draw(AWKWARD_TEXT)) for n in graph.nodes)
         graph = LawmapGraph(rule_id, nodes, graph.edges, graph.meta)
     assert first_difference(export_json(graph), export_json_by_dumps(graph)) is None
-
-
-def test_graph_from_json_rejects_a_key_given_twice(rules_by_id):
-    entry = rules_by_id["UK-HC-103"]
-    text = export_json(build_lawmap(entry.equations, entry.ast))
-    twice = text.replace('"rule_id": "UK-HC-103"', '"rule_id": "UK-HC-103", "rule_id": "OTHER"')
-    assert twice.count('"rule_id"') == 2
-    with pytest.raises(ValueError, match="^key 'rule_id' appears twice$"):
-        graph_from_json(twice)
-
-
-def _drop_c1_no(payload):
-    payload["edges"] = [e for e in payload["edges"] if (e["from"], e["guard"]) != ("c1", "no")]
-
-
-def _edge_to_nowhere(payload):
-    payload["edges"][1]["to"] = "nowhere"
-
-
-def _c1_yes_to_itself(payload):
-    next(e for e in payload["edges"] if (e["from"], e["guard"]) == ("c1", "yes"))["to"] = "c1"
-
-
-def _start_last(payload):
-    payload["nodes"].append(payload["nodes"].pop(0))
-
-
-def _c1_without_var(payload):
-    payload["nodes"][1]["var"] = None
-
-
-def _c1_twice(payload):
-    payload["nodes"].append({**payload["nodes"][1], "var": "B"})
-
-
-def _second_start_edge(payload):
-    payload["edges"].append({"from": "start", "to": "sink", "guard": "always"})
-
-
-@pytest.mark.parametrize("change, message", [
-    (_drop_c1_no, "condition c1 needs exactly one yes and one no edge"),
-    (_edge_to_nowhere, "edge c1 -> nowhere: no node nowhere"),
-    (_c1_yes_to_itself, "graph has a cycle"),
-    (_start_last, "graph must have one START node, the first"),
-    (_c1_without_var, "condition c1 names no variable"),
-    (_c1_twice, "node c1 is defined twice"),
-    (_second_start_edge, "START must have one out-edge, unconditional"),
-])
-def test_graph_from_json_rejects_graphs_trace_path_cannot_walk(rules_by_id, change, message):
-    """Each of these once loaded, and then ``trace_path`` raised a KeyError,
-    never returned (the cycle) or silently followed the first of two nodes
-    or START edges."""
-    entry = rules_by_id["UK-HC-103"]
-    payload = json.loads(export_json(build_lawmap(entry.equations, entry.ast)))
-    change(payload)
-    with pytest.raises(InconsistentInputsError, match=f"^{message}$"):
-        graph_from_json(json.dumps(payload))
-
-
-def set_field(value, *path):
-    """A change to a JSON payload that sets the field at ``path`` to ``value``."""
-    def change(payload):
-        target = payload
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
-        return payload
-    return change
-
-
-# (id, change to the payload of UK-HC-103's Lawmap, message); each of these
-# once loaded (and then failed in export_json or trace_path) or raised TypeError
-WRONG_TYPES = [
-    ("graph-array", lambda payload: [payload], "graph must be a JSON object"),
-    ("nodes-object", set_field({}, "nodes"), "nodes must be a JSON array"),
-    ("node-number", set_field([5], "nodes"), "each node must be a JSON object"),
-    ("id-number", set_field(1, "nodes", 1, "id"), "node id must be a JSON string"),
-    ("kind-number", set_field(2, "nodes", 1, "kind"), "node c1: kind must be a JSON string"),
-    ("kind-unknown", set_field("begin", "nodes", 1, "kind"),
-     "node c1: kind must be one of start, condition, outcome, got 'begin'"),
-    ("label-number", set_field(3, "nodes", 1, "label"), "node c1: label must be a JSON string"),
-    ("var-boolean", set_field(True, "nodes", 1, "var"), "node c1: var must be a JSON string"),
-    ("decisions-text", set_field("X", "nodes", 4, "decisions"),
-     "node outcome_X: decisions must be a JSON array"),
-    ("decision-number", set_field(0, "nodes", 4, "decisions", 0),
-     "node outcome_X: each decision must be a JSON string"),
-    ("edges-object", set_field({}, "edges"), "edges must be a JSON array"),
-    ("edge-text", set_field(["start"], "edges"), "each edge must be a JSON object"),
-    ("edge-from-number", set_field(0, "edges", 0, "from"), "edge from must be a JSON string"),
-    ("edge-to-array", set_field(["c1"], "edges", 0, "to"), "edge to must be a JSON string"),
-    ("edge-guard-boolean", set_field(True, "edges", 1, "guard"),
-     "edge guard must be a JSON string"),
-    ("edge-guard-unknown", set_field("maybe", "edges", 1, "guard"),
-     "edge c1 -> c2: guard must be one of always, yes, no, got 'maybe'"),
-    ("meta-array", set_field([], "meta"), "meta must be a JSON object"),
-    ("meta-value-number", set_field({"k": 1}, "meta"), "meta k must be a JSON string"),
-    ("rule-id-number", set_field(5, "rule_id"), "rule_id must be a JSON string"),
-    ("graph-unknown-field", set_field("x", "title"),
-     r"title is not a field \(fields: nodes, edges, meta, rule_id\)"),
-    ("node-unknown-field", set_field("X", "nodes", 1, "decision"),
-     r"node c1: decision is not a field \(fields: id, kind, label, var, decisions\)"),
-    ("edge-unknown-field", set_field("yes", "edges", 1, "label"),
-     r"edge label is not a field \(fields: from, to, guard\)"),
-]
-
-
-@pytest.mark.parametrize(
-    "change, message", [row[1:] for row in WRONG_TYPES], ids=[row[0] for row in WRONG_TYPES]
-)
-def test_graph_from_json_refuses_wrongly_typed_fields(rules_by_id, change, message):
-    entry = rules_by_id["UK-HC-103"]
-    payload = json.loads(export_json(build_lawmap(entry.equations, entry.ast)))
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        graph_from_json(json.dumps(change(payload)))
 
 
 def test_json_counts_condition_entries(rules_by_id):

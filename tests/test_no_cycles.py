@@ -16,7 +16,7 @@ import types
 import pytest
 
 from lexroad import compliance
-from lexroad.bayes_net import BayesNet, build_bn, infer, net_from_json, net_to_json, validate_bn
+from lexroad.bayes_net import BayesNet, build_bn, infer, net_to_json, validate_bn
 from lexroad.boolean_core import (
     Bdd,
     check_properties,
@@ -28,7 +28,7 @@ from lexroad.boolean_core import (
     parse_equations,
     to_text,
 )
-from lexroad.lawmap import build_lawmap, export_dot, export_json, graph_from_json, trace_path
+from lexroad.lawmap import build_lawmap, export_dot, export_json, trace_path
 from lexroad.rule_dsl import assign_variables, load_rule_file, parse_rule, pretty_print
 from lexroad.rulepack import (
     default_pack_dir,
@@ -135,9 +135,9 @@ def _library_calls(rule_file, results):
             [bdd.witness(f, inputs, False) for f in nodes.values()],
             [list(bdd.models(f)) for f in nodes.values()],
             trace_path(graph, facts), graph.outcome_paths(), export_dot(graph),
-            graph_from_json(export_json(graph)),
+            export_json(graph),
             infer(net), infer(net, {inputs[-1]: True}), validate_bn(net, eqs),
-            validate_bn(_flipped(net), eqs), net_from_json(net_to_json(net)),
+            validate_bn(_flipped(net), eqs), net_to_json(net),
         ]
     scenarios = [compliance.Scenario("UK-HC-103", {"A": True, "B": True, "C": False})]
     report = compliance.build_report(pack, profiles, scenarios)
