@@ -22,7 +22,8 @@ _NAMES = {
     "boolean_core": "And BoolExpr Const FALSE Not Or RuleEquations TRUE Var check_properties "
                     "compile_rule equations_to_text evaluate normalize parse_equations to_text",
     "lawmap": "LawmapEdge LawmapGraph LawmapNode build_lawmap export_dot export_json trace_path",
-    "bayes_net": "BayesNet BnNode BnNodeKind build_bn infer net_to_json validate_bn",
+    "bayes_net": "BayesNet BnNode BnNodeKind build_bn infer net_from_json net_to_json "
+                 "validate_bn",
     "rulepack": "Answer CapabilityProfile CapabilityRequirement Rag RagRating Rulepack "
                 "default_pack_dir load_profile load_rulepack rate",
 }

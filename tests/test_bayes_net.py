@@ -1,6 +1,7 @@
 """Network construction, exact inference and Boolean-agreement validation."""
 
 import itertools
+import json
 import math
 import random
 
@@ -20,6 +21,7 @@ from lexroad.bayes_net import (
     _posteriors,
     build_bn,
     infer,
+    net_from_json,
     net_to_json,
     validate_bn,
 )
@@ -359,6 +361,7 @@ def test_split_names_avoid_existing_ids():
     clauses = net.ids(BnNodeKind.CLAUSE)
     assert clauses and not set(clauses) & set(eqs.input_ids() + eqs.decision_ids())
     assert len(set(net.ids())) == len(net.ids())
+    assert net_from_json(net_to_json(net)) == net
 
 
 def _vs(prefix, lo, hi):
@@ -497,13 +500,113 @@ def test_wmc_matches_independent_joint(rules_by_id):
         assert got[node_id] == pytest.approx(want, abs=1e-9)
 
 
+def set_field(value, *path):
+    """A change to a JSON payload that sets the field at ``path`` to ``value``."""
+    def change(payload):
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return payload
+    return change
+
+
+def test_net_json_round_trip(rules_by_id):
+    net = build_bn(rules_by_id["UK-HC-103"].equations)
+    assert net_from_json(net_to_json(net)) == net
+    assert net_to_json(net) == net_to_json(net_from_json(net_to_json(net)))
+
+
+def test_every_built_net_round_trips(pack):
+    nets = [build_bn(entry.equations) for entry in pack.rules()]
+    nets.append(build_bn(parse_equations("Y = " + _join("∨", 40) + "\n")))
+    for net in nets:
+        assert net_from_json(net_to_json(net)) == net
+
+
+# name, change to the exported node list of UK-HC-99-100/1 (roots q r s y,
+# clause A, decisions B and D), words the error must contain
+BAD_NETS = [
+    ("cpt-length", lambda nodes: nodes[-1]["cpt"].pop(), "node D: 3 CPT entries for 2 parents"),
+    ("root-prior", lambda nodes: nodes[0].update(cpt=[1.0]), "node q: a root needs"),
+    ("non-deterministic-cpt", lambda nodes: nodes[4]["cpt"].__setitem__(1, 0.25),
+     "node A: CPT entries must be 0 or 1"),
+    ("parent-later", lambda nodes: nodes.insert(0, nodes.pop()),
+     "node D: parent A is not defined before it"),
+    ("duplicate-id", lambda nodes: nodes.insert(1, dict(nodes[0])), "node q is defined twice"),
+    # true == 1.0 and false == 0.0, so only the loader can tell them apart
+    ("boolean-cpt-true", lambda nodes: nodes[4]["cpt"].__setitem__(0, True),
+     "node A: CPT entries must be numbers, not true or false"),
+    ("boolean-cpt-false", lambda nodes: nodes[6]["cpt"].__setitem__(0, False),
+     "node D: CPT entries must be numbers, not true or false"),
+]
+
+
+@pytest.mark.parametrize(
+    "change, message", [row[1:] for row in BAD_NETS], ids=[row[0] for row in BAD_NETS]
+)
+def test_net_from_json_rejects_nets_inference_cannot_use(rules_by_id, change, message):
+    payload = json.loads(net_to_json(build_bn(rules_by_id["UK-HC-99-100/1"].equations)))
+    assert [n["id"] for n in payload["nodes"]] == ["q", "r", "s", "y", "A", "B", "D"]
+    change(payload["nodes"])
+    with pytest.raises(ValueError, match=message):
+        net_from_json(json.dumps(payload))
+
+
+# (id, change to the payload of UK-HC-99-100/1's net, message); each of these
+# once loaded (and then failed in net_to_json or infer) or raised TypeError
+WRONG_TYPES = [
+    ("net-array", lambda payload: [payload], "net must be a JSON object"),
+    ("nodes-object", set_field({}, "nodes"), "nodes must be a JSON array"),
+    ("node-number", set_field([5], "nodes"), "each node must be a JSON object"),
+    ("id-number", set_field(5, "nodes", 0, "id"), "node id must be a JSON string"),
+    ("kind-array", set_field(["fact_root"], "nodes", 0, "kind"), "node q: kind must be a JSON string"),
+    ("kind-unknown", set_field("bogus", "nodes", 0, "kind"),
+     "node q: kind must be one of fact_root, clause, decision, got 'bogus'$"),
+    ("parents-text", set_field("", "nodes", 6, "parents"), "node D: parents must be a JSON array"),
+    ("parent-number", set_field(4, "nodes", 6, "parents", 0),
+     "node D: each parent must be a JSON string"),
+    ("cpt-object", set_field({}, "nodes", 0, "cpt"), "node q: cpt must be a JSON array"),
+    ("cpt-entry-array", set_field([1], "nodes", 4, "cpt", 0), "node A: CPT entries must be numbers$"),
+    ("cpt-entry-text", set_field("0.5", "nodes", 0, "cpt", 0), "node q: CPT entries must be numbers$"),
+    ("description-number", set_field(5, "nodes", 0, "description"),
+     "node q: description must be a JSON string"),
+    ("rule-id-number", set_field(7, "rule_id"), "rule_id must be a JSON string"),
+    ("net-unknown-field", set_field("x", "title"),
+     r"title is not a field \(fields: nodes, rule_id\)$"),
+    ("node-unknown-field", set_field(0.5, "nodes", 0, "prior"),
+     r"node q: prior is not a field \(fields: id, kind, parents, cpt, description\)$"),
+]
+
+
+@pytest.mark.parametrize(
+    "change, message", [row[1:] for row in WRONG_TYPES], ids=[row[0] for row in WRONG_TYPES]
+)
+def test_net_from_json_refuses_wrongly_typed_fields(rules_by_id, change, message):
+    payload = json.loads(net_to_json(build_bn(rules_by_id["UK-HC-99-100/1"].equations)))
+    with pytest.raises(ValueError, match=f"^{message}"):
+        net_from_json(json.dumps(change(payload)))
+
+
+def test_net_from_json_rejects_a_key_given_twice(rules_by_id):
+    text = net_to_json(build_bn(rules_by_id["UK-HC-103"].equations))
+    twice = text.replace('"rule_id": "UK-HC-103"', '"rule_id": "UK-HC-103", "rule_id": "OTHER"')
+    assert twice.count('"rule_id"') == 2
+    with pytest.raises(ValueError, match="^key 'rule_id' appears twice$"):
+        net_from_json(twice)
+    # a key repeated inside a node is refused as well
+    node_twice = text.replace('"kind": "fact_root"', '"kind": "fact_root", "kind": "clause"', 1)
+    with pytest.raises(ValueError, match="^key 'kind' appears twice$"):
+        net_from_json(node_twice)
+
+
 def _set_cpt(nodes, i, cpt):
     nodes[i] = nodes[i]._replace(cpt=cpt)
 
 
 # name, change to the node list of UK-HC-99-100/1's net (roots q r s y,
 # clause A, decisions B and D), words the error must contain
-BAD_NETS = [
+BAD_NODES = [
     ("cpt-length", lambda nodes: _set_cpt(nodes, -1, nodes[-1].cpt[:-1]),
      "node D: 3 CPT entries for 2 parents"),
     ("root-prior", lambda nodes: _set_cpt(nodes, 0, (1.0,)), "node q: a root needs"),
@@ -517,7 +620,7 @@ BAD_NETS = [
 
 
 @pytest.mark.parametrize(
-    "change, message", [row[1:] for row in BAD_NETS], ids=[row[0] for row in BAD_NETS]
+    "change, message", [row[1:] for row in BAD_NODES], ids=[row[0] for row in BAD_NODES]
 )
 def test_hand_built_nets_inference_cannot_use_are_refused(rules_by_id, change, message):
     eqs = rules_by_id["UK-HC-99-100/1"].equations
@@ -547,8 +650,9 @@ def test_wmc_refuses_a_non_deterministic_cpt(rules_by_id):
 
 def test_each_net_is_checked_once(rules_by_id, monkeypatch):
     """The check of a net's nodes runs on its first use only: its result is
-    cached on the immutable net, while a net that fails it fails the same
-    way on every use, a node lookup included."""
+    cached on the immutable net, for built and for loaded nets alike, while
+    a net that fails it fails the same way on every use, a node lookup
+    included."""
     checks = []
     check_nodes = bayes_net._check_nodes
 
@@ -565,6 +669,11 @@ def test_each_net_is_checked_once(rules_by_id, monkeypatch):
         for k in (0, 1, len(roots)):
             infer(net, {root: rng.random() < 0.5 for root in roots[:k]})
         assert validate_bn(net, eqs).ok
+        assert checks == [len(net.nodes)]
+        checks.clear()
+        loaded = net_from_json(net_to_json(net))
+        infer(loaded)
+        infer(loaded, {roots[0]: True})
         assert checks == [len(net.nodes)]
     net = build_bn(rules_by_id["UK-HC-99-100/1"].equations)
     noisy = BayesNet(net.rule_id, tuple(
