@@ -24,19 +24,23 @@ The module imports only what every subcommand runs (``errors``,
 ``rulepack`` and ``compliance`` for ``check``.
 ``main`` alone reports a failure, as one stderr line: ``error: ...``, or
 ``file:line:col: error: ...`` for a rule syntax error. ``main`` may be
-called any number of times in one process; the parser is built once.
+called any number of times in one process. It reads the command line from
+one table, ``_PARSERS``, with a reader that ``build_parser()`` builds on
+first use and every later call reuses; ``-h`` and ``--version`` print their
+text and return 0.
 Outputs are byte-stable for identical inputs; ``--timestamps`` opts into
 wall-clock metadata on reports.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
+import re
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .boolean_core import (RuleEquations, check_facts, compile_rule, equations_to_text, evaluate,
@@ -56,12 +60,8 @@ class _Failure(Exception):
     """``_Failure(code, error)``: ``error`` ends the command with exit ``code``."""
 
 
-class _Parser(argparse.ArgumentParser):
-    """A usage error is one ``error:`` line and exit 1, not argparse's usage
-    text and exit 2, which is the "does not compile" code."""
-
-    def error(self, message: str):
-        raise _Failure(EXIT_PARSE, message)
+class _Shown(Exception):
+    """``_Shown(text)``: the command line asks for help or the version, ``text``."""
 
 
 @contextmanager
@@ -82,18 +82,33 @@ def _load_compiled(rule_path: str):
 
 
 def _write(text: str, out: str | None) -> None:
-    """``text`` to the file ``out``, or to stdout and flushed; exit 1 naming
-    the target if it cannot be written."""
+    """``text`` to stdout and flushed, or to ``out``: a file (or a symlink to
+    one) whole or not at all, through a temporary file beside it that is then
+    renamed over it; a device, pipe or directory as it is. Exit 1 naming the
+    target if it cannot be written."""
     try:
         if out:
-            Path(out).write_text(text, encoding="utf-8")
+            direct = os.path.exists(out) and not os.path.isfile(out)
+            real = os.path.realpath(out)
+            part = out if direct else f"{real}.{os.getpid()}.part"
+            with open(part, "w", encoding="utf-8") as file:
+                file.write(text)
+            if not direct:
+                os.replace(part, real)
         else:
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
-        if not out:  # shutdown would flush the stuck text again, and fail again
-            sys.stdout = open(os.devnull, "w")
-        raise _Failure(EXIT_PARSE, exc if exc.filename else f"{out or 'stdout'}: {exc}") from exc
+        if not out:  # shutdown flushes the stuck text once more: into the null device
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        elif not direct:
+            with suppress(OSError):
+                os.remove(part)
+        # opening or renaming the temporary file names it, not the target
+        raise _Failure(EXIT_PARSE, OSError(exc.errno, exc.strerror, out) if exc.filename
+                       else f"{out or 'stdout'}: {exc}") from exc
 
 
 def _load_facts(path: str, eqs: RuleEquations) -> dict[str, bool]:
@@ -107,13 +122,13 @@ def _load_facts(path: str, eqs: RuleEquations) -> dict[str, bool]:
     return scenario.facts
 
 
-def cmd_compile(args: argparse.Namespace) -> int:
+def cmd_compile(args: SimpleNamespace) -> int:
     _, _, eqs = _load_compiled(args.rule)
     _write(equations_to_text(eqs, ascii_ops=args.ascii), args.out)
     return EXIT_OK
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: SimpleNamespace) -> int:
     _, _, eqs = _load_compiled(args.rule)
     facts = _load_facts(args.scenario, eqs)
     if not facts:
@@ -128,7 +143,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_lawmap(args: argparse.Namespace) -> int:
+def cmd_lawmap(args: SimpleNamespace) -> int:
     from . import lawmap
 
     source, ast, eqs = _load_compiled(args.rule)
@@ -173,7 +188,7 @@ def _load_priors(path: str) -> dict[str, float]:
     return {name: float(str(value)) for name, value in priors.items()}
 
 
-def cmd_bn(args: argparse.Namespace) -> int:
+def cmd_bn(args: SimpleNamespace) -> int:
     from . import bayes_net
 
     priors: dict[str, float] = {}
@@ -226,13 +241,13 @@ def cmd_bn(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     from . import compliance, rulepack
 
     pack_arg = args.rulepack
     profile_args = list(args.profiles)
     if pack_arg is not None and not Path(pack_arg).is_dir():
-        # argparse cannot tell an omitted pack dir from the first profile
+        # the pack dir may be left out, and then the first profile fills its place
         profile_args.insert(0, pack_arg)
         pack_arg = None
     pack_dir = pack_arg or os.environ.get("LEXROAD_RULEPACK")
@@ -261,62 +276,188 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The command line, one row per parser (None: lexroad before its command): the
+# function that runs it, its help, usage, positionals as (dest, arity, help) with
+# arity None (one argument), "?" (at most one), "+" (one or more) or "A..." (a
+# command and all after it), and options by name as (kind, help) with kind "flag",
+# "value", "append", "help", "version" or the choices, the first the default.
+_HELP = {"-h/--help": ("help", "show this help message and exit")}
+_PARSERS = {
+    None: (None, "Compile structured-English road rules, draw their decision flow, validate\n"
+           "the logic probabilistically and check vehicle capability profiles.",
+           "[-h] [--version] COMMAND ...", [("command", "A...", None)],
+           {**_HELP, "--version": ("version", "show program's version number and exit")}),
+    "compile": (cmd_compile, "compile a .rule file to Boolean equations",
+                "RULE [--ascii] [--out FILE]", [("rule", None, None)],
+                {**_HELP, "--ascii": ("flag", "use & | ! instead of ∧ ∨ ¬"),
+                 "--out": ("value", "write output to a file instead of stdout")}),
+    "eval": (cmd_eval, "evaluate a scenario against a rule", "RULE SCENARIO [--out FILE]",
+             [("rule", None, None), ("scenario", None, "JSON scenario file (absent facts "
+                                     "are unknown)")], {**_HELP, "--out": ("value", None)}),
+    "lawmap": (cmd_lawmap, "export a rule's decision-flow graph",
+               "RULE [-f dot|json] [--trace SCENARIO] [--out FILE]", [("rule", None, None)],
+               {**_HELP, "-f/--format": (("dot", "json"), None), "--out": ("value", None),
+                "--trace": ("value", "scenario file; highlights the realized path")}),
+    "bn": (cmd_bn, "build, validate or query the rule's Bayesian network",
+           "RULE... [--validate | --infer EV | --export] [--priors FILE] [--out FILE]",
+           [("rules", "+", None)],
+           {**_HELP, "--validate": ("flag", "check the net against the Boolean semantics "
+                                    "(default)"),
+            "--infer": ("value", "comma-separated evidence, e.g. u=true,p=true"),
+            "--export": ("flag", "emit the net as JSON"),
+            "--priors": ("value", "JSON file of fact priors (default 0.5)"),
+            "--out": ("value", None)}),
+    "check": (cmd_check, "run capability profiles against the rulepack",
+              "[PACKDIR] PROFILE... [--scenario S]... [--format text|json] [--out FILE] "
+              "[--timestamps]",
+              [("rulepack", "?", "rulepack directory (default: $LEXROAD_RULEPACK or the "
+                "shipped pack)"), ("profiles", "+", "vehicle profile JSON files")],
+              {**_HELP, "--scenario": ("append", "fact scenario to evaluate"),
+               "--format": (("text", "json"), None),
+               "--out": ("value", "also write the JSON report here"),
+               "--timestamps": ("flag", "include generation time in the report")}),
+}
+_EXCLUSIVE = ("--validate", "--infer", "--export")  # bn's modes, one at a time
+# the tokens a positional takes: A an argument, O an option, - the first "--"
+_ARITY = {None: "(-*A-*)", "?": "(-*A?-*)", "+": "(-*A[A-]*)", "A...": "(-*A[-AO]*)"}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _as_option(table: dict, token: str):
+    """``token`` as an option of ``table``: ``(its entry, None if the table has
+    none, and its explicit value)``; None if it is an argument: ``-``, a
+    negative number or a token with a space."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    if name not in table and token[1] == "-":  # a prefix of one long option
+        if len(names := [s for s in table if s.startswith(name)]) > 1:
+            raise _Failure(EXIT_PARSE, f"ambiguous option: {token} could match "
+                           f"{', '.join(names)}")
+        name = names[0] if names else name
+    elif name not in table and token[:2] in table:  # a short option, its value run on
+        name, eq, value = token[:2], "=", token[2:]
+    if name in table:
+        return table[name], value if eq else None
+    return None if _NEGATIVE.match(token) or " " in token else (None, None)
+
+
+def _help(command: str | None) -> str:
+    """What ``lexroad [COMMAND] -h`` prints."""
+    _, about, usage, positionals, options = _PARSERS[command]
+    rows = [*((dest, text) for dest, _, text in positionals if text),
+            *((name.replace("/", ", "), text) for name, (_, text) in options.items())]
+    if command is None:
+        rows += [(f"lexroad {c} {row[2]}", row[1]) for c, row in _PARSERS.items() if c]
+        rows.append(("lexroad [COMMAND] -h", "show the options of lexroad or of one command"))
+    return f"usage: lexroad {command + ' ' if command else ''}{usage}\n\n{about}\n\n" + "".join(
+        f"  {name}\n" + (f"      {text}\n" if text else "") for name, text in rows)
+
+
+def _show(args: SimpleNamespace) -> int:
+    _write(args.text, None)
+    return EXIT_OK
+
+
+class _Reader:
+    """Reads a command line into the fields the ``cmd_*`` functions read.
+    Options stand anywhere after their command, spelt whole, as a prefix of
+    a long option, with ``=value`` or, for ``-f``, with the value run on;
+    each run of arguments between options goes to the positionals still
+    empty, so a ``+`` positional takes one run; after the first ``--`` every
+    token is an argument, a later ``--`` too."""
+
+    def __init__(self):
+        # parser → {spelling: (name in messages, dest, kind)}, and its fields' defaults
+        self.tables = {command: {s: (name, name.split("/")[-1][2:], kind)
+                                 for name, (kind, _) in row[4].items() for s in name.split("/")}
+                       for command, row in _PARSERS.items()}
+        self.defaults = {command: {"func": row[0], **dict.fromkeys(p[0] for p in row[3]), **{
+            dest: False if kind == "flag" else kind[0] if isinstance(kind, tuple) else None
+            for _, dest, kind in self.tables[command].values() if kind not in ("help", "version")}}
+            for command, row in _PARSERS.items()}
+
+    def read(self, argv: list[str] | None) -> SimpleNamespace:
+        """The fields of ``argv`` (``sys.argv[1:]`` if None), ``func`` the
+        ``cmd_*`` that runs them; a usage error raises ``_Failure``."""
+        args, extras = SimpleNamespace(), []
+        try:
+            self._parse(None, sys.argv[1:] if argv is None else list(argv), args, extras)
+        except _Shown as shown:
+            return SimpleNamespace(func=_show, text=shown.args[0])
+        if extras:
+            raise _Failure(EXIT_PARSE, f"unrecognized arguments: {' '.join(extras)}")
+        return args
+
+    def _parse(self, command: str | None, argv: list[str], args, extras: list[str]) -> None:
+        """``argv`` read by one parser into ``args``; what it cannot place goes to ``extras``."""
+        vars(args).update(self.defaults[command])
+        table, left = self.tables[command], list(_PARSERS[command][3])
+        sep = argv.index("--") if "--" in argv else len(argv)
+        found = {i: o for i, token in enumerate(argv[:sep]) if (o := _as_option(table, token))}
+        kinds = "".join(["O" if i in found else "-" if i == sep else "A" for i in range(len(argv))])
+        i = 0
+        while i < len(argv):
+            if i in found:
+                i = self._take(command, argv, kinds, i, *found[i], args, extras)
+                continue
+            n = len(left)  # as many positionals as the run of arguments feeds
+            while n and not (match := re.match("".join(_ARITY[p[1]] for p in left[:n]),
+                                               kinds[i:])):
+                n -= 1
+            if not n:  # it feeds none: the run, up to the next option, is left over
+                end = (kinds + "O").index("O", i)
+                extras += argv[i:end]
+                i = end
+            for (dest, arity, _), group in zip(left[:n], match.groups() if n else ()):
+                values, i = argv[i:i + len(group)], i + len(group)
+                if arity == "A...":  # the command, which reads the rest
+                    if values[0] not in _PARSERS:
+                        raise _Failure(EXIT_PARSE, f"argument command: invalid choice: "
+                                       f"{values[0]!r} (choose from "
+                                       f"{', '.join(map(repr, filter(None, _PARSERS)))})")
+                    args.command = values[0]
+                    self._parse(values[0], values[1:], args, extras)
+                else:
+                    values = [v for k, v in enumerate(values, i - len(values)) if k != sep]
+                    setattr(args, dest, values if arity == "+" else values[0] if values else None)
+            del left[:n]
+        if missing := [dest for dest, arity, _ in left if arity != "?"]:
+            raise _Failure(EXIT_PARSE, f"the following arguments are required: "
+                           f"{', '.join(missing)}")
+
+    def _take(self, command, argv, kinds, i, entry, value, args, extras) -> int:
+        """The option ``entry`` at ``argv[i]``, with its value, into ``args``;
+        the index after them."""
+        if entry is None:
+            extras.append(argv[i])
+            return i + 1
+        name, dest, kind = entry
+        flag = kind in ("flag", "help", "version")
+        if flag and value is not None:
+            raise _Failure(EXIT_PARSE, f"argument {name}: ignored explicit argument {value!r}")
+        if not flag and value is None:
+            if kinds[i + 1:i + 2] != "A":
+                raise _Failure(EXIT_PARSE, f"argument {name}: expected one argument")
+            i, value = i + 1, argv[i + 1]
+        if kind in ("help", "version"):
+            raise _Shown(_help(command) if kind == "help" else f"lexroad {__version__}\n")
+        for other in _EXCLUSIVE if name in _EXCLUSIVE else ():
+            if other != name and vars(args)[other[2:]] not in (None, False):
+                raise _Failure(EXIT_PARSE, f"argument {name}: not allowed with argument {other}")
+        if isinstance(kind, tuple) and value not in kind:
+            raise _Failure(EXIT_PARSE, f"argument {name}: invalid choice: {value!r} "
+                           f"(choose from {', '.join(map(repr, kind))})")
+        setattr(args, dest, True if flag else
+                [*(vars(args)[dest] or ()), value] if kind == "append" else value)
+        return i + 1
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by every later
-    ``main`` call in the process. ``parse_args`` keeps no state in it, so it
-    can be reused; callers must not mutate it."""
-    parser = _Parser(
-        prog="lexroad",
-        description="Compile structured-English road rules, draw their decision "
-        "flow, validate the logic probabilistically and check vehicle "
-        "capability profiles.",
-    )
-    parser.add_argument("--version", action="version", version=f"lexroad {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compile", help="compile a .rule file to Boolean equations")
-    p.add_argument("rule")
-    p.add_argument("--ascii", action="store_true", help="use & | ! instead of ∧ ∨ ¬")
-    p.add_argument("--out", help="write output to a file instead of stdout")
-    p.set_defaults(func=cmd_compile)
-
-    p = sub.add_parser("eval", help="evaluate a scenario against a rule")
-    p.add_argument("rule")
-    p.add_argument("scenario", help="JSON scenario file (absent facts are unknown)")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("lawmap", help="export a rule's decision-flow graph")
-    p.add_argument("rule")
-    p.add_argument("-f", "--format", choices=("dot", "json"), default="dot")
-    p.add_argument("--trace", help="scenario file; highlights the realized path")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_lawmap)
-
-    p = sub.add_parser("bn", help="build, validate or query the rule's Bayesian network")
-    p.add_argument("rules", nargs="+")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--validate", action="store_true",
-                       help="check the net against the Boolean semantics (default)")
-    group.add_argument("--infer", metavar="EV",
-                       help="comma-separated evidence, e.g. u=true,p=true")
-    group.add_argument("--export", action="store_true", help="emit the net as JSON")
-    p.add_argument("--priors", help="JSON file of fact priors (default 0.5)")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bn)
-
-    p = sub.add_parser("check", help="run capability profiles against the rulepack")
-    p.add_argument("rulepack", nargs="?",
-                   help="rulepack directory (default: $LEXROAD_RULEPACK or the shipped pack)")
-    p.add_argument("profiles", nargs="+", help="vehicle profile JSON files")
-    p.add_argument("--scenario", action="append", help="fact scenario to evaluate")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", help="also write the JSON report here")
-    p.add_argument("--timestamps", action="store_true",
-                   help="include generation time in the report")
-    p.set_defaults(func=cmd_check)
-    return parser
+def build_parser() -> _Reader:
+    """The command-line reader, built on first use and shared by every later
+    ``main`` call in the process; it keeps no state between calls."""
+    return _Reader()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -326,7 +467,7 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(stream, "reconfigure"):
             stream.reconfigure(encoding="utf-8")
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().read(argv)
         return args.func(args)
     except _Failure as failure:
         code, error = failure.args

@@ -37,8 +37,17 @@ and must give the same paths and the same ``missing`` tuples.
 ``report_to_json_by_dumps`` build each export's payload and hand it to
 ``json.dumps(..., sort_keys=True, ensure_ascii=False, indent=2)``; lexroad
 writes the same text directly and must give the same bytes.
+
+``build_parser`` is the ``argparse`` definition of the command line that
+``lexroad.cli`` used before it read the command line from one table: where
+it gives fields the reader must give the same ones, and where it refuses
+the reader must refuse with its message. The one difference: argparse
+drops a literal ``--`` from a value (``--out=--`` reads as an empty list),
+and the reader keeps it.
 """
 
+import argparse
+import functools
 import hashlib
 import io
 import itertools
@@ -48,7 +57,8 @@ import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
-from lexroad import strict_json
+from lexroad import __version__, strict_json
+from lexroad.cli import cmd_bn, cmd_check, cmd_compile, cmd_eval, cmd_lawmap
 from lexroad.bayes_net import (
     AGREEMENT_TOLERANCE,
     BayesNet,
@@ -670,3 +680,72 @@ def report_to_json_by_dumps(report: ComplianceReport) -> str:
     if report.generated_at is not None:
         payload["generated_at"] = report.generated_at
     return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+
+
+class UsageError(Exception):
+    """What ``build_parser()``'s ``error`` was called with."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ``UsageError``, not argparse's usage text and exit 2."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    ``main`` call in the process. ``parse_args`` keeps no state in it, so it
+    can be reused; callers must not mutate it."""
+    parser = _Parser(
+        prog="lexroad",
+        description="Compile structured-English road rules, draw their decision "
+        "flow, validate the logic probabilistically and check vehicle "
+        "capability profiles.",
+    )
+    parser.add_argument("--version", action="version", version=f"lexroad {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("compile", help="compile a .rule file to Boolean equations")
+    p.add_argument("rule")
+    p.add_argument("--ascii", action="store_true", help="use & | ! instead of ∧ ∨ ¬")
+    p.add_argument("--out", help="write output to a file instead of stdout")
+    p.set_defaults(func=cmd_compile)
+
+    p = sub.add_parser("eval", help="evaluate a scenario against a rule")
+    p.add_argument("rule")
+    p.add_argument("scenario", help="JSON scenario file (absent facts are unknown)")
+    p.add_argument("--out")
+    p.set_defaults(func=cmd_eval)
+
+    p = sub.add_parser("lawmap", help="export a rule's decision-flow graph")
+    p.add_argument("rule")
+    p.add_argument("-f", "--format", choices=("dot", "json"), default="dot")
+    p.add_argument("--trace", help="scenario file; highlights the realized path")
+    p.add_argument("--out")
+    p.set_defaults(func=cmd_lawmap)
+
+    p = sub.add_parser("bn", help="build, validate or query the rule's Bayesian network")
+    p.add_argument("rules", nargs="+")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--validate", action="store_true",
+                       help="check the net against the Boolean semantics (default)")
+    group.add_argument("--infer", metavar="EV",
+                       help="comma-separated evidence, e.g. u=true,p=true")
+    group.add_argument("--export", action="store_true", help="emit the net as JSON")
+    p.add_argument("--priors", help="JSON file of fact priors (default 0.5)")
+    p.add_argument("--out")
+    p.set_defaults(func=cmd_bn)
+
+    p = sub.add_parser("check", help="run capability profiles against the rulepack")
+    p.add_argument("rulepack", nargs="?",
+                   help="rulepack directory (default: $LEXROAD_RULEPACK or the shipped pack)")
+    p.add_argument("profiles", nargs="+", help="vehicle profile JSON files")
+    p.add_argument("--scenario", action="append", help="fact scenario to evaluate")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--out", help="also write the JSON report here")
+    p.add_argument("--timestamps", action="store_true",
+                   help="include generation time in the report")
+    p.set_defaults(func=cmd_check)
+    return parser

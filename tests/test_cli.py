@@ -18,12 +18,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import lexroad
 from lexroad import boolean_core, cli, lawmap, rule_dsl, rulepack
 from lexroad.rulepack import default_pack_dir, default_profile_paths
+import reference
 from test_boolean_core import REPEATED_VAR_RULE
 from test_rule_dsl import _rule_files
 
@@ -444,9 +445,104 @@ def test_timestamps_flag_adds_generation_time():
 
 
 def test_version_flag():
+    """``--version`` prints exactly the version line; in process, ``main``
+    returns 0 for it and for ``-h`` instead of raising ``SystemExit``."""
+    version = f"lexroad {lexroad.__version__}\n"
     result = run("--version")
-    assert result.returncode == 0
-    assert "lexroad" in result.stdout
+    assert (result.returncode, result.stdout, result.stderr) == (0, version, "")
+    assert run_main(["--version"]) == (0, version, "")
+    assert run_main(["-h"])[0] == 0
+
+
+@pytest.mark.parametrize("command", [None, "compile", "eval", "lawmap", "bn", "check"])
+def test_help_names_every_option_with_its_help(command):
+    """``lexroad [COMMAND] -h`` names each option and positional of that
+    parser, and each command of lexroad, with the help string it had."""
+    result = run(*filter(None, [command, "-h"]))
+    assert (result.returncode, result.stderr) == (0, "")
+    parser = reference.build_parser()
+    if command:
+        parser = parser._subparsers._group_actions[0].choices[command]
+    for action in parser._actions:
+        for name in action.option_strings:
+            assert name in result.stdout, name
+        assert action.help is None or action.help in result.stdout, action.help
+        for choice in getattr(action, "_choices_actions", ()):
+            assert choice.dest in result.stdout and choice.help in result.stdout, choice.dest
+
+
+def test_every_usage_line_of_the_readme_is_in_the_help():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    usage = [line.split("#")[0].strip() for line in block.splitlines()]
+    assert len(usage) == 6
+    help_text = run("-h").stdout
+    assert [line for line in usage if line not in help_text] == []
+
+
+# --- the command line reads as it did with argparse ----------------------------
+
+_ARGUMENTS = ["r.rule", "s.json", "a b", "-a b", "-", "-1", "--", ""]
+# every option of every command, with a prefix that no other option of its command has
+_OPTIONS = [("--ascii", "--as"), ("--out", "--o"), ("-f", "-f"), ("--format", "--fo"),
+            ("--trace", "--tr"), ("--validate", "--v"), ("--infer", "--i"), ("--export", "--e"),
+            ("--priors", "--p"), ("--scenario", "--s"), ("--timestamps", "--ti")]
+
+
+@st.composite
+def _command_lines(draw):
+    """A command (or none, or one that does not exist), then up to six
+    arguments or options, an option spelt whole or as its prefix, alone,
+    before a value, with ``=value`` or, for ``-f``, with the value run on."""
+    argv = draw(st.sampled_from([[], ["compile"], ["eval"], ["lawmap"], ["bn"], ["check"],
+                                 ["bogus"]]))
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            argv.append(draw(st.sampled_from(_ARGUMENTS)))
+            continue
+        spelling = draw(st.sampled_from(draw(st.sampled_from(_OPTIONS))))
+        value = draw(st.sampled_from([*_ARGUMENTS, "json", "svg", "u=true"]))
+        argv += draw(st.sampled_from([[spelling], [spelling, value], [f"{spelling}={value}"],
+                                      *([[spelling + value]] if spelling == "-f" else [])]))
+    return argv
+
+
+def _argparse_reads(argv):
+    """What the argparse definition ``tests/reference.py`` keeps made of
+    ``argv``: ("fields", the namespace's fields), ("refused", its message)
+    or ("shown", the help or version it printed)."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "fields", vars(reference.build_parser().parse_args(argv))
+    except reference.UsageError as exc:
+        return "refused", str(exc)
+    except SystemExit:
+        return "shown", out.getvalue()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_command_lines())
+def test_the_command_line_reads_as_it_did_with_argparse(argv):
+    """Where argparse gave fields the reader gives the same fields, where it
+    refused the reader refuses with its message, and where it showed help
+    or the version so does ``main``. argparse also dropped a literal ``--``
+    from a value (``--infer=--`` read as an empty list, which crashed
+    ``cmd_bn``); the reader keeps it, so those lines are left out here and
+    pinned in the exit-code table."""
+    first = argv.index("--") if "--" in argv else len(argv)
+    assume("--" not in argv[first + 1:])
+    assume(not any(token.endswith("=--") or token == "-f--" for token in argv[:first]))
+    kind, oracle = _argparse_reads(argv)
+    if kind == "fields":
+        assert vars(cli.build_parser().read(argv)) == oracle
+    elif kind == "refused":
+        assert run_main(argv) == (1, "", f"error: {oracle}\n")
+    else:
+        code, out, err = run_main(argv)
+        assert (code, err) == (0, "")
+        # the same help, lexroad's or one command's ("usage: lexroad bn ..."), or the version
+        assert out.split()[:3] == oracle.split()[:3]
 
 
 # --- the exit-code table -----------------------------------------------------
@@ -773,12 +869,39 @@ EXIT_TABLE = [
      "error: [Errno 2] No such file or directory: '<d>/no/x'\n"),
     ("check-out-unwritable", lambda d: ["check", PACK, BMW, "--out", d / "no" / "x.json"], 1,
      "error: [Errno 2] No such file or directory: '<d>/no/x.json'\n"),
+    ("compile-out-device-full", lambda d: ["compile", PACK / "103.rule", "--out", "/dev/full"], 1,
+     "error: /dev/full: [Errno 28] No space left on device\n"),
     ("usage-no-command", lambda d: [], 1,
      "error: the following arguments are required: command\n"),
     ("usage-compile-no-rule", lambda d: ["compile"], 1,
      "error: the following arguments are required: rule\n"),
     ("usage-bn-export-and-infer", lambda d: ["bn", PACK / "103.rule", "--export", "--infer", ""], 1,
      "error: argument --infer: not allowed with argument --export\n"),
+    ("usage-unknown-command", lambda d: ["bogus"], 1,
+     "error: argument command: invalid choice: 'bogus' (choose from 'compile', 'eval', "
+     "'lawmap', 'bn', 'check')\n"),
+    ("usage-unknown-option", lambda d: ["compile", PACK / "103.rule", "--bogus"], 1,
+     "error: unrecognized arguments: --bogus\n"),
+    ("usage-out-without-value", lambda d: ["compile", PACK / "103.rule", "--out"], 1,
+     "error: argument --out: expected one argument\n"),
+    ("usage-unknown-format", lambda d: ["lawmap", PACK / "103.rule", "-f", "svg"], 1,
+     "error: argument -f/--format: invalid choice: 'svg' (choose from 'dot', 'json')\n"),
+    ("usage-bn-rules-split-by-an-option",
+     lambda d: ["bn", PACK / "103.rule", "--export", PACK / "99-100-r1.rule"], 1,
+     f"error: unrecognized arguments: {PACK / '99-100-r1.rule'}\n"),
+    ("usage-flag-with-value", lambda d: ["compile", PACK / "103.rule", "--ascii=x"], 1,
+     "error: argument --ascii: ignored explicit argument 'x'\n"),
+    ("usage-eval-no-scenario", lambda d: ["eval", PACK / "103.rule"], 1,
+     "error: the following arguments are required: scenario\n"),
+    ("usage-check-no-profile", lambda d: ["check"], 1,
+     "error: the following arguments are required: profiles\n"),
+    # a "--" after the first one, or given as an option's value, is that value
+    ("bn-infer-dashes", lambda d: ["bn", PACK / "103.rule", "--infer=--"], 4,
+     "error: evidence must be name=true|false, got '--'\n"),
+    ("eval-scenario-dashes", lambda d: ["eval", PACK / "103.rule", "--", "--"], 3,
+     "error: [Errno 2] No such file or directory: '--'\n"),
+    ("check-scenario-dashes", lambda d: ["check", PACK, BMW, "--scenario=--"], 3,
+     "error: [Errno 2] No such file or directory: '--'\n"),
 ]
 
 
@@ -837,11 +960,12 @@ def test_the_cli_imports_no_importlib_resources(tmp_path):
     class is a dataclass, and the CLI imports each stage only in the command
     that runs it, so importing the CLI without ``site`` and compiling or
     evaluating a shipped rule leaves ``importlib.resources``,
-    ``dataclasses``, ``inspect`` and the stages it does not run unimported."""
+    ``dataclasses``, ``inspect``, ``argparse``, ``gettext`` and the stages it
+    does not run unimported."""
     scenario = write_scenario(tmp_path, "UK-HC-103", {"A": True, "C": False})
     src = Path(cli.__file__).resolve().parents[1]
     unused = ("lexroad.bayes_net", "lexroad.lawmap", "lexroad.rulepack", "lexroad.compliance",
-              "importlib.resources", "dataclasses", "inspect")
+              "importlib.resources", "dataclasses", "inspect", "argparse", "gettext")
     for argv in (["compile", str(PACK / "103.rule")],
                  ["eval", str(PACK / "103.rule"), str(scenario)]):
         script = ("import sys, lexroad.cli\n"
@@ -913,8 +1037,16 @@ def test_an_output_that_cannot_be_written_is_one_line(tmp_path, make_argv, stdou
                                                       stderr):
     """In a fresh process, so that interpreter shutdown, which flushes
     stdout once more, is part of what is checked: with stdout buffered, as
-    it is by default, and unbuffered (``PYTHONUNBUFFERED``)."""
-    for unbuffered in ("", "1"):
+    it is by default, and unbuffered (``PYTHONUNBUFFERED``), and under
+    ``-X dev``, which reports a file left open. An ``--out`` file that an
+    earlier run wrote is left as it was when the write fails, and is
+    written whole when only stdout fails; no temporary file is left."""
+    argv = [str(a) for a in make_argv(tmp_path)]
+    out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    if out:
+        assert run_main(argv)[0] == 0
+        earlier = out.read_bytes()
+    for unbuffered, dev in itertools.product(("", "1"), ([], ["-X", "dev"])):
         with contextlib.ExitStack() as stack:
             if stdout == "full":
                 target = stack.enter_context(open("/dev/full", "wb"))
@@ -925,12 +1057,31 @@ def test_an_output_that_cannot_be_written_is_one_line(tmp_path, make_argv, stdou
             else:
                 target = subprocess.PIPE
             result = subprocess.run(
-                [sys.executable, "-m", "lexroad", *map(str, make_argv(tmp_path))],
+                [sys.executable, *dev, "-m", "lexroad", *argv],
                 stdout=target, stderr=subprocess.PIPE, text=True, timeout=30,
                 env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
                 preexec_fn=_file_size_limit if limited else None)
         assert (result.returncode, result.stderr) == (1, stderr.replace("<d>", str(tmp_path)))
         assert result.stdout in (None, "")
+        if out:
+            assert out.read_bytes() == earlier
+            assert os.listdir(tmp_path) == [out.name]
+
+
+def test_out_through_a_symlink_or_into_a_device(tmp_path):
+    """``--out`` through a symlink replaces the file the link names and keeps
+    the link; the null device is written as it is, not replaced."""
+    (tmp_path / "real").mkdir()
+    (tmp_path / "real" / "t.txt").write_text("earlier\n", encoding="utf-8")
+    (tmp_path / "link").symlink_to(Path("real") / "t.txt")
+    rule = PACK / "103.rule"
+    assert run_main(["compile", rule, "--out", tmp_path / "link"]) == (0, "", "")
+    assert run_main(["compile", rule, "--out", os.devnull]) == (0, "", "")
+    assert (tmp_path / "link").is_symlink()
+    written = (tmp_path / "real" / "t.txt").read_text(encoding="utf-8")
+    assert written == run_main(["compile", rule])[1]
+    assert sorted(os.listdir(tmp_path)) == ["link", "real"]
+    assert os.listdir(tmp_path / "real") == ["t.txt"]
 
 
 def test_nesting_at_the_bounds_is_read(tmp_path):
