@@ -17,8 +17,10 @@ evaluation they feed, and :func:`check_facts` refuses facts a rule lacks.
 Equations may reference decisions defined earlier in the same set, which
 are bound to their nodes as each decision's own equation is built
 (:func:`decision_nodes`).  Equivalence and property checks work on decision
-diagrams too.  The diagram walks recurse once per input, so Python's
-recursion limit caps a one-level OR at about 985 facts for ``eval``.
+diagrams too.  Verdicts are read by a search with a stack of its own, so
+``eval`` of an IF that is one OR has no width limit (6,000 facts in 0.1 s);
+``ite`` still recurses once per input where it joins two wide functions,
+so an EXCEPT that is one OR of 985 facts does not build.
 """
 
 from __future__ import annotations
@@ -240,10 +242,11 @@ def _fold_with(parts: list[BoolExpr], conns: list[Connective | None]) -> BoolExp
 
 def evaluate(eqs: RuleEquations, assignment: dict[str, bool | None]) -> dict[str, bool | None]:
     """Each decision TRUE or FALSE when every completion of the facts (missing
-    or None ones are unknown) gives it that value, else None (UNKNOWN); a
+    or None ones are unknown) gives it that value, else None (UNKNOWN): the
+    terminals its node reaches, by one :meth:`Bdd._settle` search each.  A
     decision used before its definition raises CyclicDefinitionError."""
     bdd, nodes = eqs.diagram
-    return dict(zip(nodes, bdd.settle(tuple(nodes.values()), assignment)))
+    return {decision: bdd._settle(f, assignment) for decision, f in nodes.items()}
 
 
 class Scenario(NamedTuple):
@@ -639,21 +642,37 @@ class Bdd:
 
     def settle(self, fs: tuple[int, ...], facts: dict[str, bool | None]) -> list[bool | None]:
         """Each of ``fs`` as TRUE or FALSE when it is that constant on every
-        completion of ``facts``, else None; a memoised walk that adds no node."""
-        seen: dict[int, bool | None] = {self.FALSE: False, self.TRUE: True}
-        return [self._settle(f, facts, seen) for f in fs]
+        completion of ``facts``, else None; one search per node, see
+        :meth:`_settle`."""
+        return [self._settle(f, facts) for f in fs]
 
-    def _settle(self, f: int, facts: dict[str, bool | None], seen: dict[int, bool | None]
-                ) -> bool | None:
-        if f not in seen:
-            level, hi, lo = self._nodes[f]
-            value = facts.get(self.names[level])
-            if value is None:  # unknown: both branches must agree
-                first = self._settle(hi, facts, seen)
-                seen[f] = None if first is None or self._settle(lo, facts, seen) != first else first
-            else:
-                seen[f] = self._settle(hi if value else lo, facts, seen)
-        return seen[f]
+    def _settle(self, f: int, facts: dict[str, bool | None]) -> bool | None:
+        """``f``'s value on every completion of ``facts``, or None when they
+        differ: a depth-first search for the terminals ``f`` reaches, which
+        follows a known fact's branch, takes both branches of an unknown
+        variable (TRUE first) and stops once it has met both terminals.  It
+        keeps its own stack, so it does not recurse, and adds no node."""
+        nodes, names = self._nodes, self.names
+        seen: set[int] = set()
+        stack: list[int] = []
+        reached = 0  # bit 1: FALSE reached, bit 2: TRUE reached
+        while True:
+            while f > 1 and f not in seen:  # 0 and 1 are the terminals
+                seen.add(f)
+                level, hi, lo = nodes[f]
+                value = facts.get(names[level])
+                if value is None:
+                    stack.append(lo)
+                    f = hi
+                else:
+                    f = hi if value else lo
+            if f <= 1:
+                reached |= f + 1
+                if reached == 3:
+                    return None
+            if not stack:
+                return reached == 2
+            f = stack.pop()
 
     def weights(self, fs: list[int], prior: tuple[float, ...], facts: list[bool | None]
                 ) -> list[float]:
@@ -678,13 +697,13 @@ class Bdd:
         """The first assignment to ``names`` (which cover ``f``'s variables)
         that satisfies ``f``, in the order of ``names`` with ``first`` before
         its negation; None when ``f`` is FALSE.  Each choice keeps ``f``
-        satisfiable, as :meth:`settle` tells, so no node is added."""
+        satisfiable, as a :meth:`_settle` search tells, so no node is added."""
         if f == self.FALSE:
             return None
         assignment: dict[str, bool] = {}
         for name in names:
             assignment[name] = first
-            if self._settle(f, assignment, {self.FALSE: False, self.TRUE: True}) is False:
+            if self._settle(f, assignment) is False:
                 assignment[name] = not first
         return assignment
 

@@ -14,8 +14,11 @@ is cyclic or a validated net diverges; 5 anything wrong in the rulepack or
 a profile, a pack path that is missing or not a directory, a key given
 twice or a key that is not a field in one of its JSON files or a second
 profile with one ``vehicle_id`` included.
-The decision-diagram walks recurse once per input, so Python's recursion
-limit caps a one-level OR at about 985 facts for ``eval``.
+``eval`` of an IF that is one OR has no width limit (6,000 facts read),
+but the diagram kernel's ``ite`` recurses once per input where it joins two
+wide functions, so Python's recursion limit fails ``eval`` and ``lawmap``
+on an EXCEPT that is one OR of 985 facts, and ``bn`` validation on a
+one-level OR of 991.
 ``errors.EXIT_CODES`` gives each lexroad error its code, and ``_exits``
 gives errors raised while reading one input the code of that input.
 The module imports only what every subcommand runs (``errors``,

@@ -18,6 +18,9 @@ decision's node with the earlier decisions bound to theirs.
 
 ``PlainBdd`` is ``Bdd`` with the kernel written the plain way, through
 ``level`` and ``cofactors``; ``Bdd`` must build the same node table.
+``settle_by_walk`` is how ``Bdd.settle`` read verdicts before it searched
+for the terminals a node reaches: a memoised walk that recurses once per
+level and combines the branches' verdicts on the way back up.
 
 ``load_rule_file`` and ``parse_rule`` here read rules the plain way: each
 line through four patterns, then each section's tree built recursively
@@ -229,6 +232,29 @@ def witness_by_restriction(
         assignment[name] = first if g != Bdd.FALSE else not first
         f = g if g != Bdd.FALSE else bdd.ite(literal, Bdd.FALSE, f)
     return assignment
+
+
+def settle_by_walk(bdd: Bdd, fs: tuple[int, ...], facts: dict[str, bool | None]
+                   ) -> list[bool | None]:
+    """``Bdd.settle`` as the memoised walk that recurses once per level:
+    a node on a known fact takes its branch's verdict, and one on an unknown
+    variable its branches' verdict when they agree, else None."""
+    seen: dict[int, bool | None] = {Bdd.FALSE: False, Bdd.TRUE: True}
+    return [_settle_by_walk(bdd, f, facts, seen) for f in fs]
+
+
+def _settle_by_walk(bdd: Bdd, f: int, facts: dict[str, bool | None],
+                    seen: dict[int, bool | None]) -> bool | None:
+    if f not in seen:
+        level, hi, lo = bdd._nodes[f]
+        value = facts.get(bdd.names[level])
+        if value is None:  # unknown: both branches must agree
+            first = _settle_by_walk(bdd, hi, facts, seen)
+            seen[f] = None if first is None or _settle_by_walk(bdd, lo, facts, seen) != first \
+                else first
+        else:
+            seen[f] = _settle_by_walk(bdd, hi if value else lo, facts, seen)
+    return seen[f]
 
 
 def cpt_by_rows(expr: BoolExpr, parents: tuple[str, ...]) -> tuple[float, ...]:

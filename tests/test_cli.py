@@ -237,9 +237,10 @@ def test_bn_infer_leaves_22_of_25_inputs_open(tmp_path):
 
 
 def test_a_one_level_or_of_950_facts_runs_at_the_default_recursion_limit(tmp_path):
-    """The decision-diagram walks recurse once per input, so a fresh process
-    reads a one-level OR of up to about 985 facts at the default recursion
-    limit; every command still answers at 950."""
+    """``ite`` still recurses once per input where it joins two wide
+    functions: in ``bn`` validation, and in the negation of an EXCEPT that
+    is one OR.  So a fresh process at the default recursion limit validates
+    a one-level OR of up to 990 facts; every command still answers at 950."""
     k = 950
     rule = write_wide_or_rule(tmp_path, k)
     observed = {f"v{i}": False for i in range(k - 3)}
@@ -259,6 +260,21 @@ def test_a_one_level_or_of_950_facts_runs_at_the_default_recursion_limit(tmp_pat
         result = run("bn", rule, "--infer", evidence)
         assert (result.returncode, result.stdout, result.stderr) == (
             0, f"P(Y=true) = {1 - 0.5 ** 10:.9f}\n", "")
+
+
+def test_eval_reads_a_one_level_or_of_5000_facts_at_the_default_recursion_limit(tmp_path):
+    """``settle`` searches with a stack of its own, so ``eval`` of an IF that
+    is one OR no longer recurses once per fact: a fresh process at the
+    default recursion limit gives the 950-fact test's verdicts at 5,000."""
+    k = 5000
+    rule = write_wide_or_rule(tmp_path, k)
+    observed = {f"v{i}": False for i in range(k - 3)}
+    with deadline(30.0):
+        for facts, want in ((observed, "UNKNOWN"), ({**observed, f"v{k - 2}": True}, "TRUE"),
+                            ({f"v{i}": False for i in range(k)}, "FALSE")):
+            result = run("eval", rule, write_scenario(tmp_path, f"WIDE-{k}", facts))
+            assert (result.returncode, result.stdout, result.stderr) == (
+                0, f"Y: {want} (Outcome Y applies)\n", "")
 
 
 def test_check_matrix_and_report(tmp_path):

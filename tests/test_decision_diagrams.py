@@ -44,6 +44,7 @@ from reference import (
     equivalent,
     expand,
     kleene_eval,
+    settle_by_walk,
     truth_table,
     witness_by_restriction,
 )
@@ -193,6 +194,67 @@ def test_witness_adds_no_node(pack):
             for first in (False, True):
                 bdd.witness(f, (*reversed(names), "z"), first)
         assert (len(bdd._nodes), bdd.names) == (size, names)
+
+
+@st.composite
+def synth_like_rules(draw):
+    """Equations in the synthetic family's shape, over 20-60 inputs: an
+    antecedent and maybe an exception, each a join of groups of inputs, a
+    THEN decision when there is an exception and one to three ELSE ones,
+    some guarded by an input they read again.  Too wide to check against
+    every completion of the facts."""
+    n = draw(st.integers(20, 60))
+    names = [f"v{i}" for i in range(n)]
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=9)))
+    ops = st.sampled_from((And, Or))
+
+    def join(parts):
+        return parts[0] if len(parts) == 1 else draw(ops)(tuple(parts))
+
+    groups = [join([Var(name) for name in names[lo:hi]]) for lo, hi in zip([0, *cuts], [*cuts, n])]
+    split = draw(st.integers(1, len(groups)))
+    antecedent, equations = join(groups[:split]), {}
+    base = antecedent
+    if split < len(groups):
+        exception = join(groups[split:])
+        equations["X"] = And((antecedent, exception))
+        base = And((antecedent, Not(exception)))
+    for decision in ("Y", "W", "Z")[:draw(st.integers(1, 3))]:
+        guard = Var(draw(st.sampled_from(names)))
+        equations[decision] = draw(st.sampled_from((base, And((base, guard)),
+                                                    And((base, Not(guard))))))
+    return parse_equations("".join(f"{d} = {to_text(e)}\n" for d, e in equations.items()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(synth_like_rules(), st.data())
+def test_settle_agrees_with_the_recursive_walk(eqs, data):
+    """The search for the terminals a node reaches gives each decision of a
+    wide rule, and each terminal, the verdict the recursive walk gives; on
+    the same facts, ``evaluate`` gives the decisions theirs, and ``witness``
+    the assignments restriction finds.  None of them adds a node."""
+    bdd, nodes = eqs.diagram
+    size = len(bdd._nodes)
+    order = data.draw(st.permutations(eqs.input_ids()))
+    n = len(order)
+    # few open facts, any number, or nearly all, so every verdict comes up
+    open_count = data.draw(st.integers(0, 4) | st.integers(0, n) | st.integers(n - 4, n))
+    values = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    facts = dict(zip(order[open_count:], values))
+    facts.update({name: None for name in order[:open_count] if data.draw(st.booleans())})
+    # names the diagram lacks: a decision and a variable no rule has
+    facts.update(data.draw(st.dictionaries(st.sampled_from((*nodes, "z")),
+                                           st.sampled_from((False, True, None)))))
+    fs = (*nodes.values(), Bdd.FALSE, Bdd.TRUE)
+    names = tuple(data.draw(st.permutations([*bdd.names, "z"])))
+    first = data.draw(st.booleans())
+    got = bdd.settle(fs, facts)
+    verdicts = evaluate(eqs, facts)
+    witnesses = [bdd.witness(f, names, first) for f in fs]
+    assert len(bdd._nodes) == size
+    assert got == settle_by_walk(bdd, fs, facts)
+    assert verdicts == dict(zip(nodes, got))
+    assert witnesses == [witness_by_restriction(bdd, f, names, first) for f in fs]
 
 
 _LEAVES = st.one_of(st.sampled_from(_NAMES).map(Var), st.sampled_from((TRUE, FALSE)))
