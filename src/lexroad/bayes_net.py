@@ -34,12 +34,12 @@ and no node is built for it.  Only evidence on other nodes is conjoined
 into the diagram's evidence function.  Both take only such deterministic
 nets, so they refuse a non-root CPT entry other than 0 or 1, and inference
 raises :class:`ImpossibleEvidenceError` exactly when the evidence has no
-satisfying assignment.  A net is checked once, on its first use
-(:func:`net_from_json` makes that use), and the result is cached on the
-immutable net, with each node's parents by position and the root priors
-by level; every call still builds its own diagram.  :func:`net_to_json`
-writes its JSON directly, byte for byte what ``json``'s
-``dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)`` writes.
+satisfying assignment.  A net is checked once, on its first use, and the
+result is cached on the immutable net, with each node's parents by
+position and the root priors by level; every call still builds its own
+diagram.  :func:`net_to_json` writes its JSON directly, byte for byte
+what ``json``'s ``dumps(payload, sort_keys=True, ensure_ascii=False,
+indent=2)`` writes, for other tools: lexroad never reads a net back.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from typing import NamedTuple
 
 from . import strict_json
 from .errors import CyclicDefinitionError, ImpossibleEvidenceError
-from .strict_json import fields, json_value
 from .boolean_core import (
     And,
     Bdd,
@@ -335,7 +334,7 @@ def _posteriors(
             fact[bdd.level(f)] = value
         else:
             e = bdd.ite(f, e, Bdd.FALSE) if value else bdd.ite(f, Bdd.FALSE, e)
-    if bdd.settle((e,), dict(zip(bdd.names, fact)))[0] is False:
+    if bdd.settle(e, dict(zip(bdd.names, fact))) is False:
         raise ImpossibleEvidenceError("evidence has zero probability")
     targets = tuple(targets)
     z, *counts = bdd.weights([e] + [bdd.ite(e, fn[index[t]], Bdd.FALSE) for t in targets],
@@ -428,7 +427,7 @@ def validate_bn(net: BayesNet, eqs: RuleEquations) -> ValidationReport:
 def net_to_json(net: BayesNet) -> str:
     """The net as canonical JSON, written directly (see the module
     docstring).  ``repr`` writes a CPT entry as ``json`` does, for every
-    number but a ``bool``, which :func:`net_from_json` refuses."""
+    number but a ``bool``, which no net :func:`build_bn` builds holds."""
     q = _json_quote
     nodes = [
         f'{{\n      "cpt": {strict_json.array([*map(repr, n.cpt)], "      ")},'
@@ -438,26 +437,3 @@ def net_to_json(net: BayesNet) -> str:
         for n in net.nodes
     ]
     return f'{{\n  "nodes": {strict_json.array(nodes, "  ")},\n  "rule_id": {q(net.rule_id)}\n}}\n'
-
-
-def net_from_json(text: str) -> BayesNet:
-    """The net ``net_to_json`` wrote; ``ValueError`` for one inference
-    cannot use, for a field of the wrong JSON type or a key that is not a
-    field (naming it), or for a JSON object that gives a key twice."""
-    nodes, rule_id = fields(json_value(strict_json.loads(text), dict, "net"), "",
-                            nodes=list, rule_id=None)
-    for i, n in enumerate(nodes):
-        node_id = json_value(json_value(n, dict, "each node").get("id"), str, "node id")
-        where = f"node {node_id}: "
-        _, kind, parents, cpt, description = fields(n, where, id=None, kind=BnNodeKind,
-                                                    parents=list, cpt=list, description=(str, ""))
-        if any(isinstance(p, bool) for p in cpt):  # True == 1.0 would pass _check_nodes
-            raise ValueError(f"{where}CPT entries must be numbers, not true or false")
-        if not all(isinstance(p, (int, float)) for p in cpt):
-            raise ValueError(f"{where}CPT entries must be numbers")
-        nodes[i] = BnNode(node_id, kind, tuple(json_value(p, str, f"{where}each parent")
-                                               for p in parents), tuple(cpt), description)
-    net = BayesNet(rule_id=rule_id, nodes=tuple(nodes))
-    net._plan  # checks the nodes, once: inference reuses the checked plan
-    json_value(net.rule_id, str, "rule_id")
-    return net

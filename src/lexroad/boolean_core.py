@@ -243,10 +243,10 @@ def _fold_with(parts: list[BoolExpr], conns: list[Connective | None]) -> BoolExp
 def evaluate(eqs: RuleEquations, assignment: dict[str, bool | None]) -> dict[str, bool | None]:
     """Each decision TRUE or FALSE when every completion of the facts (missing
     or None ones are unknown) gives it that value, else None (UNKNOWN): the
-    terminals its node reaches, by one :meth:`Bdd._settle` search each.  A
+    terminals its node reaches, by one :meth:`Bdd.settle` search each.  A
     decision used before its definition raises CyclicDefinitionError."""
     bdd, nodes = eqs.diagram
-    return {decision: bdd._settle(f, assignment) for decision, f in nodes.items()}
+    return {decision: bdd.settle(f, assignment) for decision, f in nodes.items()}
 
 
 class Scenario(NamedTuple):
@@ -640,13 +640,7 @@ class Bdd:
                 f = self.ite(g, self.TRUE, f)
         return f
 
-    def settle(self, fs: tuple[int, ...], facts: dict[str, bool | None]) -> list[bool | None]:
-        """Each of ``fs`` as TRUE or FALSE when it is that constant on every
-        completion of ``facts``, else None; one search per node, see
-        :meth:`_settle`."""
-        return [self._settle(f, facts) for f in fs]
-
-    def _settle(self, f: int, facts: dict[str, bool | None]) -> bool | None:
+    def settle(self, f: int, facts: dict[str, bool | None]) -> bool | None:
         """``f``'s value on every completion of ``facts``, or None when they
         differ: a depth-first search for the terminals ``f`` reaches, which
         follows a known fact's branch, takes both branches of an unknown
@@ -697,13 +691,13 @@ class Bdd:
         """The first assignment to ``names`` (which cover ``f``'s variables)
         that satisfies ``f``, in the order of ``names`` with ``first`` before
         its negation; None when ``f`` is FALSE.  Each choice keeps ``f``
-        satisfiable, as a :meth:`_settle` search tells, so no node is added."""
+        satisfiable, as a :meth:`settle` search tells, so no node is added."""
         if f == self.FALSE:
             return None
         assignment: dict[str, bool] = {}
         for name in names:
             assignment[name] = first
-            if self._settle(f, assignment) is False:
+            if self.settle(f, assignment) is False:
                 assignment[name] = not first
         return assignment
 

@@ -1,11 +1,11 @@
 """JSON in and out: ``loads`` refuses an object that gives a key twice,
 ``load`` reads the JSON object of an input file (every JSON file lexroad
-reads but a net: scenarios, priors, profiles and checklists), ``fields``
-reads the fields of an object, ``json_value`` refuses a value of the wrong
-JSON type or a string that names no member of an enum, and ``array`` lays
-out a list as ``json.dumps(..., indent=2)`` does, for the writers that
-build their text directly (``json`` has a C encoder only for output
-without ``indent``).  ``encode`` is such a writer for plain values.
+reads: scenarios, priors, profiles and checklists), ``fields`` reads the
+fields of an object, ``json_value`` refuses a value of the wrong JSON
+type, and ``array`` lays out a list as ``json.dumps(..., indent=2)`` does,
+for the writers that build their text directly (``json`` has a C encoder
+only for output without ``indent``).  ``encode`` is such a writer for
+plain values.
 
 ``json.loads`` keeps the last of two equal keys, so a second ``"rule_id"``
 in a file would silently win over the first; and a reader that took only
@@ -18,25 +18,23 @@ from __future__ import annotations
 import json
 import os
 import sys
-from enum import Enum
 from json.encoder import encode_basestring as _quote
 
 from . import rule_dsl
 
 
-def loads(text: str, where: str = "") -> object:
+def loads(text: str, where: str) -> object:
     """``json.loads(text)``; ValueError naming the key if any object in the
     text gives a key twice, the digit limit if an integer is too long for
     ``int``, the recursion limit if the text nests too deep for ``json``, or
-    where ``json`` found it malformed, prefixed with ``where`` if given."""
-    prefix = f"{where}: " if where else ""
+    where ``json`` found it malformed, prefixed with ``where``."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys, parse_int=_integer)
     except RecursionError:
-        raise ValueError(f"{prefix}JSON nests too deep to read "
+        raise ValueError(f"{where}: JSON nests too deep to read "
                          f"(recursion limit {sys.getrecursionlimit()})") from None
     except ValueError as exc:  # json.JSONDecodeError, or a refusal of the hooks below
-        raise ValueError(f"{prefix}{exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -69,14 +67,8 @@ _JSON_KINDS = {dict: "object", list: "array", str: "string", bool: "boolean"}
 
 
 def json_value(value, kind: type, what: str):
-    """``value`` if it is a ``kind`` (dict, list, str or bool), or the member
-    of the Enum ``kind`` whose value is the JSON string ``value``; ValueError
-    naming ``what`` (and the allowed values, for an Enum) if not."""
-    if issubclass(kind, Enum):
-        allowed = [member.value for member in kind]
-        if json_value(value, str, what) not in allowed:
-            raise ValueError(f"{what} must be one of {', '.join(allowed)}, got {value!r}")
-        return kind(value)
+    """``value`` if it is a ``kind`` (dict, list, str or bool); ValueError
+    naming ``what`` if not."""
     if not isinstance(value, kind):
         raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}")
     return value

@@ -236,7 +236,8 @@ def witness_by_restriction(
 
 def settle_by_walk(bdd: Bdd, fs: tuple[int, ...], facts: dict[str, bool | None]
                    ) -> list[bool | None]:
-    """``Bdd.settle`` as the memoised walk that recurses once per level:
+    """``Bdd.settle`` of each of ``fs``, as the memoised walk that recurses
+    once per level:
     a node on a known fact takes its branch's verdict, and one on an unknown
     variable its branches' verdict when they agree, else None."""
     seen: dict[int, bool | None] = {Bdd.FALSE: False, Bdd.TRUE: True}

@@ -248,7 +248,7 @@ def test_settle_agrees_with_the_recursive_walk(eqs, data):
     fs = (*nodes.values(), Bdd.FALSE, Bdd.TRUE)
     names = tuple(data.draw(st.permutations([*bdd.names, "z"])))
     first = data.draw(st.booleans())
-    got = bdd.settle(fs, facts)
+    got = [bdd.settle(f, facts) for f in fs]
     verdicts = evaluate(eqs, facts)
     witnesses = [bdd.witness(f, names, first) for f in fs]
     assert len(bdd._nodes) == size

@@ -1,13 +1,12 @@
 """The optional fields of lexroad's JSON inputs: an absent key reads as the
 field's default, and a null is refused for every field but a profile's
-``sae_level``, which reads it as its default.  The net is the one written
-output lexroad also reads (``net_from_json``)."""
+``sae_level``, which reads it as its default."""
 
 import json
 
 import pytest
 
-from lexroad import bayes_net, rulepack
+from lexroad import rulepack
 from lexroad.boolean_core import load_scenario
 
 
@@ -23,21 +22,18 @@ READERS = {
     "profile": lambda d, payload: rulepack.load_profile(_write(d, "v.json", payload)),
     "checklist": lambda d, payload: rulepack.load_rulepack(
         _write(d, "g.checklist.json", payload).parent).checklists["g"],
-    "net": lambda d, payload: bayes_net.net_from_json(json.dumps(payload)),
 }
 
 
 @pytest.fixture
-def payloads(rules_by_id):
-    """A valid payload of each input; the net is UK-HC-103's."""
-    entry = rules_by_id["UK-HC-103"]
+def payloads():
+    """A valid payload of each input."""
     return {
         "scenario": {"rule_id": "UK-HC-103", "facts": {"A": True}, "description": "d"},
         "profile": {"vehicle_id": "v", "display_name": "V", "sae_level": 2,
                     "answers": {"x": "MET"}},
         "checklist": {"group": "g", "requirements": [
             {"id": "x", "description": "d", "hardware_gap": True}]},
-        "net": json.loads(bayes_net.net_to_json(bayes_net.build_bn(entry.equations))),
     }
 
 
@@ -48,15 +44,13 @@ def _target(payload, path):
     return payload
 
 
-# (input, path to an optional field, the field read back, its default); node 0
-# of UK-HC-103's net is the fact A
+# (input, path to an optional field, the field read back, its default)
 ABSENT = [
     ("scenario", ("description",), lambda s: s.description, ""),
     ("scenario", ("facts",), lambda s: s.facts, {}),
     ("checklist", ("requirements", 0, "hardware_gap"), lambda c: c[0].hardware_gap, False),
     ("profile", ("display_name",), lambda p: p.display_name, "v"),
     ("profile", ("sae_level",), lambda p: p.sae_level, None),
-    ("net", ("nodes", 0, "description"), lambda n: n.nodes[0].description, ""),
 ]
 
 
@@ -76,8 +70,6 @@ FIELDS = {
     "profile": [("vehicle_id",), ("display_name",), ("sae_level",), ("answers",)],
     "checklist": [("group",), ("requirements",),
                   *[("requirements", 0, key) for key in ("id", "description", "hardware_gap")]],
-    "net": [("rule_id",), ("nodes",),
-            *[("nodes", 0, key) for key in ("id", "kind", "parents", "cpt", "description")]],
 }
 NULLS = [(name, path) for name, paths in FIELDS.items() for path in paths]
 

@@ -16,7 +16,7 @@ import types
 import pytest
 
 from lexroad import compliance
-from lexroad.bayes_net import BayesNet, build_bn, infer, net_from_json, net_to_json, validate_bn
+from lexroad.bayes_net import BayesNet, build_bn, infer, net_to_json, validate_bn
 from lexroad.boolean_core import (
     Bdd,
     check_properties,
@@ -137,7 +137,7 @@ def _library_calls(rule_file, results):
             trace_path(graph, facts), graph.outcome_paths(), export_dot(graph),
             export_json(graph),
             infer(net), infer(net, {inputs[-1]: True}), validate_bn(net, eqs),
-            validate_bn(_flipped(net), eqs), net_from_json(net_to_json(net)),
+            validate_bn(_flipped(net), eqs), net_to_json(net),
         ]
     scenarios = [compliance.Scenario("UK-HC-103", {"A": True, "B": True, "C": False})]
     report = compliance.build_report(pack, profiles, scenarios)
