@@ -20,7 +20,7 @@ are bound to their nodes as each decision's own equation is built
 diagrams too.  Verdicts are read by a search with a stack of its own, so
 ``eval`` of an IF that is one OR has no width limit (6,000 facts in 0.1 s);
 ``ite`` still recurses once per input where it joins two wide functions,
-so an EXCEPT that is one OR of 985 facts does not build.
+so an EXCEPT that is one OR of 985 facts does not build (the CLI exits 2).
 """
 
 from __future__ import annotations
@@ -287,13 +287,18 @@ def verdict_name(value: bool | None) -> str:
 def decision_nodes(bdd: Bdd, eqs: RuleEquations) -> dict[str, int]:
     """Each decision's node in ``bdd``, built from its own equation with the
     decisions defined before it bound to their nodes; a decision used before
-    (or within) its definition raises CyclicDefinitionError."""
+    (or within) its definition raises CyclicDefinitionError.  An And or Or
+    object that several equations hold (:func:`compile_rule`'s folds) is
+    built once, keyed by its id, which ``eqs`` keeps its own.  The node table
+    is the same: building it again, on decisions already bound, would only
+    repeat memoised ``ite`` calls, which add no node."""
     nodes: dict[str, int] = {}
+    built: dict[int, int] = {}
     for decision, expr in eqs.equations.items():
         for name in free_vars(expr):
             if name in eqs.equations and name not in nodes:
                 raise CyclicDefinitionError(name)
-        nodes[decision] = bdd.of(expr, nodes)
+        nodes[decision] = bdd.of(expr, nodes, built)
     return nodes
 
 
@@ -619,25 +624,32 @@ class Bdd:
         self._ite[key] = r
         return r
 
-    def of(self, expr: BoolExpr, bound: dict[str, int] | None = None) -> int:
+    def of(self, expr: BoolExpr, bound: dict[str, int] | None = None,
+           built: dict[int, int] | None = None) -> int:
         """``expr``'s node, with each variable in ``bound`` read as its node:
         every child of an And/Or is built, left to right, before the fold from
         the right, which joins each child above the finished rest, so a wide
-        And/Or of variables in clause order costs one ``ite`` per child."""
+        And/Or of variables in clause order costs one ``ite`` per child.
+        ``built`` maps the ``id`` of each And and Or object built before to
+        its node, which it is read as, and gains those this call builds."""
         kind = type(expr)
         if kind is Var:
             return bound[expr.id] if bound and expr.id in bound else self.var(expr.id)
         if kind is Not:
-            return self.ite(self.of(expr.child, bound), self.FALSE, self.TRUE)
+            return self.ite(self.of(expr.child, bound, built), self.FALSE, self.TRUE)
         if kind is Const:
             return self.TRUE if expr.value else self.FALSE
-        *fs, f = [self.of(child, bound) for child in expr.children]
+        built = {} if built is None else built
+        if id(expr) in built:
+            return built[id(expr)]
+        *fs, f = [self.of(child, bound, built) for child in expr.children]
         if kind is And:
             for g in reversed(fs):
                 f = self.ite(g, f, self.FALSE)
         else:
             for g in reversed(fs):
                 f = self.ite(g, self.TRUE, f)
+        built[id(expr)] = f
         return f
 
     def settle(self, f: int, facts: dict[str, bool | None]) -> bool | None:

@@ -3,22 +3,24 @@
 Subcommands: ``compile``, ``eval``, ``lawmap``, ``bn``, ``check``.
 Exit codes: 0 success; 1 the command line is not valid, the rule cannot be
 read (missing, not UTF-8) or parsed, or an ``--out`` file or stdout cannot
-be written; 2 it does not compile; 3 the scenario is unreadable, not a JSON
-object, gives a key twice or a key that is not a field, is for another
-rule, names a variable the rule lacks or a decision, leaves out a fact
-``lawmap --trace`` needs, or is a second one for its rule under ``check``;
-4 priors or evidence are unusable (a prior that is not a JSON number or
-not in (0, 1), on a decision or on a name the rules lack, a priors key or
-an evidence name given twice included), evidence is impossible, a decision
-is cyclic or a validated net diverges; 5 anything wrong in the rulepack or
-a profile, a pack path that is missing or not a directory, a key given
-twice or a key that is not a field in one of its JSON files or a second
-profile with one ``vehicle_id`` included.
+be written; 2 it does not compile or is too wide to build within Python's
+recursion limit (the message names the limit); 3 the scenario is
+unreadable, not a JSON object, gives a key twice or a key that is not a
+field, is for another rule, names a variable the rule lacks or a decision,
+leaves out a fact ``lawmap --trace`` needs, or is a second one for its rule
+under ``check``; 4 priors or evidence are unusable (a prior that is not a
+JSON number or not in (0, 1), on a decision or on a name the rules lack, a
+priors key or an evidence name given twice included), evidence is
+impossible, a decision is cyclic or a validated net diverges; 5 anything
+wrong in the rulepack or a profile, a pack path that is missing or not a
+directory, a key given twice or a key that is not a field in one of its
+JSON files or a second profile with one ``vehicle_id`` included.
 ``eval`` of an IF that is one OR has no width limit (6,000 facts read),
 but the diagram kernel's ``ite`` recurses once per input where it joins two
 wide functions, so Python's recursion limit fails ``eval`` and ``lawmap``
-on an EXCEPT that is one OR of 985 facts, and ``bn`` validation on a
-one-level OR of 991.
+on an EXCEPT that is one OR of 985 facts, and ``bn`` on one of 988 (exit
+2); ``bn`` on an IF that is one OR exits 4 from 1,075 facts, as the
+probability of its equation check's evidence underflows.
 ``errors.EXIT_CODES`` gives each lexroad error its code, and ``_exits``
 gives errors raised while reading one input the code of that input.
 The module imports only what every subcommand runs (``errors``,
@@ -48,7 +50,7 @@ from types import SimpleNamespace
 from . import __version__
 from .boolean_core import (RuleEquations, check_facts, compile_rule, equations_to_text, evaluate,
                            load_scenario, verdict_name)
-from .errors import (EXIT_CODES, EXIT_INFERENCE, EXIT_OK, EXIT_PARSE, EXIT_RULEPACK,
+from .errors import (EXIT_CODES, EXIT_COMPILE, EXIT_INFERENCE, EXIT_OK, EXIT_PARSE, EXIT_RULEPACK,
                      EXIT_SCENARIO, RuleSyntaxError, UnknownScenarioVariableError)
 from .rule_dsl import assign_variables, load_rule_file, parse_rule
 
@@ -476,6 +478,9 @@ def main(argv: list[str] | None = None) -> int:
         code, error = failure.args
     except tuple(EXIT_CODES) as exc:
         code, error = EXIT_CODES[type(exc)], exc
+    except RecursionError:  # a diagram kernel walk as deep as the rule is wide
+        code, error = EXIT_COMPILE, (f"the rule is too wide to build "
+                                     f"(recursion limit {sys.getrecursionlimit()})")
     if isinstance(error, KeyError) and len(error.args) == 1:
         error = error.args[0]  # str() of a KeyError would quote its message
     # a syntax error already reads "file:line:col: error: ..."

@@ -12,7 +12,7 @@ yet b=TRUE alone forces Y.  The graph is read off the decisions' binary
 decision diagrams (``boolean_core.Bdd``) in clause order, so its size, not
 the 2^n input assignments, sets the cost.  The diagram walks recurse once
 per input, so Python's recursion limit caps a rule's width: an EXCEPT that
-is one OR of about 985 facts does not build.
+is one OR of about 985 facts does not build (the CLI exits 2).
 
 ``trace_path`` walks a transition table cached on the graph (each node's
 condition variable and yes and no successors), so after a graph's first
@@ -173,7 +173,7 @@ def build_lawmap(
         state = stack.pop()
         if state in ids:
             continue
-        if all(f in (Bdd.FALSE, Bdd.TRUE) for f in state):
+        if max(state) <= Bdd.TRUE:  # every decision is a terminal
             fired = tuple(d for d, f in zip(decisions, state) if f == Bdd.TRUE)
             if fired:
                 node_id = "outcome_" + "_".join(fired)
@@ -187,11 +187,15 @@ def build_lawmap(
             ids[state] = node_id
             nodes.append(LawmapNode(node_id, NodeKind.OUTCOME, label, None, fired))
             continue
-        level = min(bdd.level(f) for f in state)
+        level = min(map(bdd.level, state))
         var = bdd.names[level]
         node_id = ids[state] = f"c{len(branches) + 1}"
         nodes.append(LawmapNode(node_id, NodeKind.CONDITION, eqs.table.describe(var), var))
-        hi, lo = zip(*(bdd.cofactors(f, level) for f in state))
+        hi = lo = ()
+        for f in state:
+            f1, f0 = bdd.cofactors(f, level)
+            hi += (f1,)
+            lo += (f0,)
         branches.append((node_id, hi, lo))
         stack += (lo, hi)
 

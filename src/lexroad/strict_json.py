@@ -29,7 +29,9 @@ def loads(text: str, where: str) -> object:
     ``int``, the recursion limit if the text nests too deep for ``json``, or
     where ``json`` found it malformed, prefixed with ``where``."""
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys, parse_int=_integer)
+        if text.startswith("\ufeff"):  # json.loads's message; decode's would be "Expecting value"
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except RecursionError:
         raise ValueError(f"{where}: JSON nests too deep to read "
                          f"(recursion limit {sys.getrecursionlimit()})") from None
@@ -51,6 +53,10 @@ def _integer(digits: str) -> int:
         return int(digits)
     except ValueError:  # JSON's grammar leaves only the digit limit to refuse
         raise ValueError(f"an integer has more than {sys.get_int_max_str_digits()} digits") from None
+
+
+# one decoder for every read: json.loads given hooks builds one per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys, parse_int=_integer)
 
 
 def load(path: str | os.PathLike, text: str | None = None) -> dict:

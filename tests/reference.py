@@ -190,7 +190,8 @@ def truth_table(eqs: RuleEquations) -> list[TruthTableRow]:
 class PlainBdd(Bdd):
     """``Bdd`` with the plain kernel: ``ite`` through ``level`` and
     ``cofactors``, ``of`` by ``isinstance`` with every child of an And/Or
-    built before the fold from the right."""
+    built before the fold from the right, and every subterm built each
+    time it is met."""
 
     def ite(self, f: int, g: int, h: int) -> int:
         if f <= self.TRUE or g == h:
@@ -204,14 +205,14 @@ class PlainBdd(Bdd):
             self._ite[key] = self._node(level, self.ite(f1, g1, h1), self.ite(f0, g0, h0))
         return self._ite[key]
 
-    def of(self, expr: BoolExpr) -> int:
+    def of(self, expr: BoolExpr, bound: dict[str, int] | None = None) -> int:
         if isinstance(expr, Const):
             return self.TRUE if expr.value else self.FALSE
         if isinstance(expr, Var):
-            return self.var(expr.id)
+            return bound[expr.id] if bound and expr.id in bound else self.var(expr.id)
         if isinstance(expr, Not):
-            return self.ite(self.of(expr.child), self.FALSE, self.TRUE)
-        *rest, f = [self.of(child) for child in expr.children]  # every child first
+            return self.ite(self.of(expr.child, bound), self.FALSE, self.TRUE)
+        *rest, f = [self.of(child, bound) for child in expr.children]  # every child first
         for g in reversed(rest):  # then fold from the right
             f = self.ite(g, f, self.FALSE) if isinstance(expr, And) else self.ite(g, self.TRUE, f)
         return f

@@ -238,9 +238,10 @@ def test_bn_infer_leaves_22_of_25_inputs_open(tmp_path):
 
 def test_a_one_level_or_of_950_facts_runs_at_the_default_recursion_limit(tmp_path):
     """``ite`` still recurses once per input where it joins two wide
-    functions: in ``bn`` validation, and in the negation of an EXCEPT that
-    is one OR.  So a fresh process at the default recursion limit validates
-    a one-level OR of up to 990 facts; every command still answers at 950."""
+    functions, as in the negation of an EXCEPT that is one OR, but not in
+    any command on an IF that is one OR: a fresh process at the default
+    recursion limit answers every command at 950 facts, and ``bn``
+    validates 1,000 (see the test below)."""
     k = 950
     rule = write_wide_or_rule(tmp_path, k)
     observed = {f"v{i}": False for i in range(k - 3)}
@@ -275,6 +276,35 @@ def test_eval_reads_a_one_level_or_of_5000_facts_at_the_default_recursion_limit(
             result = run("eval", rule, write_scenario(tmp_path, f"WIDE-{k}", facts))
             assert (result.returncode, result.stdout, result.stderr) == (
                 0, f"Y: {want} (Outcome Y applies)\n", "")
+
+
+TOO_WIDE = f"error: the rule is too wide to build (recursion limit {sys.getrecursionlimit()})\n"
+
+
+def test_a_rule_too_wide_for_the_recursion_limit_is_one_line_and_exit_2(tmp_path):
+    """``ite`` recurses once per input where it joins two wide functions, as
+    in the negation of an EXCEPT that is one OR: at 1,000 facts a fresh
+    process at the default recursion limit names the limit in one stderr
+    line and exits 2, for ``bn`` and ``lawmap``.  ``bn`` validation of an IF
+    that is one OR no longer joins a decision with its own equation, so it
+    passes at that width."""
+    k = 1000
+    lines = [f"rule: EXCEPT-{k}", "", "IF:", "    [A] Fact a holds. @var(a)", "EXCEPT:",
+             "    [C] Any of:"]
+    lines += [f"        Fact v{i} holds{'.' if i == k - 1 else '; or,'} @var(v{i})"
+              for i in range(k)]
+    lines += ["THEN:", "    [X] Outcome X applies. @var(X)",
+              "ELSE:", "    [Y] Outcome Y applies. @var(Y)"]
+    rule = tmp_path / "except.rule"
+    rule.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with deadline(30.0):
+        for argv in (["bn", rule], ["lawmap", rule], ["lawmap", rule, "-f", "json"]):
+            result = run(*argv)
+            assert (result.returncode, result.stdout, result.stderr) == (2, "", TOO_WIDE), argv
+        result = run("bn", write_wide_or_rule(tmp_path, k))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == (f"rule WIDE-{k}: 1/1 equations validated over {2 ** k} assignments "
+                             "[ok]\n1/1 equations validated\n")
 
 
 def test_check_matrix_and_report(tmp_path):

@@ -6,6 +6,7 @@ here as oracles, and the diagram versions must agree with them byte for
 byte.
 """
 
+import copy
 import itertools
 
 from hypothesis import given, settings
@@ -16,12 +17,14 @@ from lexroad.boolean_core import (
     TRUE,
     And,
     Bdd,
+    Const,
     Not,
     Or,
     PropertyReport,
     RuleEquations,
     Var,
     check_properties,
+    decision_nodes,
     equations_equivalent,
     evaluate,
     free_vars,
@@ -277,6 +280,42 @@ def test_kernel_builds_the_plain_node_table(expressions, data):
         built.append(fast.ite(f, g, h))
         assert built[-1] == plain.ite(f, g, h)
         assert fast._nodes == plain._nodes
+    assert fast.names == plain.names
+
+
+def _subterms(expr):
+    """Every And, Or and Not object in ``expr``, outermost first."""
+    if isinstance(expr, (Var, Const)):
+        return []
+    children = (expr.child,) if isinstance(expr, Not) else expr.children
+    return [expr, *(sub for child in children for sub in _subterms(child))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(exprs(leaves=_LEAVES), min_size=1, max_size=4), st.data())
+def test_decision_nodes_build_the_plain_node_table_on_shared_subterms(expressions, data):
+    """Each equation joins a new expression with subterms of earlier
+    equations, some the same objects (as ``compile_rule`` shares its folds)
+    and some only equal copies, and with earlier decisions:
+    ``decision_nodes``, which builds a shared object once, gives the nodes
+    and the node table of the plain kernel building every equation whole."""
+    equations, subterms = {}, []
+    for i, expr in enumerate(expressions):
+        parts = [expr]
+        for sub in data.draw(st.lists(st.sampled_from(subterms), max_size=3)) if subterms else ():
+            parts.append(sub if data.draw(st.booleans()) else copy.deepcopy(sub))
+        if equations and data.draw(st.booleans()):
+            parts.append(Var(data.draw(st.sampled_from(sorted(equations)))))
+        rhs = parts[0] if len(parts) == 1 else data.draw(st.sampled_from((And, Or)))(tuple(parts))
+        equations[f"D{i}"] = Not(rhs) if data.draw(st.booleans()) else rhs
+        subterms += _subterms(equations[f"D{i}"])
+    eqs = RuleEquations("SHARED", parse_equations("").table, equations)
+    fast, plain = Bdd(("h", "c")), PlainBdd(("h", "c"))
+    want: dict[str, int] = {}
+    for decision, expr in equations.items():
+        want[decision] = plain.of(expr, want)
+    assert decision_nodes(fast, eqs) == want
+    assert fast._nodes == plain._nodes
     assert fast.names == plain.names
 
 

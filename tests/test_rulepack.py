@@ -274,3 +274,28 @@ def test_json_inputs_read_as_text_mode_reads_them(tmp_path, data):
             return type(exc), str(exc)
 
     assert outcome(strict_json.load) == outcome(reference.load_json_object)
+
+
+@pytest.mark.parametrize("text", [
+    "\ufeff{}", " \ufeff{}", '{"a": [1, 2.5, "\ufeff", null, true, {"b": {}}]}', '{"a": 1} x',
+    "", "[1,]", '{"a": -0, "b": 1e400}', "\ufeff\ufeff{}",
+])
+def test_strict_loads_reads_what_json_loads_reads(tmp_path, text):
+    """One decoder serves every read: a text without a key given twice or
+    an overlong integer gives ``json.loads``'s value or its message, a
+    leading U+FEFF included, which the decoder alone reports as a missing
+    value.  A file
+    loses one leading U+FEFF as it is read, so a second one is refused."""
+    try:
+        want = json.loads(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            strict_json.loads(text, "in.json")
+        assert str(got.value) == f"in.json: {exc}"
+    else:
+        assert strict_json.loads(text, "in.json") == want
+    path = tmp_path / "in.json"
+    path.write_text(text, encoding="utf-8")
+    if text.startswith("\ufeff\ufeff"):
+        with pytest.raises(ValueError, match="^.*in.json: Unexpected UTF-8 BOM"):
+            strict_json.load(path)
